@@ -11,6 +11,7 @@ from .compression import (
     RescaledUnbiased,
     TopK,
     compress,
+    compress_columns,
     omega,
     payload_bits,
 )

@@ -78,7 +78,7 @@ def _cmd_consensus(args) -> int:
     if args.init == "file":
         if not args.init_file:
             raise ConfigError("--init file requires --init-file")
-        x0 = np.loadtxt(args.init_file).T
+        x0 = harness.load_init_file(args.init_file, args.d, matrix.n)
     else:
         x0 = harness.gaussian_init(args.d, matrix.n, args.seed)
     result = run_consensus(config, x0)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compression import CompressionSpec, Identity, compress, is_random, is_unbiased
+from .compression import CompressionSpec, Identity, compress_columns, is_unbiased
 from .records import ConsensusRecord
 from .streams import StreamPool, tag_code
 from .topology import GossipMatrix
@@ -158,15 +158,8 @@ def _node_rngs(rngs, n):
 
 
 def _compress_columns(spec, mat, rngs):
-    """One draw per node; returns the dense d x n reconstruction and costs."""
-    d, n = mat.shape
-    rng_for = _node_rngs(rngs, n)
-    q = np.empty_like(mat)
-    bits = []
-    for i in range(n):
-        msg = compress(spec, mat[:, i], rng_for(i))
-        q[:, i] = msg.dense_value
-        bits.append(msg.payload_bits)
+    """One message per node; returns the dense d x n reconstruction and costs."""
+    q, bits, _ = compress_columns(spec, mat, _node_rngs(rngs, mat.shape[1]))
     return q, bits
 
 
@@ -254,7 +247,6 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     degrees = np.asarray(matrix.degrees)
     full_payload = d * config.compression.value_bits
     tracking = config.scheme == GossipScheme.TRACKING
-    randomized = is_random(config.compression)
 
     records: list[ConsensusRecord] = []
     bits = 0
@@ -262,8 +254,6 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     compress_tag = tag_code("compress")
 
     def round_rngs(t):
-        if config.scheme == GossipScheme.EXACT or not randomized:
-            return None
         return lambda i: pool.get(config.seed, node=i, round_=t, tag=compress_tag)
 
     for t in range(config.iters + 1):

@@ -76,6 +76,7 @@ __all__ = [
     "parse_compression",
     "build_topology",
     "gaussian_init",
+    "load_init_file",
 ]
 
 
@@ -147,6 +148,17 @@ def _require(value, key):
 def gaussian_init(d: int, n: int, seed: int) -> np.ndarray:
     """Standard normal d x n initial matrix from the run's init stream."""
     return stream(seed, tag="init").standard_normal((d, n))
+
+
+def load_init_file(path, d: int, n: int) -> np.ndarray:
+    """Initial d x n matrix from a text file holding one node's d values per line."""
+    x0 = np.loadtxt(path, ndmin=2).T
+    if x0.shape != (d, n):
+        raise ConfigError(
+            f"init file {path} must be d x n = {d} x {n} ({n} lines of {d} values), "
+            f"got {x0.shape[0]} x {x0.shape[1]}"
+        )
+    return x0
 
 
 def resolve_gamma(gamma_text: str, matrix: GossipMatrix, spec: comp.CompressionSpec, d: int) -> float:
@@ -241,9 +253,7 @@ def _build_consensus(spec: ExperimentSpec, seed: int):
         eval_every=o.get("eval_every", 1),
     )
     if "init_file" in o:
-        x0 = np.loadtxt(o["init_file"]).T
-        if x0.ndim == 1:
-            x0 = x0[:, None]
+        x0 = load_init_file(o["init_file"], d, matrix.n)
     else:
         x0 = gaussian_init(d, matrix.n, seed)
     return config, x0

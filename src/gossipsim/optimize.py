@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressionSpec, Identity, compress, is_random, omega as omega_of
+from .compression import CompressionSpec, Identity, compress_columns, omega as omega_of
 from .consensus import DivergenceError
 from .objectives import Objective
 from .records import OptimizeRecord
@@ -155,17 +155,10 @@ class TrackingAveraging:
         return np.zeros_like(x0), np.zeros_like(x0)
 
     def apply(self, x_half, y, s, *, t: int = 0, seed: int = 0):
-        n = x_half.shape[1]
-        randomized = is_random(self.compression)
-        q = np.empty_like(x_half)
-        payloads = []
-        for i in range(n):
-            rng = None
-            if randomized:
-                rng = self._pool.get(seed, node=i, round_=t, tag=_COMPRESS_TAG)
-            msg = compress(self.compression, x_half[:, i] - y[:, i], rng)
-            q[:, i] = msg.dense_value
-            payloads.append(msg.payload_bits)
+        q, payloads, _ = compress_columns(
+            self.compression, x_half - y,
+            lambda i: self._pool.get(seed, node=i, round_=t, tag=_COMPRESS_TAG),
+        )
         y_new = y + q
         s_new = s + q @ self.matrix.weights
         x_new = (x_half - self.gamma * y_new) + self.gamma * s_new

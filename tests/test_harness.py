@@ -152,6 +152,22 @@ class TestRunSuite:
         assert not outcome.failures
         assert any(p.name == "logit_seed1.csv" for p in outcome.written)
 
+    def test_init_file_with_one_coordinate(self, tmp_path):
+        init = tmp_path / "init.txt"
+        init.write_text("1.0\n2.0\n3.0\n6.0\n")  # four nodes, d = 1
+        config = tmp_path / "suite.ini"
+        config.write_text(
+            f"[one-d]\nkind = consensus\ntopology = ring\nn = 4\nd = 1\n"
+            f"init_file = {init}\niters = 5\nseeds = 1\n"
+            f"[too-wide]\nkind = consensus\ntopology = ring\nn = 4\nd = 2\n"
+            f"init_file = {init}\niters = 5\nseeds = 1\n"
+        )
+        outcome = run_suite(config, tmp_path / "out")
+        first = (tmp_path / "out" / "one-d_seed1.csv").read_text().splitlines()[1]
+        assert float(first.split(",")[1]) == 14.0  # sum (x_i - 3)^2
+        assert [(label, seed) for label, seed, _ in outcome.failures] == [("too-wide", 1)]
+        assert "2 x 4" in outcome.failures[0][2] and "got 1 x 4" in outcome.failures[0][2]
+
     def test_partial_failure_continues(self, tmp_path):
         config = tmp_path / "suite.ini"
         config.write_text(
@@ -384,6 +400,17 @@ class TestCli:
         first = out.read_text().splitlines()[1].split(",")
         want = float(np.sum((rows.T - rows.T.mean(axis=1, keepdims=True)) ** 2))
         assert float(first[1]) == pytest.approx(want, rel=1e-12)
+
+    def test_consensus_init_file_with_one_coordinate(self, tmp_path, capsys):
+        init = tmp_path / "init.txt"
+        init.write_text("1.0\n2.0\n3.0\n6.0\n")  # four nodes, d = 1
+        out = tmp_path / "run.csv"
+        args = ["consensus", "--topology", "ring", "--n", "4", "--init", "file",
+                "--init-file", str(init), "--iters", "5", "--out", str(out)]
+        assert cli.main(args + ["--d", "1"]) == 0
+        assert float(out.read_text().splitlines()[1].split(",")[1]) == 14.0
+        assert cli.main(args + ["--d", "4"]) == 2
+        assert "must be d x n = 4 x 4" in capsys.readouterr().err
 
     def test_custom_topology_from_edge_file(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
