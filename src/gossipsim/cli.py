@@ -11,12 +11,15 @@ Subcommands::
     gossipsim sweep      ... optimize flags ... --epochs 10
     gossipsim check      --kind all [--out report.csv]
 
-``consensus`` and ``optimize`` also accept ``--config suite.ini --out-dir
-results/`` to run every matching experiment section of a suite file (one
-CSV per seed plus a summary per experiment).
+A ``consensus`` or ``optimize`` run is a one-section suite: each flag sets
+the suite key of the same name (``--data`` sets ``data_path``, ``--seed``
+the one seed, ``--init-file`` the ``init_file`` used under ``--init file``),
+and the suite's builders supply every default.  Both also accept ``--config
+suite.ini --out-dir results/`` to run every matching experiment section of
+a suite file (one CSV per seed plus a summary per experiment).
 
-Exit codes: 0 success, 1 failed assertion or partially failed suite,
-2 configuration error.
+Exit codes: 0 success, 1 failed assertion, divergence or partially failed
+suite, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -24,12 +27,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import harness
-from .consensus import ConsensusConfig, DivergenceError, GossipScheme, run_consensus
+from .consensus import GossipScheme
 from .harness import ConfigError
-from .optimize import PracticalSchedule, SgdConfig, TheoreticalSchedule, run_optimization
 from .records import write_records_csv, write_rows_csv
 
 EXIT_OK = 0
@@ -46,111 +46,59 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--torus-rows", type=int)
     p.add_argument("--torus-cols", type=int)
     p.add_argument("--edges-file", help="custom topology: 'i j' pairs, 0-indexed")
-    p.add_argument("--compression", default="identity",
+    p.add_argument("--compression",
                    help="identity | rand_k:<k|frac> | top_k:<k|frac> | qsgd:<s> | "
                         "rand_gossip:<p> | unbiased:<inner>")
-    p.add_argument("--value-bits", type=int, default=32)
-    p.add_argument("--gamma", default="1.0", help="consensus stepsize or 'auto'")
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--eval-every", type=int, default=1)
+    p.add_argument("--value-bits", type=int)
+    p.add_argument("--gamma", help="consensus stepsize or 'auto'")
+    p.add_argument("--iters", type=int)
+    p.add_argument("--eval-every", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path for a single run")
 
 
-def _build_matrix(args):
-    return harness.build_topology(
-        args.topology, args.n, args.torus_rows, args.torus_cols, args.edges_file
-    )
-
-
-def _cmd_consensus(args) -> int:
-    if args.config:
-        return _run_suite(args, "consensus")
-    if args.d is None:
-        raise ConfigError("--d is required")
-    matrix = _build_matrix(args)
-    cspec = harness.parse_compression(args.compression, args.d, args.value_bits)
-    gamma = harness.resolve_gamma(args.gamma, matrix, cspec, args.d)
-    config = ConsensusConfig(
-        scheme=GossipScheme(args.scheme), matrix=matrix, gamma=gamma, compression=cspec,
-        iters=args.iters, seed=args.seed, eval_every=args.eval_every,
-    )
-    if args.init == "file":
-        if not args.init_file:
-            raise ConfigError("--init file requires --init-file")
-        x0 = harness.load_init_file(args.init_file, args.d, matrix.n)
-    else:
-        x0 = harness.gaussian_init(args.d, matrix.n, args.seed)
-    result = run_consensus(config, x0)
-    if args.out:
-        write_records_csv(args.out, result.records)
-    last = result.records[-1]
-    print(f"iter={last.iter} error={last.error:.6e} bits={last.bits}")
-    return EXIT_OK
-
-
-def _make_objective_and_schedule(args, matrix):
+def _spec(args, kind: str) -> harness.ExperimentSpec:
+    """The one-section suite that a flag invocation stands for."""
     options = {
-        "objective": args.objective,
-        "noise_sigma": args.noise_sigma,
-        "targets_seed": args.targets_seed if args.targets_seed is not None else args.seed,
+        key: value for key, value in vars(args).items()
+        if key in harness.SUITE_KEYS[kind] and value is not None
     }
-    if args.data:
-        options["data_path"] = args.data
-        options["partition"] = args.partition
-    objective = harness.build_objective(options, matrix, args.d, args.seed)
-    if args.schedule == "theoretical":
-        mu, _ = objective.constants()
-        schedule = TheoreticalSchedule(mu=mu, a=args.a if args.a is not None else 410.0)
-    else:
-        m = objective.samples_per_node * matrix.n if args.objective == "logistic" else 1
-        a = args.a if args.a is not None else 0.1
-        b = args.b if args.b is not None else float(objective.dim)
-        schedule = PracticalSchedule(a=a, b=b, m=m)
-    return objective, schedule
+    init = getattr(args, "init", None)
+    if init == "gaussian":
+        options.pop("init_file", None)
+    elif init == "file" and not options.get("init_file"):
+        raise ConfigError("--init file requires --init-file")
+    options["seeds"] = [args.seed]
+    return harness.ExperimentSpec(label=args.command, kind=kind, options=options)
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_run(args) -> int:
     if args.config:
-        return _run_suite(args, "optimize")
-    if args.d is None and args.objective == "quadratic":
-        raise ConfigError("--d is required for the quadratic objective")
-    matrix = _build_matrix(args)
-    objective, schedule = _make_objective_and_schedule(args, matrix)
-    d = objective.dim
-    cspec = harness.parse_compression(args.compression, d, args.value_bits)
-    gamma = harness.resolve_gamma(args.gamma, matrix, cspec, d)
-    config = SgdConfig(
-        matrix=matrix, schedule=schedule, averaging=args.averaging, gamma=gamma,
-        compression=cspec, iters=args.iters, seed=args.seed, eval_every=args.eval_every,
-        fstar_tol=args.fstar_tol,
-    )
-    result = run_optimization(config, objective, np.zeros((d, matrix.n)))
+        return _run_suite(args, args.command)
+    result = harness.run_experiment(_spec(args, args.command), args.seed)
     if args.out:
         write_records_csv(args.out, result.records)
     last = result.records[-1]
-    print(
-        f"iter={last.iter} subopt={last.subopt:.6e} bits={last.bits} "
-        f"avg_subopt={result.avg_subopt:.6e}"
-    )
+    if args.command == "consensus":
+        print(f"iter={last.iter} error={last.error:.6e} bits={last.bits}")
+    else:
+        print(
+            f"iter={last.iter} subopt={last.subopt:.6e} bits={last.bits} "
+            f"avg_subopt={result.avg_subopt:.6e}"
+        )
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    matrix = _build_matrix(args)
-    objective, _ = _make_objective_and_schedule(args, matrix)
-    d = objective.dim
-    cspec = harness.parse_compression(args.compression, d, args.value_bits)
-    gamma = harness.resolve_gamma(args.gamma, matrix, cspec, d)
-    base = SgdConfig(
-        matrix=matrix, schedule=PracticalSchedule(a=1.0, b=1.0, m=1), averaging=args.averaging,
-        gamma=gamma, compression=cspec, iters=1, seed=args.seed, fstar_tol=args.fstar_tol,
-    )
+    spec = _spec(args, "optimize")
+    for key in ("iters", "eval_every"):  # the grid sets its own round budget
+        spec.options.pop(key, None)
+    base, objective, x0 = harness.build_optimize(spec, args.seed)
     grid = harness.GridSpec(
         a_exponents=tuple(range(args.a_exp_min, args.a_exp_max + 1)),
         budget_epochs=args.epochs,
     )
-    a, b, final = harness.grid_search(base, grid, objective, np.zeros((d, matrix.n)))
+    a, b, final = harness.grid_search(base, grid, objective, x0)
     print(f"best a={a:g} b={b:g} final_subopt={final:.6e}")
     return EXIT_OK
 
@@ -183,15 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("consensus", help="run a gossip averaging experiment")
     _add_common_flags(p)
-    p.add_argument("--scheme", default="exact", choices=[s.value for s in GossipScheme])
+    p.add_argument("--scheme", choices=[s.value for s in GossipScheme])
     p.add_argument("--init", default="gaussian", choices=["gaussian", "file"])
     p.add_argument("--init-file", help="text matrix, one node row per line")
-    p.set_defaults(func=_cmd_consensus)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("optimize", help="run decentralized SGD")
     _add_common_flags(p)
     _add_optimize_flags(p)
-    p.set_defaults(func=_cmd_optimize)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="grid-search the stepsize schedule")
     _add_common_flags(p)
@@ -210,16 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_optimize_flags(p) -> None:
-    p.add_argument("--objective", default="quadratic", choices=["quadratic", "logistic"])
-    p.add_argument("--data", help="LIBSVM file for the logistic objective")
-    p.add_argument("--partition", default="shuffled", choices=["shuffled", "sorted"])
-    p.add_argument("--schedule", default="practical", choices=["practical", "theoretical"])
+    p.add_argument("--objective", choices=["quadratic", "logistic"])
+    p.add_argument("--data", dest="data_path", help="LIBSVM file for the logistic objective")
+    p.add_argument("--partition", choices=["shuffled", "sorted"])
+    p.add_argument("--schedule", choices=["practical", "theoretical"])
     p.add_argument("--a", type=float)
     p.add_argument("--b", type=float)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--noise-sigma", type=float)
     p.add_argument("--targets-seed", type=int)
-    p.add_argument("--averaging", default="exact", choices=["exact", "tracking"])
-    p.add_argument("--fstar-tol", type=float, default=1e-10)
+    p.add_argument("--averaging", choices=["exact", "tracking"])
+    p.add_argument("--fstar-tol", type=float)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -227,9 +175,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DivergenceError, ValueError, OSError) as exc:
+    # ConfigError is a ValueError; DivergenceError, a failed reference solve
+    # and an all-diverged sweep are RuntimeErrors.
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, (ConfigError, ValueError, OSError)) else EXIT_FAILURE
+        return EXIT_CONFIG if isinstance(exc, (ValueError, OSError)) else EXIT_FAILURE
 
 
 if __name__ == "__main__":

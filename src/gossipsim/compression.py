@@ -63,9 +63,7 @@ __all__ = [
     "omega",
     "payload_bits",
     "qsgd_tau",
-    "natural_tau",
     "is_unbiased",
-    "is_random",
     "resolve_k",
 ]
 
@@ -307,21 +305,11 @@ def qsgd_tau(s: int, d: int) -> float:
     return 1.0 + min(d / s**2, math.sqrt(d) / s)
 
 
-def natural_tau(spec: CompressionSpec, d: int) -> float:
-    """Scale that lifts a contractive primitive to its unbiased estimator."""
-    return spec.natural_tau(d)
-
-
 def is_unbiased(spec: CompressionSpec) -> bool:
     """True if ``E Q(x) = x`` (Identity or a naturally rescaled primitive)."""
     if isinstance(spec, Identity):
         return True
     return isinstance(spec, RescaledUnbiased) and spec.tau is None
-
-
-def is_random(spec: CompressionSpec) -> bool:
-    """True if the operator consumes random draws."""
-    return spec.random
 
 
 def resolve_k(fraction: float, d: int) -> int:

@@ -33,6 +33,7 @@ import numpy as np
 from . import compression as comp
 from .consensus import (
     ConsensusConfig,
+    ConsensusResult,
     DivergenceError,
     GossipScheme,
     run_consensus,
@@ -47,6 +48,7 @@ from .objectives import (
     solve_reference,
 )
 from .optimize import (
+    OptimizationResult,
     PracticalSchedule,
     SgdConfig,
     TheoreticalSchedule,
@@ -68,7 +70,11 @@ __all__ = [
     "ConfigError",
     "ExperimentSpec",
     "GridSpec",
+    "SUITE_KEYS",
     "parse_suite_file",
+    "build_consensus",
+    "build_optimize",
+    "run_experiment",
     "run_suite",
     "grid_search",
     "theory_check",
@@ -174,10 +180,13 @@ _COMMON_KEYS = {
     "kind", "topology", "n", "d", "torus_rows", "torus_cols", "edges_file",
     "compression", "value_bits", "gamma", "iters", "eval_every", "seeds", "init_file",
 }
-_CONSENSUS_KEYS = _COMMON_KEYS | {"scheme"}
-_OPTIMIZE_KEYS = _COMMON_KEYS | {
-    "averaging", "objective", "data_path", "partition", "schedule",
-    "a", "b", "mu", "noise_sigma", "fstar_tol", "targets_seed",
+# The keys a section of each kind may hold; the CLI's flags use the same names.
+SUITE_KEYS = {
+    "consensus": _COMMON_KEYS | {"scheme"},
+    "optimize": _COMMON_KEYS | {
+        "averaging", "objective", "data_path", "partition", "schedule",
+        "a", "b", "mu", "noise_sigma", "fstar_tol", "targets_seed",
+    },
 }
 
 
@@ -203,8 +212,7 @@ def parse_suite_file(path: str | Path) -> list[ExperimentSpec]:
         kind = raw.get("kind")
         if kind not in ("consensus", "optimize"):
             raise ConfigError(f"[{label}]: kind must be consensus or optimize")
-        allowed = _CONSENSUS_KEYS if kind == "consensus" else _OPTIMIZE_KEYS
-        unknown = set(raw) - allowed
+        unknown = set(raw) - SUITE_KEYS[kind]
         if unknown:
             raise ConfigError(f"[{label}]: unknown keys {sorted(unknown)}")
         options = _coerce_options(label, raw)
@@ -234,23 +242,33 @@ def _coerce_options(label: str, raw: dict) -> dict:
     return opts
 
 
-def _build_consensus(spec: ExperimentSpec, seed: int):
-    o = spec.options
-    d = _require(o.get("d"), "d")
-    matrix = build_topology(
+def _build_matrix(o: dict) -> GossipMatrix:
+    return build_topology(
         _require(o.get("topology"), "topology"), o.get("n"),
         o.get("torus_rows"), o.get("torus_cols"), o.get("edges_file"),
     )
+
+
+def _gossip_options(o: dict, matrix: GossipMatrix, d: int, seed: int) -> dict:
+    """The config fields consensus and SGD runs share, with their defaults."""
     cspec = parse_compression(o.get("compression", "identity"), d, o.get("value_bits", 32))
-    gamma = resolve_gamma(str(o.get("gamma", "1.0")), matrix, cspec, d)
-    config = ConsensusConfig(
-        scheme=GossipScheme(o.get("scheme", "exact")),
+    return dict(
         matrix=matrix,
-        gamma=gamma,
+        gamma=resolve_gamma(str(o.get("gamma", "1.0")), matrix, cspec, d),
         compression=cspec,
         iters=o.get("iters", 100),
         seed=seed,
         eval_every=o.get("eval_every", 1),
+    )
+
+
+def build_consensus(spec: ExperimentSpec, seed: int):
+    """Config and initial matrix of one consensus run; every default lives here."""
+    o = spec.options
+    d = _require(o.get("d"), "d")
+    matrix = _build_matrix(o)
+    config = ConsensusConfig(
+        scheme=GossipScheme(o.get("scheme", "exact")), **_gossip_options(o, matrix, d, seed)
     )
     if "init_file" in o:
         x0 = load_init_file(o["init_file"], d, matrix.n)
@@ -259,11 +277,11 @@ def _build_consensus(spec: ExperimentSpec, seed: int):
     return config, x0
 
 
-def build_objective(o: dict, matrix: GossipMatrix, d: int, seed: int) -> Objective:
+def build_objective(o: dict, matrix: GossipMatrix, d: int | None, seed: int) -> Objective:
     name = o.get("objective", "quadratic")
     if name == "quadratic":
         targets_seed = int(o.get("targets_seed", seed))
-        targets = stream(targets_seed, tag="targets").standard_normal((d, matrix.n))
+        targets = stream(targets_seed, tag="targets").standard_normal((_require(d, "d"), matrix.n))
         return QuadraticObjective(targets, noise_sigma=o.get("noise_sigma", 0.0))
     if name == "logistic":
         path = _require(o.get("data_path"), "data_path")
@@ -274,49 +292,34 @@ def build_objective(o: dict, matrix: GossipMatrix, d: int, seed: int) -> Objecti
     raise ConfigError(f"unknown objective {name!r}")
 
 
-def _build_optimize(spec: ExperimentSpec, seed: int):
+def build_optimize(spec: ExperimentSpec, seed: int):
+    """Config, objective and initial matrix of one SGD run; every default lives here."""
     o = spec.options
-    matrix = build_topology(
-        _require(o.get("topology"), "topology"), o.get("n"),
-        o.get("torus_rows"), o.get("torus_cols"), o.get("edges_file"),
-    )
-    d = o.get("d")
-    if o.get("objective", "quadratic") == "quadratic":
-        d = _require(d, "d")
-    objective = build_objective(o, matrix, d, seed)
+    matrix = _build_matrix(o)
+    objective = build_objective(o, matrix, o.get("d"), seed)
     d = objective.dim
-    cspec = parse_compression(o.get("compression", "identity"), d, o.get("value_bits", 32))
     schedule_name = o.get("schedule", "practical")
     if schedule_name == "theoretical":
         mu, _ = objective.constants()
         schedule = TheoreticalSchedule(mu=o.get("mu", mu), a=o.get("a", 410.0))
     elif schedule_name == "practical":
-        m = objective.samples_per_node * matrix.n if hasattr(objective, "dataset") else 1
+        m = objective.samples_per_node * matrix.n if isinstance(objective, LogisticObjective) else 1
         schedule = PracticalSchedule(a=o.get("a", 0.1), b=o.get("b", float(d)), m=m)
     else:
         raise ConfigError(f"unknown schedule {schedule_name!r}")
-    gamma = resolve_gamma(str(o.get("gamma", "1.0")), matrix, cspec, d)
     config = SgdConfig(
-        matrix=matrix,
         schedule=schedule,
         averaging=o.get("averaging", "exact"),
-        gamma=gamma,
-        compression=cspec,
-        iters=o.get("iters", 100),
-        seed=seed,
-        eval_every=o.get("eval_every", 1),
         fstar_tol=o.get("fstar_tol", 1e-10),
+        **_gossip_options(o, matrix, d, seed),
     )
-    x0 = np.zeros((d, matrix.n))
-    return config, objective, x0
+    return config, objective, np.zeros((d, matrix.n))
 
 
-def run_experiment(spec: ExperimentSpec, seed: int):
+def run_experiment(spec: ExperimentSpec, seed: int) -> ConsensusResult | OptimizationResult:
     if spec.kind == "consensus":
-        config, x0 = _build_consensus(spec, seed)
-        return run_consensus(config, x0).records
-    config, objective, x0 = _build_optimize(spec, seed)
-    return run_optimization(config, objective, x0).records
+        return run_consensus(*build_consensus(spec, seed))
+    return run_optimization(*build_optimize(spec, seed))
 
 
 @dataclass(frozen=True)
@@ -366,8 +369,10 @@ def run_suite(
         per_seed = []
         for seed in spec.seeds:
             try:
-                records = run_experiment(spec, seed)
-            except (DivergenceError, ConfigError, ValueError, OSError) as exc:
+                records = run_experiment(spec, seed).records
+            # ConfigError is a ValueError; DivergenceError is a RuntimeError,
+            # as are failed reference solves and power iterations.
+            except (ValueError, OSError, RuntimeError) as exc:
                 failures.append((spec.label, seed, str(exc)))
                 continue
             path = out / f"{spec.label}_seed{seed}.csv"

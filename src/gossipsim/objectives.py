@@ -333,11 +333,6 @@ def power_iteration(matvec, dim: int, tol: float = 1e-6, max_iters: int = 10_000
     raise RuntimeError(f"power iteration did not converge in {max_iters} steps")
 
 
-def full_gradient(objective: Objective, x: np.ndarray) -> np.ndarray:
-    """Gradient of the full objective (all samples, exact)."""
-    return objective.gradient(x)
-
-
 def solve_reference(
     objective: Objective, tolerance: float = 1e-10, max_iters: int = 10**6
 ) -> tuple[np.ndarray, float]:

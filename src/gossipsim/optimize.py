@@ -31,7 +31,7 @@ from .compression import CompressionSpec, Identity, compress_columns, omega as o
 from .consensus import DivergenceError
 from .objectives import Objective
 from .records import OptimizeRecord
-from .streams import StreamPool, stream, tag_code
+from .streams import StreamPool, tag_code
 from .topology import GossipMatrix
 
 _GRAD_TAG = tag_code("grad")
@@ -40,7 +40,6 @@ _COMPRESS_TAG = tag_code("compress")
 __all__ = [
     "TheoreticalSchedule",
     "PracticalSchedule",
-    "schedule_eta",
     "theoretical_stepsize",
     "blackbox_stepsize_requirement",
     "ExactAveraging",
@@ -80,10 +79,6 @@ class PracticalSchedule:
 
 
 Schedule = TheoreticalSchedule | PracticalSchedule
-
-
-def schedule_eta(schedule: Schedule, t: int) -> float:
-    return schedule.eta(t)
 
 
 def theoretical_stepsize(
@@ -126,10 +121,9 @@ class ExactAveraging:
         return np.zeros_like(x0), np.zeros_like(x0)
 
     def apply(self, x_half, y, s, *, t: int = 0, seed: int = 0):
-        del y, s, t, seed
-        w = self.matrix.weights
-        x_new = x_half + self.gamma * (x_half @ w - x_half)
-        return x_new, x_new, x_new @ w, None
+        del y, t, seed
+        x_new = x_half + self.gamma * (x_half @ self.matrix.weights - x_half)
+        return x_new, x_new, s, None
 
 
 class TrackingAveraging:
@@ -212,6 +206,8 @@ class SgdConfig:
             raise ValueError("iters must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if not self.fstar_tol > 0:
+            raise ValueError(f"fstar_tol must be > 0, got {self.fstar_tol}")
 
 
 @dataclass(frozen=True)
@@ -234,17 +230,14 @@ def sgd_round(
     averaging: AveragingScheme,
     t: int,
     seed: int,
-    pool: StreamPool | None = None,
+    pool: StreamPool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int] | None, float]:
     """One decentralized SGD round; returns updated state, payload bits per
     node (None when full-precision), and the largest gradient norm seen."""
     n = x.shape[1]
     grads = np.empty_like(x)
     for i in range(n):
-        if pool is None:
-            rng = stream(seed, node=i, round_=t, tag="grad")
-        else:
-            rng = pool.get(seed, node=i, round_=t, tag=_GRAD_TAG)
+        rng = pool.get(seed, node=i, round_=t, tag=_GRAD_TAG)
         grads[:, i] = objective.stochastic_gradient(i, x[:, i], rng)
     max_grad = float(np.max(np.sqrt(np.sum(grads**2, axis=0))))
     x_half = x - eta * grads
@@ -322,7 +315,7 @@ def run_optimization(
         if final or t % config.eval_every == 0:
             subopt = objective.value(xbar) - f_star
             dispersion = float(np.sum((x - xbar[:, None]) ** 2))
-            eta = schedule_eta(config.schedule, t)
+            eta = config.schedule.eta(t)
             records.append(OptimizeRecord(t, subopt, dispersion, bits, eta))
             if initial_subopt is None:
                 initial_subopt = abs(subopt)
@@ -331,7 +324,7 @@ def run_optimization(
         if final:
             break
         averaged.update(t, xbar)
-        eta = schedule_eta(config.schedule, t)
+        eta = config.schedule.eta(t)
         x, y, s, payloads, g = sgd_round(x, y, s, objective, eta, scheme, t, config.seed, pool)
         empirical_g = max(empirical_g, g)
         if payloads is None:

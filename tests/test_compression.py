@@ -12,9 +12,7 @@ from gossipsim.compression import (
     RescaledUnbiased,
     TopK,
     compress,
-    is_random,
     is_unbiased,
-    natural_tau,
     omega,
     payload_bits,
     qsgd_tau,
@@ -241,7 +239,7 @@ class TestContraction:
         x = stream(6, tag="mc").standard_normal(50)
         rng = stream(7, tag="mc")
         spec = RescaledUnbiased(RandK(5))
-        tau = natural_tau(RandK(5), 50)
+        tau = RandK(5).natural_tau(50)
         norms = np.array(
             [np.sum(compress(spec, x, rng).dense_value ** 2) for _ in range(MC_DRAWS)]
         )
@@ -270,5 +268,5 @@ class TestSpecValidation:
         assert is_unbiased(Identity())
         assert is_unbiased(RescaledUnbiased(RandK(2)))
         assert not is_unbiased(RandK(2))
-        assert is_random(RandK(2)) and is_random(RescaledUnbiased(Qsgd(4)))
-        assert not is_random(TopK(2)) and not is_random(Identity())
+        assert RandK(2).random and RescaledUnbiased(Qsgd(4)).random
+        assert not TopK(2).random and not Identity().random

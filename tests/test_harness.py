@@ -6,6 +6,7 @@ import pytest
 from gossipsim import cli
 from gossipsim.compression import Identity, Qsgd, RandK, RescaledUnbiased, TopK
 from gossipsim.harness import (
+    SUITE_KEYS,
     CheckOutcome,
     ConfigError,
     GridSpec,
@@ -16,7 +17,7 @@ from gossipsim.harness import (
     summarize,
     theory_check,
 )
-from gossipsim.objectives import QuadraticObjective
+from gossipsim.objectives import QuadraticObjective, serialize_libsvm, synthetic_classification
 from gossipsim.optimize import PracticalSchedule, SgdConfig, run_optimization
 from gossipsim.records import OptimizeRecord, format_value, write_rows_csv
 from gossipsim.streams import stream
@@ -180,6 +181,20 @@ class TestRunSuite:
         assert len(outcome.failures) == 1
         assert outcome.failures[0][0] == "diverges"
         assert any(p.name == "avg-exact_seed1.csv" for p in outcome.written)
+
+    def test_runtime_error_recorded_and_suite_continues(self, tmp_path, monkeypatch):
+        def no_reference(*args, **kwargs):
+            raise RuntimeError("reference solve did not converge")
+
+        monkeypatch.setattr("gossipsim.objectives.solve_reference", no_reference)
+        config = tmp_path / "suite.ini"
+        config.write_text(SUITE)
+        outcome = run_suite(config, tmp_path / "out")
+        assert [(label, seed) for label, seed, _ in outcome.failures] == [
+            ("sgd-quad", 4), ("sgd-quad", 5),
+        ]
+        assert "did not converge" in outcome.failures[0][2]
+        assert any(p.name == "avg-exact_summary.csv" for p in outcome.written)
 
 
 class TestSummarize:
@@ -443,3 +458,79 @@ class TestCli:
         ])
         assert code == 0
         assert "best a=" in capsys.readouterr().out
+
+    def test_runtime_error_exit_code(self, capsys):
+        code = cli.main([
+            "sweep", "--topology", "ring", "--n", "4", "--d", "4",
+            "--objective", "quadratic", "--a-exp-min", "7", "--a-exp-max", "8",
+            "--epochs", "3",
+        ])
+        assert code == 1
+        assert "error: all grid points diverged" in capsys.readouterr().err
+
+    def test_missing_dimension_is_config_error(self, capsys):
+        assert cli.main(["consensus", "--n", "4"]) == 2
+        assert "missing required key 'd'" in capsys.readouterr().err
+
+
+# The same experiment as CLI flags and as a suite section: (flags, section).
+# "{init}" and "{data}" stand for files the test writes.
+SAME_RUN = {
+    "consensus-gaussian": (
+        "consensus --topology torus --torus-rows 3 --torus-cols 3 --d 12 --scheme tracking "
+        "--compression qsgd:16 --gamma auto --iters 30 --eval-every 4 --seed 5",
+        "kind = consensus\ntopology = torus\ntorus_rows = 3\ntorus_cols = 3\nd = 12\n"
+        "scheme = tracking\ncompression = qsgd:16\ngamma = auto\niters = 30\n"
+        "eval_every = 4\nseeds = 5\n",
+    ),
+    "consensus-init-file": (
+        "consensus --n 3 --d 5 --scheme paired --compression unbiased:rand_k:2 --gamma 0.2 "
+        "--value-bits 16 --init file --init-file {init} --iters 12 --seed 2",
+        "kind = consensus\ntopology = ring\nn = 3\nd = 5\nscheme = paired\n"
+        "compression = unbiased:rand_k:2\ngamma = 0.2\nvalue_bits = 16\n"
+        "init_file = {init}\niters = 12\nseeds = 2\n",
+    ),
+    "optimize-quadratic-theoretical": (
+        "optimize --topology full --n 4 --d 6 --objective quadratic --schedule theoretical "
+        "--noise-sigma 0.3 --targets-seed 11 --averaging tracking --compression top_k:2 "
+        "--gamma 0.5 --iters 25 --eval-every 5 --seed 3",
+        "kind = optimize\ntopology = full\nn = 4\nd = 6\nobjective = quadratic\n"
+        "schedule = theoretical\nnoise_sigma = 0.3\ntargets_seed = 11\n"
+        "averaging = tracking\ncompression = top_k:2\ngamma = 0.5\niters = 25\n"
+        "eval_every = 5\nseeds = 3\n",
+    ),
+    "optimize-logistic-practical": (
+        "optimize --n 3 --objective logistic --data {data} --partition sorted "
+        "--schedule practical --a 0.2 --b 8 --fstar-tol 1e-9 --iters 20 --seed 4",
+        "kind = optimize\ntopology = ring\nn = 3\nobjective = logistic\n"
+        "data_path = {data}\npartition = sorted\nschedule = practical\na = 0.2\n"
+        "b = 8\nfstar_tol = 1e-9\niters = 20\nseeds = 4\n",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:schedule parameter a")
+@pytest.mark.parametrize("name", sorted(SAME_RUN))
+def test_cli_run_equals_one_section_suite(name, tmp_path, capsys):
+    init = tmp_path / "init.txt"
+    np.savetxt(init, stream(8, tag="init").standard_normal((3, 5)))
+    data = tmp_path / "train.svm"
+    data.write_text(serialize_libsvm(synthetic_classification(30, 4, seed=6)))
+    flags, section = (text.format(init=init, data=data) for text in SAME_RUN[name])
+    config = tmp_path / "suite.ini"
+    config.write_text(f"[{name}]\n{section}")
+    outcome = run_suite(config, tmp_path / "suite")
+    assert not outcome.failures
+    seed = flags.split()[-1]
+    assert cli.main(flags.split() + ["--out", str(tmp_path / "cli.csv")]) == 0
+    suite_csv = tmp_path / "suite" / f"{name}_seed{seed}.csv"
+    assert (tmp_path / "cli.csv").read_bytes() == suite_csv.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["consensus", "optimize"])
+def test_flags_are_suite_keys_without_defaults(kind):
+    args = vars(cli.build_parser().parse_args([kind]))
+    dests = set(args) - {"command", "func"}
+    assert dests - SUITE_KEYS[kind] <= {"config", "out_dir", "out", "seed", "init"}
+    # every default of a suite key lives in the suite's builders
+    assert {key for key in dests & SUITE_KEYS[kind] if args[key] is not None} == {"topology"}

@@ -10,7 +10,6 @@ from gossipsim.objectives import (
     LogisticObjective,
     QuadraticObjective,
     Shard,
-    full_gradient,
     parse_libsvm,
     partition,
     power_iteration,
@@ -211,7 +210,7 @@ class TestLogistic:
         for _ in range(5):
             x = rng.standard_normal(obj.dim)
             fd = finite_difference_gradient(lambda z: obj.value(z), x)
-            np.testing.assert_allclose(full_gradient(obj, x), fd, atol=1e-6)
+            np.testing.assert_allclose(obj.gradient(x), fd, atol=1e-6)
             fd_local = finite_difference_gradient(lambda z: obj.local_value(1, z), x)
             np.testing.assert_allclose(obj.local_gradient(1, x), fd_local, atol=1e-6)
 
@@ -285,12 +284,12 @@ class TestSolveReference:
         obj = LogisticObjective(ds, partition(ds, 1, "sorted"))
         x_star, f_star = solve_reference(obj)
         assert f_star < math.log(2.0)
-        assert np.linalg.norm(full_gradient(obj, x_star)) <= 1e-10
+        assert np.linalg.norm(obj.gradient(x_star)) <= 1e-10
 
     def test_gradient_norm_contract_on_fixture(self):
         obj = small_logistic(n_nodes=2)
         x_star, f_star = solve_reference(obj, tolerance=1e-10)
-        assert np.linalg.norm(full_gradient(obj, x_star)) <= 1e-10
+        assert np.linalg.norm(obj.gradient(x_star)) <= 1e-10
         fd = finite_difference_gradient(lambda z: obj.value(z), x_star)
         assert np.max(np.abs(fd)) <= 1e-6
 

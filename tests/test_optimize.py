@@ -291,6 +291,12 @@ class TestRunOptimization:
             run_optimization(config, objective, np.zeros((4, 9)))
         assert err.value.iteration >= 0
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_nonpositive_fstar_tol_rejected(self, tol):
+        # a tolerance that can never be met would spin the reference solve
+        with pytest.raises(ValueError, match="fstar_tol"):
+            SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1), fstar_tol=tol)
+
     def test_strict_theory_precondition(self):
         objective = quad_objective(4, 9)
         sched = TheoreticalSchedule(mu=1.0, a=10.0)  # far below 410/(delta^2)
