@@ -19,13 +19,10 @@ from .consensus import (
     ConsensusConfig,
     ConsensusResult,
     DivergenceError,
+    Gossip,
     GossipScheme,
     NodeStates,
     run_consensus,
-    step_direct,
-    step_exact,
-    step_paired,
-    step_tracking,
     tracking_stepsize,
 )
 from .objectives import (

@@ -13,10 +13,12 @@ Subcommands::
 
 A ``consensus`` or ``optimize`` run is a one-section suite: each flag sets
 the suite key of the same name (``--data`` sets ``data_path``, ``--seed``
-the one seed, ``--init-file`` the ``init_file`` used under ``--init file``),
-and the suite's builders supply every default.  Both also accept ``--config
+the one seed, ``--init-file`` the ``init_file`` to start from), and the
+suite's builders supply every default.  Both also accept ``--config
 suite.ini --out-dir results/`` to run every matching experiment section of
-a suite file (one CSV per seed plus a summary per experiment).
+a suite file (one CSV per seed plus a summary per experiment).  ``sweep``
+takes only the flags it reads: the graph, operator, objective and
+averaging, but no round budget, schedule or output flags.
 
 Exit codes: 0 success, 1 failed assertion, divergence or partially failed
 suite, 2 configuration error.
@@ -29,7 +31,6 @@ import sys
 
 from . import harness
 from .consensus import GossipScheme
-from .harness import ConfigError
 from .records import write_records_csv, write_rows_csv
 
 EXIT_OK = 0
@@ -37,9 +38,7 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="suite file; runs matching sections instead of flags")
-    p.add_argument("--out-dir", default="results", help="output directory for suite runs")
+def _add_gossip_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", default="ring", help="ring | torus | full | custom")
     p.add_argument("--n", type=int, help="node count")
     p.add_argument("--d", type=int, help="vector dimension")
@@ -51,9 +50,14 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                         "rand_gossip:<p> | unbiased:<inner>")
     p.add_argument("--value-bits", type=int)
     p.add_argument("--gamma", help="consensus stepsize or 'auto'")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="suite file; runs matching sections instead of flags")
+    p.add_argument("--out-dir", default="results", help="output directory for suite runs")
     p.add_argument("--iters", type=int)
     p.add_argument("--eval-every", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path for a single run")
 
 
@@ -63,11 +67,6 @@ def _spec(args, kind: str) -> harness.ExperimentSpec:
         key: value for key, value in vars(args).items()
         if key in harness.SUITE_KEYS[kind] and value is not None
     }
-    init = getattr(args, "init", None)
-    if init == "gaussian":
-        options.pop("init_file", None)
-    elif init == "file" and not options.get("init_file"):
-        raise ConfigError("--init file requires --init-file")
     options["seeds"] = [args.seed]
     return harness.ExperimentSpec(label=args.command, kind=kind, options=options)
 
@@ -90,10 +89,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _spec(args, "optimize")
-    for key in ("iters", "eval_every"):  # the grid sets its own round budget
-        spec.options.pop(key, None)
-    base, objective, x0 = harness.build_optimize(spec, args.seed)
+    base, objective, x0 = harness.build_optimize(_spec(args, "optimize"), args.seed)
     grid = harness.GridSpec(
         a_exponents=tuple(range(args.a_exp_min, args.a_exp_max + 1)),
         budget_epochs=args.epochs,
@@ -130,20 +126,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("consensus", help="run a gossip averaging experiment")
-    _add_common_flags(p)
+    _add_gossip_flags(p)
+    _add_run_flags(p)
     p.add_argument("--scheme", choices=[s.value for s in GossipScheme])
-    p.add_argument("--init", default="gaussian", choices=["gaussian", "file"])
-    p.add_argument("--init-file", help="text matrix, one node row per line")
+    p.add_argument("--init-file", help="initial matrix, one node row per line "
+                                       "(default: Gaussian)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("optimize", help="run decentralized SGD")
-    _add_common_flags(p)
-    _add_optimize_flags(p)
+    _add_gossip_flags(p)
+    _add_run_flags(p)
+    _add_objective_flags(p)
+    p.add_argument("--schedule", choices=["practical", "theoretical"])
+    p.add_argument("--a", type=float)
+    p.add_argument("--b", type=float)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="grid-search the stepsize schedule")
-    _add_common_flags(p)
-    _add_optimize_flags(p)
+    _add_gossip_flags(p)
+    _add_objective_flags(p)
     p.add_argument("--a-exp-min", type=int, default=-3)
     p.add_argument("--a-exp-max", type=int, default=1)
     p.add_argument("--epochs", type=int, default=10)
@@ -157,13 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_optimize_flags(p) -> None:
+def _add_objective_flags(p) -> None:
     p.add_argument("--objective", choices=["quadratic", "logistic"])
     p.add_argument("--data", dest="data_path", help="LIBSVM file for the logistic objective")
     p.add_argument("--partition", choices=["shuffled", "sorted"])
-    p.add_argument("--schedule", choices=["practical", "theoretical"])
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
     p.add_argument("--noise-sigma", type=float)
     p.add_argument("--targets-seed", type=int)
     p.add_argument("--averaging", choices=["exact", "tracking"])

@@ -63,7 +63,6 @@ __all__ = [
     "omega",
     "payload_bits",
     "qsgd_tau",
-    "is_unbiased",
     "resolve_k",
 ]
 
@@ -75,13 +74,14 @@ class CompressionSpec:
     """Base for all operator specs; carries the bit-accounting knob.
 
     Subclasses implement ``omega``, ``message_bits`` and ``apply``; those
-    that consume random draws set ``random`` and those that may send
-    nothing set ``skips``.
+    that consume random draws set ``random``, those that may send nothing
+    set ``skips``, and those with ``E Q(x) = x`` set ``unbiased``.
     """
 
     value_bits: int = field(default=32, kw_only=True)
     random: ClassVar[bool] = False
     skips: ClassVar[bool] = False
+    unbiased: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.value_bits < 1:
@@ -107,6 +107,8 @@ class CompressionSpec:
 
 @dataclass(frozen=True)
 class Identity(CompressionSpec):
+    unbiased: ClassVar[bool] = True
+
     def omega(self, d):
         return 1.0
 
@@ -257,7 +259,7 @@ class RandGossip(CompressionSpec):
 @dataclass(frozen=True)
 class RescaledUnbiased(CompressionSpec):
     inner: CompressionSpec = Identity()
-    tau: float | None = None
+    unbiased: ClassVar[bool] = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -265,8 +267,6 @@ class RescaledUnbiased(CompressionSpec):
             raise ValueError(
                 f"inner operator {type(self.inner).__name__} has no unbiased rescaling"
             )
-        if self.tau is not None and self.tau < 1.0:
-            raise ValueError(f"tau must be a scale >= 1, got {self.tau}")
 
     @property
     def random(self):
@@ -276,18 +276,15 @@ class RescaledUnbiased(CompressionSpec):
     def skips(self):
         return self.inner.skips
 
-    def _effective_tau(self, d: int) -> float:
-        return self.tau if self.tau is not None else self.inner.natural_tau(d)
-
     def omega(self, d):
-        return 1.0 / self._effective_tau(d)
+        return 1.0 / self.inner.natural_tau(d)
 
     def message_bits(self, d):
         return self.inner.message_bits(d)
 
     def apply(self, X, rng_for):
         q, sent = self.inner.apply(X, rng_for)
-        q *= self._effective_tau(X.shape[0])
+        q *= self.inner.natural_tau(X.shape[0])
         return q, sent
 
 
@@ -303,13 +300,6 @@ class CompressedMessage:
 def qsgd_tau(s: int, d: int) -> float:
     """Second-moment constant ``1 + min(d/s^2, sqrt(d)/s)`` of s-level dithering."""
     return 1.0 + min(d / s**2, math.sqrt(d) / s)
-
-
-def is_unbiased(spec: CompressionSpec) -> bool:
-    """True if ``E Q(x) = x`` (Identity or a naturally rescaled primitive)."""
-    if isinstance(spec, Identity):
-        return True
-    return isinstance(spec, RescaledUnbiased) and spec.tau is None
 
 
 def resolve_k(fraction: float, d: int) -> int:

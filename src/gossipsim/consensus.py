@@ -17,6 +17,12 @@ node) over a fixed mixing matrix ``W``:
   so the scheme converges linearly for any operator quality ``omega > 0``
   when run with the stepsize from :func:`tracking_stepsize`.
 
+All four are one kernel, :class:`Gossip`: a round sends one message per
+node and moves each iterate toward what it received,
+``x <- x + gamma (received - own)``; the schemes differ only in what they
+send and hold.  Decentralized SGD (:mod:`gossipsim.optimize`) drives the
+same kernel after each local gradient step.
+
 Each node draws one compressed message per round and delivers it
 identically to all neighbors, so every replica of ``xhat_i`` stays equal
 across the graph.  The round loop is single threaded and deterministic;
@@ -26,11 +32,11 @@ independent runs may execute in parallel with no shared state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressionSpec, Identity, compress_columns, is_unbiased
+from .compression import CompressionSpec, Identity, compress_columns
 from .records import ConsensusRecord
 from .streams import StreamPool, tag_code
 from .topology import GossipMatrix
@@ -41,15 +47,13 @@ __all__ = [
     "ConsensusConfig",
     "ConsensusResult",
     "DivergenceError",
+    "Gossip",
     "tracking_stepsize",
-    "step_exact",
-    "step_direct",
-    "step_paired",
-    "step_tracking",
     "run_consensus",
 ]
 
 DIVERGENCE_FACTOR = 1e6
+_COMPRESS_TAG = tag_code("compress")
 
 
 class GossipScheme(str, enum.Enum):
@@ -69,26 +73,12 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class NodeStates:
     """Per-node vectors stored column-wise: iterates ``x``, public estimates
-    ``x_hat``, and the weighted neighbor aggregates ``s = x_hat @ W``."""
+    ``x_hat``, and the weighted neighbor aggregates ``s = x_hat @ W``
+    (``None`` for the schemes without estimates)."""
 
     x: np.ndarray
-    x_hat: np.ndarray
-    s: np.ndarray
-
-    @classmethod
-    def initial(cls, x0: np.ndarray) -> "NodeStates":
-        x0 = np.asarray(x0, dtype=float)
-        if x0.ndim != 2:
-            raise ValueError(f"initial X must be d x n, got shape {x0.shape}")
-        return cls(x=x0.copy(), x_hat=np.zeros_like(x0), s=np.zeros_like(x0))
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[1]
+    x_hat: np.ndarray | None
+    s: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -103,19 +93,21 @@ class ConsensusConfig:
     check_state_invariants: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
+        _check_gossip(self.scheme, self.gamma, self.compression)
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if self.scheme in (GossipScheme.DIRECT, GossipScheme.PAIRED) and not is_unbiased(
-            self.compression
-        ):
-            raise ValueError(
-                f"{self.scheme.value} gossip is only defined for unbiased compression "
-                "(Identity or a naturally rescaled primitive)"
-            )
+
+
+def _check_gossip(scheme: GossipScheme, gamma: float, compression: CompressionSpec) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    if scheme in (GossipScheme.DIRECT, GossipScheme.PAIRED) and not compression.unbiased:
+        raise ValueError(
+            f"{scheme.value} gossip is only defined for unbiased compression "
+            "(Identity or a naturally rescaled primitive)"
+        )
 
 
 @dataclass(frozen=True)
@@ -142,80 +134,62 @@ def tracking_stepsize(delta: float, omega: float, beta: float) -> float:
     return delta**2 * omega / denom
 
 
-def _node_rngs(rngs, n):
-    """Normalize to a per-node accessor: None, one shared Generator, a
-    sequence of n Generators, or a callable ``i -> Generator``."""
-    if rngs is None:
-        return lambda i: None
-    if isinstance(rngs, np.random.Generator):
-        return lambda i: rngs
-    if callable(rngs):
-        return rngs
-    rngs = list(rngs)
-    if len(rngs) != n:
-        raise ValueError(f"expected {n} per-node streams, got {len(rngs)}")
-    return rngs.__getitem__
+class Gossip:
+    """One gossip scheme's rounds over ``matrix``, with the tracking state.
 
+    ``exchange(x, t)`` runs the communication of round ``t``: each node
+    sends one message, node i's keyed to the ``(seed, i, t, "compress")``
+    stream, and the method returns what every node received from its
+    neighbors, what it holds for itself, and each node's payload bits.  The
+    gossip step is ``x + gamma (received - own)``, with (received, own) =
+    ``(x W, x)`` for exact, ``(Q(x) W, x)`` for direct, ``(Q(x) W, Q(x))``
+    for paired and ``(s, x_hat)`` for tracking.
 
-def _compress_columns(spec, mat, rngs):
-    """One message per node; returns the dense d x n reconstruction and costs."""
-    q, bits, _ = compress_columns(spec, mat, _node_rngs(rngs, mat.shape[1]))
-    return q, bits
-
-
-def step_exact(states: NodeStates, gamma: float, matrix: GossipMatrix) -> NodeStates:
-    """``x_i <- x_i + gamma * sum_j w_ij (x_j - x_i)``; keeps the average."""
-    x_new = states.x + gamma * (states.x @ matrix.weights - states.x)
-    return replace(states, x=x_new)
-
-
-def step_direct(
-    states: NodeStates,
-    gamma: float,
-    compression: CompressionSpec,
-    matrix: GossipMatrix,
-    rngs=None,
-) -> tuple[NodeStates, list[int]]:
-    """Compress the broadcast iterate itself: ``x_i <- x_i + gamma *
-    sum_j w_ij (Q(x_j) - x_i)``.  Breaks average preservation."""
-    q, bits = _compress_columns(compression, states.x, rngs)
-    x_new = states.x + gamma * (q @ matrix.weights - states.x)
-    return replace(states, x=x_new), bits
-
-
-def step_paired(
-    states: NodeStates,
-    gamma: float,
-    compression: CompressionSpec,
-    matrix: GossipMatrix,
-    rngs=None,
-) -> tuple[NodeStates, list[int]]:
-    """Difference compressed copies on both ends: ``x_i <- x_i + gamma *
-    sum_j w_ij (Q(x_j) - Q(x_i))``.  Preserves the average exactly because
-    each node's single draw is shared with all its neighbors."""
-    q, bits = _compress_columns(compression, states.x, rngs)
-    x_new = states.x + gamma * (q @ matrix.weights - q)
-    return replace(states, x=x_new), bits
-
-
-def step_tracking(
-    states: NodeStates,
-    gamma: float,
-    compression: CompressionSpec,
-    matrix: GossipMatrix,
-    rngs=None,
-) -> tuple[NodeStates, list[int]]:
-    """Broadcast compressed corrections against the public estimates.
-
-    ``q_i = Q(x_i - xhat_i)``; ``xhat_i += q_i``; ``s_i += sum_j w_ij q_j``;
-    ``x_i += gamma (s_i - xhat_i)``.  Identical to gossiping the full
-    estimates since the weights sum to one.
+    Tracking advances the public estimates ``x_hat += Q(x - x_hat)`` and
+    their aggregates ``s += Q(x - x_hat) W``, so ``s = x_hat W`` throughout;
+    both start at zero and stay ``None`` for the other schemes.  Exact
+    gossip pays ``d * value_bits`` per message.
     """
-    q, bits = _compress_columns(compression, states.x - states.x_hat, rngs)
-    x_hat_new = states.x_hat + q
-    s_new = states.s + q @ matrix.weights
-    x_new = states.x + gamma * (s_new - x_hat_new)
-    return NodeStates(x=x_new, x_hat=x_hat_new, s=s_new), bits
+
+    def __init__(self, scheme: GossipScheme, matrix: GossipMatrix, gamma: float = 1.0,
+                 compression: CompressionSpec = Identity(), seed: int = 0):
+        self.scheme = GossipScheme(scheme)
+        _check_gossip(self.scheme, gamma, compression)
+        self.matrix = matrix
+        self.gamma = gamma
+        self.compression = compression
+        self.seed = seed
+        self.x_hat: np.ndarray | None = None
+        self.s: np.ndarray | None = None
+        self._pool = StreamPool()
+
+    def compress(self, v: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's round-``t`` message ``Q(v_i)`` and its bits."""
+        def rng_for(i):
+            return self._pool.get(self.seed, node=i, round_=t, tag=_COMPRESS_TAG)
+
+        return compress_columns(self.compression, v, rng_for)[:2]
+
+    def exchange(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Round ``t``'s messages: ``(received, own, bits)``."""
+        weights = self.matrix.weights
+        if self.scheme is GossipScheme.EXACT:
+            bits = np.full(x.shape[1], x.shape[0] * self.compression.value_bits)
+            return x @ weights, x, bits
+        if self.scheme is GossipScheme.TRACKING:
+            if self.x_hat is None:
+                self.x_hat, self.s = np.zeros_like(x), np.zeros_like(x)
+            q, bits = self.compress(x - self.x_hat, t)
+            x_hat, s = self.x_hat + q, self.s + q @ weights
+            self.x_hat, self.s = x_hat, s
+            return s, x_hat, bits
+        q, bits = self.compress(x, t)
+        return q @ weights, x if self.scheme is GossipScheme.DIRECT else q, bits
+
+    def apply(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """One gossip round: the new iterates and each node's payload bits."""
+        received, own, bits = self.exchange(x, t)
+        return x + self.gamma * (received - own), bits
 
 
 def _consensus_error(x: np.ndarray, target: np.ndarray) -> float:
@@ -236,33 +210,28 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     matrix = config.matrix
     if matrix.delta <= 0.0:
         raise ValueError("consensus requires a positive spectral gap")
-    states = NodeStates.initial(initial_x)
-    if states.n != matrix.n:
-        raise ValueError(f"initial X has {states.n} columns but the graph has {matrix.n} nodes")
-    d, n = states.d, states.n
+    x = np.array(initial_x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"initial X must be d x n, got shape {x.shape}")
+    if x.shape[1] != matrix.n:
+        raise ValueError(f"initial X has {x.shape[1]} columns but the graph has {matrix.n} nodes")
 
-    target = states.x.mean(axis=1)
-    initial_error = _consensus_error(states.x, target)
+    target = x.mean(axis=1)
+    initial_error = _consensus_error(x, target)
     limit = DIVERGENCE_FACTOR * max(initial_error, 1.0)
     degrees = np.asarray(matrix.degrees)
-    full_payload = d * config.compression.value_bits
     tracking = config.scheme == GossipScheme.TRACKING
+    gossip = Gossip(config.scheme, matrix, config.gamma, config.compression, config.seed)
 
     records: list[ConsensusRecord] = []
     bits = 0
-    pool = StreamPool()
-    compress_tag = tag_code("compress")
-
-    def round_rngs(t):
-        return lambda i: pool.get(config.seed, node=i, round_=t, tag=compress_tag)
-
     for t in range(config.iters + 1):
         final = t == config.iters
         evaluate = final or t % config.eval_every == 0
         error = lyap = drift = None
         if evaluate:
-            error = _consensus_error(states.x, target)
-            drift = float(np.linalg.norm(states.x.mean(axis=1) - target))
+            error = _consensus_error(x, target)
+            drift = float(np.linalg.norm(x.mean(axis=1) - target))
             if not np.isfinite(error) or error > limit:
                 raise DivergenceError(t, error)
             lyap = error
@@ -270,44 +239,29 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
             if tracking:
                 # Lyapunov pairs x^(T) with the estimate the round-T
                 # correction would produce; nothing downstream is advanced.
-                q, _ = _compress_columns(
-                    config.compression, states.x - states.x_hat, round_rngs(t)
-                )
-                lyap = error + float(np.sum((states.x - (states.x_hat + q)) ** 2))
+                q, _ = gossip.compress(x - gossip.x_hat, t)
+                lyap = error + float(np.sum((x - (gossip.x_hat + q)) ** 2))
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
             break
 
-        if config.scheme == GossipScheme.EXACT:
-            new_states = step_exact(states, config.gamma, matrix)
-            payloads = [full_payload] * n
-        elif config.scheme == GossipScheme.DIRECT:
-            new_states, payloads = step_direct(
-                states, config.gamma, config.compression, matrix, round_rngs(t)
-            )
-        elif config.scheme == GossipScheme.PAIRED:
-            new_states, payloads = step_paired(
-                states, config.gamma, config.compression, matrix, round_rngs(t)
-            )
-        else:
-            new_states, payloads = step_tracking(
-                states, config.gamma, config.compression, matrix, round_rngs(t)
-            )
+        x_new, payloads = gossip.apply(x, t)
 
         if evaluate:
             if tracking:
-                lyap = error + float(np.sum((states.x - new_states.x_hat) ** 2))
+                lyap = error + float(np.sum((x - gossip.x_hat) ** 2))
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
         if config.check_state_invariants and tracking:
-            recon = new_states.x_hat @ matrix.weights
+            recon = gossip.x_hat @ matrix.weights
             scale = max(1.0, float(np.max(np.abs(recon))))
-            if np.max(np.abs(new_states.s - recon)) > 1e-10 * scale:
+            if np.max(np.abs(gossip.s - recon)) > 1e-10 * scale:
                 raise AssertionError(f"aggregate s drifted from x_hat @ W at round {t}")
 
         bits += int(np.dot(degrees, payloads))
-        if not np.all(np.isfinite(new_states.x)):
+        if not np.all(np.isfinite(x_new)):
             raise DivergenceError(t, float("inf"))
-        states = new_states
+        x = x_new
 
     return ConsensusResult(
-        records=records, final=states, initial_error=initial_error, target_mean=target
+        records=records, final=NodeStates(x, gossip.x_hat, gossip.s),
+        initial_error=initial_error, target_mean=target,
     )

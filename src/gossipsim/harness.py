@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -434,11 +434,9 @@ def grid_search(
     diverged = []
     for a in grid.a_values():
         for b in grid.b_values(d):
-            schedule = PracticalSchedule(a=a, b=b, m=m_total)
-            config = SgdConfig(
-                matrix=base.matrix, schedule=schedule, averaging=base.averaging,
-                gamma=base.gamma, compression=base.compression, iters=iters,
-                seed=base.seed, eval_every=iters, f_star=f_star,
+            config = replace(
+                base, schedule=PracticalSchedule(a=a, b=b, m=m_total),
+                iters=iters, eval_every=iters, f_star=f_star,
             )
             try:
                 result = run_optimization(config, objective, initial_x)

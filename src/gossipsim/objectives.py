@@ -231,7 +231,7 @@ class QuadraticObjective:
 class LogisticObjective:
     """Sharded l2-regularized logistic regression (see module docstring)."""
 
-    def __init__(self, dataset: Dataset, shards: list[Shard], l2: float | None = None):
+    def __init__(self, dataset: Dataset, shards: list[Shard]):
         if not shards:
             raise ValueError("at least one shard is required")
         covered = np.sort(np.concatenate([s.indices for s in shards]))
@@ -241,7 +241,7 @@ class LogisticObjective:
             raise ValueError("empty shard")
         self.dataset = dataset
         self.shards = shards
-        self.l2 = 1.0 / (2 * dataset.m) if l2 is None else float(l2)
+        self.l2 = 1.0 / (2 * dataset.m)
         self._constants: tuple[float, float] | None = None
         csr = dataset.features
         self._rows = [

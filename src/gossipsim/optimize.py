@@ -1,18 +1,19 @@
 """Decentralized SGD with pluggable averaging schemes.
 
 Every round, each node takes a local stochastic gradient half-step and the
-half-step matrix is handed to an averaging scheme ``h(X, Y) -> (X+, Y+)``
-that must preserve the column average and contract the Lyapunov function
-``Psi(X, Y) = ||X - Xbar||_F^2 + ||X - Y||_F^2`` at some linear rate
-``p in (0, 1]``:
+half-step matrix goes through one round of the gossip kernel
+:class:`gossipsim.consensus.Gossip` (CHOCO-SGD is a local SGD step followed
+by CHOCO-gossip).  The averaging scheme must preserve the column average
+and contract the Lyapunov function ``Psi(X, Y) = ||X - Xbar||_F^2 +
+||X - Y||_F^2`` of the iterates and public estimates ``Y`` (``X`` itself
+for exact gossip) at some linear rate ``p in (0, 1]``:
 
-* ``ExactAveraging`` -- full-precision gossip ``X+ = X ((1-gamma) I +
+* ``ExactAveraging`` -- ``exact`` gossip ``X+ = X ((1-gamma) I +
   gamma W)`` with ``p = gamma * delta``; at ``gamma = 1`` this is plain
   decentralized SGD (neighbors average the raw half-steps).
-* ``TrackingAveraging`` -- the compressed-correction gossip of
-  :mod:`gossipsim.consensus` with ``p = delta^2 * omega / 82``.  With
-  identity compression and ``gamma = 1`` it reduces exactly to plain
-  decentralized SGD.
+* ``TrackingAveraging`` -- ``tracking`` gossip (compressed corrections)
+  with ``p = delta^2 * omega / 82``.  With identity compression and
+  ``gamma = 1`` it reduces exactly to plain decentralized SGD.
 
 Suboptimality is measured at the node average ``f(xbar) - f*`` -- a
 simulator-only observable that is never fed back into node updates -- and
@@ -27,15 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressionSpec, Identity, compress_columns, omega as omega_of
-from .consensus import DivergenceError
+from .compression import CompressionSpec, Identity, omega as omega_of
+from .consensus import DivergenceError, Gossip, GossipScheme
 from .objectives import Objective
 from .records import OptimizeRecord
 from .streams import StreamPool, tag_code
 from .topology import GossipMatrix
 
 _GRAD_TAG = tag_code("grad")
-_COMPRESS_TAG = tag_code("compress")
 
 __all__ = [
     "TheoreticalSchedule",
@@ -104,59 +104,41 @@ def blackbox_stepsize_requirement(p: float, mu: float, big_l: float) -> float:
     return max(5.0 / p, THEORY_KAPPA_FACTOR * big_l / mu)
 
 
-class ExactAveraging:
-    """Full-precision neighbor averaging; ``gamma = 1`` is plain gossip."""
+class ExactAveraging(Gossip):
+    """Full-precision neighbor averaging; ``gamma = 1`` is plain gossip.
 
-    def __init__(self, matrix: GossipMatrix, gamma: float = 1.0):
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-        self.matrix = matrix
-        self.gamma = gamma
+    ``compression`` only sets ``value_bits`` for the bit count.
+    """
+
+    omega = 1.0
+
+    def __init__(self, matrix: GossipMatrix, gamma: float = 1.0,
+                 compression: CompressionSpec = Identity(), seed: int = 0):
+        super().__init__(GossipScheme.EXACT, matrix, gamma, compression, seed)
 
     @property
     def p(self) -> float:
         return self.gamma * self.matrix.delta
 
-    def initial_aux(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros_like(x0), np.zeros_like(x0)
 
-    def apply(self, x_half, y, s, *, t: int = 0, seed: int = 0):
-        del y, t, seed
-        x_new = x_half + self.gamma * (x_half @ self.matrix.weights - x_half)
-        return x_new, x_new, s, None
+class TrackingAveraging(Gossip):
+    """Compressed-correction averaging with public estimates ``Y = x_hat``
+    and running aggregates ``S = Y @ W`` (kept incrementally)."""
 
-
-class TrackingAveraging:
-    """Compressed-correction averaging with public estimates ``Y`` and
-    running aggregates ``S = Y @ W`` (kept incrementally)."""
-
-    def __init__(
-        self, matrix: GossipMatrix, gamma: float, compression: CompressionSpec, d: int
-    ):
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-        self.matrix = matrix
-        self.gamma = gamma
-        self.compression = compression
+    def __init__(self, matrix: GossipMatrix, gamma: float, compression: CompressionSpec,
+                 d: int, seed: int = 0):
+        super().__init__(GossipScheme.TRACKING, matrix, gamma, compression, seed)
         self.omega = omega_of(compression, d)
-        self._pool = StreamPool()
 
     @property
     def p(self) -> float:
         return self.matrix.delta**2 * self.omega / 82.0
 
-    def initial_aux(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros_like(x0), np.zeros_like(x0)
-
-    def apply(self, x_half, y, s, *, t: int = 0, seed: int = 0):
-        q, payloads, _ = compress_columns(
-            self.compression, x_half - y,
-            lambda i: self._pool.get(seed, node=i, round_=t, tag=_COMPRESS_TAG),
-        )
-        y_new = y + q
-        s_new = s + q @ self.matrix.weights
-        x_new = (x_half - self.gamma * y_new) + self.gamma * s_new
-        return x_new, y_new, s_new, payloads
+    def apply(self, x_half, t):
+        received, own, bits = self.exchange(x_half, t)
+        # Gossip.apply's x + gamma (s - x_hat) rounds differently; the
+        # sgd-logistic hashes in bench/golden.json pin this association.
+        return (x_half - self.gamma * own) + self.gamma * received, bits
 
 
 AveragingScheme = ExactAveraging | TrackingAveraging
@@ -223,45 +205,40 @@ class OptimizationResult:
 
 def sgd_round(
     x: np.ndarray,
-    y: np.ndarray,
-    s: np.ndarray,
     objective: Objective,
     eta: float,
     averaging: AveragingScheme,
     t: int,
-    seed: int,
     pool: StreamPool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int] | None, float]:
-    """One decentralized SGD round; returns updated state, payload bits per
-    node (None when full-precision), and the largest gradient norm seen."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One decentralized SGD round: gradient half-step, then one gossip
+    round.  Node i's gradient draws come from the ``(averaging.seed, i, t,
+    "grad")`` stream.  Returns the new iterates, payload bits per node and
+    the largest gradient norm seen."""
     n = x.shape[1]
     grads = np.empty_like(x)
     for i in range(n):
-        rng = pool.get(seed, node=i, round_=t, tag=_GRAD_TAG)
+        rng = pool.get(averaging.seed, node=i, round_=t, tag=_GRAD_TAG)
         grads[:, i] = objective.stochastic_gradient(i, x[:, i], rng)
     max_grad = float(np.max(np.sqrt(np.sum(grads**2, axis=0))))
     x_half = x - eta * grads
-    x_new, y_new, s_new, payloads = averaging.apply(x_half, y, s, t=t, seed=seed)
+    x_new, payloads = averaging.apply(x_half, t)
     if not np.all(np.isfinite(x_new)):
         raise DivergenceError(t, float("inf"))
-    return x_new, y_new, s_new, payloads, max_grad
+    return x_new, payloads, max_grad
 
 
 def build_averaging(config: SgdConfig, d: int) -> AveragingScheme:
     if config.averaging == "exact":
-        return ExactAveraging(config.matrix, config.gamma)
-    return TrackingAveraging(config.matrix, config.gamma, config.compression, d)
+        return ExactAveraging(config.matrix, config.gamma, config.compression, config.seed)
+    return TrackingAveraging(config.matrix, config.gamma, config.compression, d, config.seed)
 
 
 def _check_theory_precondition(config: SgdConfig, objective: Objective, scheme) -> None:
     if not isinstance(config.schedule, TheoreticalSchedule):
         return
     mu, big_l = objective.constants()
-    om = scheme.omega if isinstance(scheme, TrackingAveraging) else 1.0
-    needed = max(
-        THEORY_STEPSIZE_NUMERATOR / (config.matrix.delta**2 * om),
-        THEORY_KAPPA_FACTOR * big_l / mu,
-    )
+    _, needed = theoretical_stepsize(mu, big_l, config.matrix.delta, scheme.omega, 0)
     if config.schedule.a < needed * (1.0 - 1e-9):
         msg = (
             f"schedule parameter a = {config.schedule.a} is below the theoretical "
@@ -298,10 +275,8 @@ def run_optimization(
 
         _, f_star = solve_reference(objective, config.fstar_tol)
 
-    y, s = scheme.initial_aux(x)
     averaged = AveragedIterate(config.schedule.a, d)
     degrees = np.asarray(matrix.degrees)
-    full_payload = d * config.compression.value_bits
 
     records: list[OptimizeRecord] = []
     bits = 0
@@ -325,12 +300,9 @@ def run_optimization(
             break
         averaged.update(t, xbar)
         eta = config.schedule.eta(t)
-        x, y, s, payloads, g = sgd_round(x, y, s, objective, eta, scheme, t, config.seed, pool)
+        x, payloads, g = sgd_round(x, objective, eta, scheme, t, pool)
         empirical_g = max(empirical_g, g)
-        if payloads is None:
-            bits += int(np.sum(degrees)) * full_payload
-        else:
-            bits += int(np.dot(degrees, payloads))
+        bits += int(np.dot(degrees, payloads))
 
     x_avg = averaged.value()
     return OptimizationResult(

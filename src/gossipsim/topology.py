@@ -95,11 +95,6 @@ class GossipMatrix:
     edges: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...]
 
-    @property
-    def messages_per_round(self) -> int:
-        """Directed edge messages per gossip round (self-loops are free)."""
-        return int(sum(self.degrees))
-
 
 def _edge_set(kind: TopologyKind) -> tuple[int, tuple[tuple[int, int], ...]]:
     if isinstance(kind, Ring):

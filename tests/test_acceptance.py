@@ -248,15 +248,14 @@ def test_criterion_08_identity_tracking_reduces_to_plain():
         objective = QuadraticObjective(targets, noise_sigma=0.5)
         x0 = stream(seed, tag="init").standard_normal((d, 9))
         sched = PracticalSchedule(a=0.05, b=float(d), m=1)
-        plain = ExactAveraging(RING9, gamma=1.0)
-        tracked = TrackingAveraging(RING9, 1.0, Identity(), d)
-        xp, (yp, sp) = x0.copy(), plain.initial_aux(x0)
-        xt, (yt, st) = x0.copy(), tracked.initial_aux(x0)
+        plain = ExactAveraging(RING9, gamma=1.0, seed=seed)
+        tracked = TrackingAveraging(RING9, 1.0, Identity(), d, seed)
+        xp = xt = x0
         pool_a, pool_b = StreamPool(), StreamPool()
         for t in range(rounds):
             eta = sched.eta(t)
-            xp, yp, sp, _, _ = sgd_round(xp, yp, sp, objective, eta, plain, t, seed, pool_a)
-            xt, yt, st, _, _ = sgd_round(xt, yt, st, objective, eta, tracked, t, seed, pool_b)
+            xp, _, _ = sgd_round(xp, objective, eta, plain, t, pool_a)
+            xt, _, _ = sgd_round(xt, objective, eta, tracked, t, pool_b)
             assert np.max(np.abs(xp - xt)) <= 1e-12, t
 
 

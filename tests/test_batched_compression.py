@@ -24,7 +24,7 @@ from gossipsim.compression import (
     compress,
     compress_columns,
 )
-from gossipsim.consensus import NodeStates, step_tracking
+from gossipsim.consensus import Gossip, GossipScheme
 from gossipsim.optimize import TrackingAveraging
 from gossipsim.streams import stream
 from gossipsim.topology import Ring, build_gossip_matrix
@@ -193,15 +193,14 @@ class TestNonfiniteInputRejected:
             compress_columns(TopK(2), poisoned(bad, column))
 
     def test_step_tracking(self, bad, column):
-        states = NodeStates.initial(poisoned(bad, column))
+        gossip = Gossip(GossipScheme.TRACKING, RING5, 0.5, RandK(2), seed=1)
         with pytest.raises(ValueError, match="nonfinite"):
-            step_tracking(states, 0.5, RandK(2), RING5, lambda i: stream(1, node=i))
+            gossip.apply(poisoned(bad, column), 0)
 
     def test_tracking_averaging(self, bad, column):
-        scheme = TrackingAveraging(RING5, 0.5, Qsgd(4), 6)
-        x = poisoned(bad, column)
+        scheme = TrackingAveraging(RING5, 0.5, Qsgd(4), 6, seed=1)
         with pytest.raises(ValueError, match="nonfinite"):
-            scheme.apply(x, np.zeros_like(x), np.zeros_like(x), t=0, seed=1)
+            scheme.apply(poisoned(bad, column), 0)
 
     def test_one_vector(self, bad, column):
         with pytest.raises(ValueError, match="nonfinite"):

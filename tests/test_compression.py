@@ -12,7 +12,6 @@ from gossipsim.compression import (
     RescaledUnbiased,
     TopK,
     compress,
-    is_unbiased,
     omega,
     payload_bits,
     qsgd_tau,
@@ -265,8 +264,7 @@ class TestSpecValidation:
     def test_helpers(self):
         assert resolve_k(0.01, 2000) == 20
         assert resolve_k(0.001, 50) == 1
-        assert is_unbiased(Identity())
-        assert is_unbiased(RescaledUnbiased(RandK(2)))
-        assert not is_unbiased(RandK(2))
+        assert Identity().unbiased and RescaledUnbiased(RandK(2)).unbiased
+        assert not RandK(2).unbiased
         assert RandK(2).random and RescaledUnbiased(Qsgd(4)).random
         assert not TopK(2).random and not Identity().random

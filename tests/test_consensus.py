@@ -5,24 +5,26 @@ from gossipsim.compression import Identity, Qsgd, RandK, RescaledUnbiased, TopK,
 from gossipsim.consensus import (
     ConsensusConfig,
     DivergenceError,
+    Gossip,
     GossipScheme,
-    NodeStates,
     run_consensus,
-    step_direct,
-    step_exact,
-    step_paired,
-    step_tracking,
     tracking_stepsize,
 )
-from gossipsim.streams import node_streams, stream
+from gossipsim.streams import stream
 from gossipsim.topology import FullyConnected, Ring, build_gossip_matrix
 
 RING9 = build_gossip_matrix(Ring(9))
 FC5 = build_gossip_matrix(FullyConnected(5))
+EXACT, DIRECT, PAIRED, TRACKING = GossipScheme
 
 
-def gaussian_states(d, matrix, seed):
-    return NodeStates.initial(stream(seed, tag="init").standard_normal((d, matrix.n)))
+def gaussian_x(d, matrix, seed):
+    return stream(seed, tag="init").standard_normal((d, matrix.n))
+
+
+def one_round(scheme, x, gamma, matrix, compression=Identity(), seed=0):
+    """Round 0 of a fresh kernel: the new iterates."""
+    return Gossip(scheme, matrix, gamma, compression, seed).apply(x, 0)[0]
 
 
 def consensus_error(x, target):
@@ -59,96 +61,99 @@ class TestTrackingStepsize:
 
 class TestStepExact:
     def test_fully_connected_one_step(self):
-        states = gaussian_states(6, FC5, seed=1)
-        target = states.x.mean(axis=1)
-        out = step_exact(states, 1.0, FC5)
-        np.testing.assert_allclose(out.x, np.tile(target[:, None], (1, 5)), atol=1e-12)
+        x = gaussian_x(6, FC5, seed=1)
+        target = x.mean(axis=1)
+        out = one_round(EXACT, x, 1.0, FC5)
+        np.testing.assert_allclose(out, np.tile(target[:, None], (1, 5)), atol=1e-12)
 
     def test_consensus_is_fixed_point(self):
         x = np.tile(stream(2).standard_normal(4)[:, None], (1, 9))
-        states = NodeStates.initial(x)
-        out = step_exact(states, 0.7, RING9)
-        np.testing.assert_allclose(out.x, x, atol=1e-14)
+        out = one_round(EXACT, x, 0.7, RING9)
+        np.testing.assert_allclose(out, x, atol=1e-14)
 
     def test_average_preserved(self):
-        states = gaussian_states(8, RING9, seed=3)
-        out = step_exact(states, 0.6, RING9)
-        np.testing.assert_allclose(out.x.mean(axis=1), states.x.mean(axis=1), atol=1e-14)
+        x = gaussian_x(8, RING9, seed=3)
+        out = one_round(EXACT, x, 0.6, RING9)
+        np.testing.assert_allclose(out.mean(axis=1), x.mean(axis=1), atol=1e-14)
 
     def test_ring4_per_step_error_ratio(self):
         # d=1, x=(1,0,0,0): with |lambda_2| = 1/3 the squared-error ratio is
         # at most (1-delta)^2 = 1/9 every step
         m = build_gossip_matrix(Ring(4))
-        states = NodeStates.initial(np.array([[1.0, 0.0, 0.0, 0.0]]))
-        target = states.x.mean(axis=1)
-        prev = consensus_error(states.x, target)
-        for _ in range(20):
-            states = step_exact(states, 1.0, m)
-            cur = consensus_error(states.x, target)
+        gossip = Gossip(EXACT, m, 1.0)
+        x = np.array([[1.0, 0.0, 0.0, 0.0]])
+        target = x.mean(axis=1)
+        prev = consensus_error(x, target)
+        for t in range(20):
+            x, _ = gossip.apply(x, t)
+            cur = consensus_error(x, target)
             assert cur <= prev / 9.0 + 1e-15
             prev = cur
+
+    def test_pays_full_precision_messages(self):
+        x = gaussian_x(6, RING9, seed=1)
+        _, bits = Gossip(EXACT, RING9, 1.0, Identity(value_bits=16)).apply(x, 0)
+        np.testing.assert_array_equal(bits, np.full(9, 6 * 16))
 
 
 class TestQuantizedBaselines:
     def test_identity_reduces_to_exact(self):
-        states = gaussian_states(5, RING9, seed=4)
-        want = step_exact(states, 1.0, RING9).x
-        got_direct, _ = step_direct(states, 1.0, Identity(), RING9)
-        got_paired, _ = step_paired(states, 1.0, Identity(), RING9)
-        np.testing.assert_allclose(got_direct.x, want, atol=1e-14)
-        np.testing.assert_allclose(got_paired.x, want, atol=1e-14)
+        x = gaussian_x(5, RING9, seed=4)
+        want = one_round(EXACT, x, 1.0, RING9)
+        np.testing.assert_allclose(one_round(DIRECT, x, 1.0, RING9), want, atol=1e-14)
+        np.testing.assert_allclose(one_round(PAIRED, x, 1.0, RING9), want, atol=1e-14)
 
     def test_paired_preserves_average_exactly(self):
-        states = gaussian_states(30, RING9, seed=5)
-        spec = RescaledUnbiased(Qsgd(16))
-        rngs = node_streams(6, RING9.n, round_=0, tag="compress")
-        out, _ = step_paired(states, 1.0, spec, RING9, rngs)
-        np.testing.assert_allclose(out.x.mean(axis=1), states.x.mean(axis=1), atol=1e-12)
+        x = gaussian_x(30, RING9, seed=5)
+        out = one_round(PAIRED, x, 1.0, RING9, RescaledUnbiased(Qsgd(16)), seed=6)
+        np.testing.assert_allclose(out.mean(axis=1), x.mean(axis=1), atol=1e-12)
 
     def test_direct_breaks_average(self):
-        states = gaussian_states(30, RING9, seed=7)
-        spec = RescaledUnbiased(Qsgd(16))
-        rngs = node_streams(8, RING9.n, round_=0, tag="compress")
-        out, _ = step_direct(states, 1.0, spec, RING9, rngs)
-        drift = np.linalg.norm(out.x.mean(axis=1) - states.x.mean(axis=1))
+        x = gaussian_x(30, RING9, seed=7)
+        out = one_round(DIRECT, x, 1.0, RING9, RescaledUnbiased(Qsgd(16)), seed=8)
+        drift = np.linalg.norm(out.mean(axis=1) - x.mean(axis=1))
         assert drift > 1e-8
 
     def test_unbiased_compression_required(self):
         with pytest.raises(ValueError, match="unbiased"):
             ConsensusConfig(scheme=GossipScheme.DIRECT, matrix=RING9, compression=TopK(3))
+        with pytest.raises(ValueError, match="unbiased"):
+            Gossip(GossipScheme.PAIRED, RING9, 1.0, TopK(3))
 
 
 class TestStepTracking:
     def test_identity_matches_exact_trajectory(self):
-        states_a = gaussian_states(6, RING9, seed=9)
-        states_b = gaussian_states(6, RING9, seed=9)
-        for _ in range(50):
-            states_a = step_exact(states_a, 1.0, RING9)
-            states_b, _ = step_tracking(states_b, 1.0, Identity(), RING9)
-            assert np.max(np.abs(states_a.x - states_b.x)) <= 1e-12
+        exact, tracking = Gossip(EXACT, RING9, 1.0), Gossip(TRACKING, RING9, 1.0)
+        x_a = x_b = gaussian_x(6, RING9, seed=9)
+        for t in range(50):
+            x_a, _ = exact.apply(x_a, t)
+            x_b, _ = tracking.apply(x_b, t)
+            assert np.max(np.abs(x_a - x_b)) <= 1e-12
 
     def test_consensus_with_converged_estimates_is_fixed_point(self):
         xbar = stream(10).standard_normal(4)
         x = np.tile(xbar[:, None], (1, 9))
-        states = NodeStates(x=x.copy(), x_hat=x.copy(), s=x.copy())
-        out, _ = step_tracking(states, 0.5, TopK(1), RING9)
-        np.testing.assert_array_equal(out.x, x)
-        np.testing.assert_array_equal(out.x_hat, x)
-        np.testing.assert_array_equal(out.s, x)
+        gossip = Gossip(TRACKING, RING9, 0.5, TopK(1))
+        gossip.x_hat, gossip.s = x.copy(), x.copy()
+        out, _ = gossip.apply(x, 0)
+        np.testing.assert_array_equal(out, x)
+        np.testing.assert_array_equal(gossip.x_hat, x)
+        np.testing.assert_array_equal(gossip.s, x)
 
     def test_aggregate_tracks_estimates(self):
-        states = gaussian_states(7, RING9, seed=11)
+        x = gaussian_x(7, RING9, seed=11)
+        gossip = Gossip(TRACKING, RING9, 0.3, RandK(2), seed=12)
         for t in range(30):
-            rngs = node_streams(12, RING9.n, round_=t, tag="compress")
-            states, _ = step_tracking(states, 0.3, RandK(2), RING9, rngs)
-            np.testing.assert_allclose(states.s, states.x_hat @ RING9.weights, atol=1e-10)
+            x, _ = gossip.apply(x, t)
+            np.testing.assert_allclose(gossip.s, gossip.x_hat @ RING9.weights, atol=1e-10)
 
     def test_average_preserved(self):
-        states = gaussian_states(7, RING9, seed=13)
-        mean0 = states.x.mean(axis=1)
+        x = gaussian_x(7, RING9, seed=13)
+        mean0 = x.mean(axis=1)
+        gossip = Gossip(TRACKING, RING9, 0.2, TopK(2))
         for t in range(100):
-            states, _ = step_tracking(states, 0.2, TopK(2), RING9)
-        np.testing.assert_allclose(states.x.mean(axis=1), mean0, atol=1e-12)
+            x, _ = gossip.apply(x, t)
+        np.testing.assert_allclose(x.mean(axis=1), mean0, atol=1e-12)
 
 
 class TestRunConsensus:

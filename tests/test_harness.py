@@ -408,7 +408,7 @@ class TestCli:
         out = tmp_path / "run.csv"
         code = cli.main([
             "consensus", "--topology", "ring", "--n", "3", "--d", "5",
-            "--init", "file", "--init-file", str(init), "--iters", "10",
+            "--init-file", str(init), "--iters", "10",
             "--out", str(out),
         ])
         assert code == 0
@@ -420,7 +420,7 @@ class TestCli:
         init = tmp_path / "init.txt"
         init.write_text("1.0\n2.0\n3.0\n6.0\n")  # four nodes, d = 1
         out = tmp_path / "run.csv"
-        args = ["consensus", "--topology", "ring", "--n", "4", "--init", "file",
+        args = ["consensus", "--topology", "ring", "--n", "4",
                 "--init-file", str(init), "--iters", "5", "--out", str(out)]
         assert cli.main(args + ["--d", "1"]) == 0
         assert float(out.read_text().splitlines()[1].split(",")[1]) == 14.0
@@ -459,6 +459,18 @@ class TestCli:
         assert code == 0
         assert "best a=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [
+        "--config=suite.ini", "--out-dir=res", "--out=run.csv", "--iters=5",
+        "--eval-every=2", "--schedule=practical", "--a=0.1", "--b=4",
+    ])
+    def test_sweep_rejects_flags_it_ignores(self, flag, capsys):
+        # the grid sets its own schedule and round budget and writes nothing;
+        # --a is left only as an ambiguous prefix of --a-exp-min/--a-exp-max
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--n", "4", "--d", "4", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, capsys):
         code = cli.main([
             "sweep", "--topology", "ring", "--n", "4", "--d", "4",
@@ -485,7 +497,7 @@ SAME_RUN = {
     ),
     "consensus-init-file": (
         "consensus --n 3 --d 5 --scheme paired --compression unbiased:rand_k:2 --gamma 0.2 "
-        "--value-bits 16 --init file --init-file {init} --iters 12 --seed 2",
+        "--value-bits 16 --init-file {init} --iters 12 --seed 2",
         "kind = consensus\ntopology = ring\nn = 3\nd = 5\nscheme = paired\n"
         "compression = unbiased:rand_k:2\ngamma = 0.2\nvalue_bits = 16\n"
         "init_file = {init}\niters = 12\nseeds = 2\n",
@@ -531,6 +543,6 @@ def test_cli_run_equals_one_section_suite(name, tmp_path, capsys):
 def test_flags_are_suite_keys_without_defaults(kind):
     args = vars(cli.build_parser().parse_args([kind]))
     dests = set(args) - {"command", "func"}
-    assert dests - SUITE_KEYS[kind] <= {"config", "out_dir", "out", "seed", "init"}
+    assert dests - SUITE_KEYS[kind] <= {"config", "out_dir", "out", "seed"}
     # every default of a suite key lives in the suite's builders
     assert {key for key in dests & SUITE_KEYS[kind] if args[key] is not None} == {"topology"}

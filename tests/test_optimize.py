@@ -107,20 +107,20 @@ class TestAveragingSchemes:
         scheme = ExactAveraging(RING9, gamma=0.7)
         assert scheme.p == pytest.approx(0.7 * RING9.delta)
         x = stream(5, tag="psi").standard_normal((24, 9))
-        y, s = scheme.initial_aux(x)
+        y = np.zeros_like(x)
         for t in range(50):
-            x2, y2, _, payloads = scheme.apply(x, y, s, t=t, seed=5)
+            x2, payloads = scheme.apply(x, t)
+            y2 = x2  # exact gossip publishes the iterates themselves
             np.testing.assert_allclose(x2.mean(axis=1), x.mean(axis=1), atol=1e-12)
             assert psi(x2, y2) <= (1.0 - scheme.p) * psi(x, y)
-            assert payloads is None
+            np.testing.assert_array_equal(payloads, np.full(9, 24 * 32))
             x, y = x2, y2
 
     def test_tracking_preserves_average(self):
         scheme = TrackingAveraging(RING9, 0.4, TopK(3), d=24)
         x = stream(6, tag="psi").standard_normal((24, 9))
-        y, s = scheme.initial_aux(x)
         for t in range(50):
-            x, y, s, payloads = scheme.apply(x, y, s, t=t, seed=6)
+            x, payloads = scheme.apply(x, t)
             assert len(payloads) == 9
         np.testing.assert_allclose(
             x.mean(axis=1), stream(6, tag="psi").standard_normal((24, 9)).mean(axis=1), atol=1e-12
@@ -134,11 +134,12 @@ class TestAveragingSchemes:
         )
         assert scheme.p == pytest.approx(RING9.delta**2 * (3 / 24) / 82.0)
         x = stream(7, tag="psi").standard_normal((d, 9))
-        y, s = scheme.initial_aux(x)
+        y = np.zeros_like(x)
         for t in range(200):
-            x2, y2, s2, _ = scheme.apply(x, y, s, t=t, seed=7)
+            x2, _ = scheme.apply(x, t)
+            y2 = scheme.x_hat
             assert psi(x2, y2) <= (1.0 - scheme.p) * psi(x, y) + 1e-12
-            x, y, s = x2, y2, s2
+            x, y = x2, y2
 
     def test_tracking_lyapunov_contraction_random_mean(self):
         # gradient-free rounds, mean over 20 seeds, 20% slack on p
@@ -147,13 +148,14 @@ class TestAveragingSchemes:
         gamma = tracking_stepsize(RING9.delta, 3 / 24, RING9.beta)
         ratios = np.zeros(rounds)
         for seed in range(20):
-            scheme = TrackingAveraging(RING9, gamma, spec, d)
+            scheme = TrackingAveraging(RING9, gamma, spec, d, seed)
             x = stream(seed, tag="psi").standard_normal((d, 9))
-            y, s = scheme.initial_aux(x)
+            y = np.zeros_like(x)
             for t in range(rounds):
-                x2, y2, s2, _ = scheme.apply(x, y, s, t=t, seed=seed)
+                x2, _ = scheme.apply(x, t)
+                y2 = scheme.x_hat
                 ratios[t] += psi(x2, y2) / psi(x, y)
-                x, y, s = x2, y2, s2
+                x, y = x2, y2
         ratios /= 20.0
         assert np.max(ratios) <= 1.0 - 0.8 * scheme.p
 
@@ -163,16 +165,15 @@ class TestReductions:
         d, rounds, seed = 12, 200, 5
         objective = quad_objective(d, 9, noise=0.5)
         x0 = stream(seed, tag="init").standard_normal((d, 9))
-        plain = ExactAveraging(RING9, gamma=1.0)
-        tracked = TrackingAveraging(RING9, 1.0, Identity(), d)
-        xp, (yp, sp) = x0.copy(), plain.initial_aux(x0)
-        xt, (yt, st) = x0.copy(), tracked.initial_aux(x0)
+        plain = ExactAveraging(RING9, gamma=1.0, seed=seed)
+        tracked = TrackingAveraging(RING9, 1.0, Identity(), d, seed)
+        xp = xt = x0
         sched = PracticalSchedule(a=0.05, b=float(d), m=1)
         pool_a, pool_b = StreamPool(), StreamPool()
         for t in range(rounds):
             eta = sched.eta(t)
-            xp, yp, sp, _, _ = sgd_round(xp, yp, sp, objective, eta, plain, t, seed, pool_a)
-            xt, yt, st, _, _ = sgd_round(xt, yt, st, objective, eta, tracked, t, seed, pool_b)
+            xp, _, _ = sgd_round(xp, objective, eta, plain, t, pool_a)
+            xt, _, _ = sgd_round(xt, objective, eta, tracked, t, pool_b)
             assert np.max(np.abs(xp - xt)) <= 1e-12
 
     def test_fully_connected_plain_equals_minibatch_oracle(self):
