@@ -110,23 +110,26 @@ def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.Compressi
     name = name.strip().lower()
     try:
         if name in ("identity", "none", "exact"):
-            return comp.Identity(value_bits=value_bits)
-        if name in ("rand_k", "top_k"):
+            spec = comp.Identity(value_bits=value_bits)
+        elif name in ("rand_k", "top_k"):
             if not arg:
                 raise ConfigError(f"{name} needs k or a fraction, e.g. {name}:0.01")
             value = float(arg)
             k = comp.resolve_k(value, d) if value < 1 else int(value)
             cls = comp.RandK if name == "rand_k" else comp.TopK
-            return cls(k, value_bits=value_bits)
-        if name == "qsgd":
-            return comp.Qsgd(int(arg), value_bits=value_bits)
-        if name == "rand_gossip":
-            return comp.RandGossip(float(arg), value_bits=value_bits)
+            spec = cls(k, value_bits=value_bits)
+        elif name == "qsgd":
+            spec = comp.Qsgd(int(arg), value_bits=value_bits)
+        elif name == "rand_gossip":
+            spec = comp.RandGossip(float(arg), value_bits=value_bits)
+        else:
+            raise ConfigError(f"unknown compression kind {text!r}")
+        comp.omega(spec, d)  # rejects a spec invalid at this d, such as k > d
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad compression argument in {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown compression kind {text!r}")
+    return spec
 
 
 def build_topology(name: str, n: int | None, rows: int | None = None,
@@ -178,11 +181,11 @@ def resolve_gamma(gamma_text: str, matrix: GossipMatrix, spec: comp.CompressionS
 
 _COMMON_KEYS = {
     "kind", "topology", "n", "d", "torus_rows", "torus_cols", "edges_file",
-    "compression", "value_bits", "gamma", "iters", "eval_every", "seeds", "init_file",
+    "compression", "value_bits", "gamma", "iters", "eval_every", "seeds",
 }
 # The keys a section of each kind may hold; the CLI's flags use the same names.
 SUITE_KEYS = {
-    "consensus": _COMMON_KEYS | {"scheme"},
+    "consensus": _COMMON_KEYS | {"scheme", "init_file"},
     "optimize": _COMMON_KEYS | {
         "averaging", "objective", "data_path", "partition", "schedule",
         "a", "b", "mu", "noise_sigma", "fstar_tol", "targets_seed",

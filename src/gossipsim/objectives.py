@@ -19,6 +19,18 @@ objective.  Strong convexity is ``mu = 1/m`` from the regularizer, and the
 smoothness constant uses the 1/4 bound on the logistic Hessian:
 ``L = 1/m + (1/4) lambda_max((1/m) A^T A)``, with the top eigenvalue found
 by power iteration.
+
+SGD asks every node for one stochastic gradient per round, so each
+objective's oracle works on the whole ``d x n`` iterate matrix:
+``stochastic_gradients(X, rng_for)`` returns the matrix whose column ``i``
+is node ``i``'s gradient at ``X[:, i]``.  It keeps the stream contract of
+:func:`gossipsim.compression.compress_columns`: ``rng_for(i)`` is called
+once for each node that draws, in node order, and that node's draws are
+done before the next call, so a re-keyed :class:`~gossipsim.streams.StreamPool`
+handle is safe and node ``i``'s gradient depends only on its own stream.
+The noiseless quadratic draws nothing and never calls ``rng_for``.
+``stochastic_gradient(node, x, rng)`` is the one-column case of the same
+kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .compression import RngFor
 from .streams import stream
 
 __all__ = [
@@ -216,13 +229,25 @@ class QuadraticObjective:
     def local_gradient(self, node: int, x: np.ndarray) -> np.ndarray:
         return x - self.targets[:, node]
 
+    def stochastic_gradients(self, X: np.ndarray, rng_for: RngFor) -> np.ndarray:
+        """Column i is node i's stochastic gradient at ``X[:, i]``."""
+        return self._noisy_gradients(X - self.targets, rng_for)
+
     def stochastic_gradient(self, node: int, x, rng: np.random.Generator | None = None):
-        g = x - self.targets[:, node]
+        g = x[:, None] - self.targets[:, [node]]
+        return self._noisy_gradients(g, lambda i: rng)[:, 0]
+
+    def _noisy_gradients(self, G: np.ndarray, rng_for: RngFor) -> np.ndarray:
+        """Adds column i's noise, drawn from ``rng_for(i)``, to ``G`` in place."""
         if self.noise_sigma > 0.0:
-            if rng is None:
-                raise ValueError("noisy quadratic oracle needs an rng")
-            g = g + self.noise_sigma * rng.standard_normal(self.dim) / math.sqrt(self.dim)
-        return g
+            Z = np.empty(G.shape[::-1])  # one row of draws per column of G
+            for i in range(G.shape[1]):
+                rng = rng_for(i)
+                if rng is None:
+                    raise ValueError("noisy quadratic oracle needs an rng")
+                rng.standard_normal(out=Z[i])
+            G += self.noise_sigma * Z.T / math.sqrt(self.dim)
+        return G
 
     def constants(self) -> tuple[float, float]:
         return 1.0, 1.0
@@ -288,18 +313,32 @@ class LogisticObjective:
         grad = np.asarray(rows.T @ coef).ravel() / rows.shape[0]
         return grad + 2.0 * self.l2 * x
 
+    def stochastic_gradients(self, X: np.ndarray, rng_for: RngFor) -> np.ndarray:
+        """Column i is node i's stochastic gradient at ``X[:, i]``."""
+        return self._sample_gradients(X, [self._draw(i, rng_for(i)) for i in range(X.shape[1])])
+
     def stochastic_gradient(self, node: int, x, rng: np.random.Generator):
+        return self._sample_gradient(self._draw(node, rng), x)
+
+    def _draw(self, node: int, rng: np.random.Generator) -> int:
         idx = self.shards[node].indices
-        j = int(idx[rng.integers(len(idx))])
-        return self._sample_gradient(j, x)
+        return int(idx[rng.integers(len(idx))])
 
     def _sample_gradient(self, j: int, x: np.ndarray) -> np.ndarray:
-        idx, vals = self._rows[j]
-        b = self.dataset.labels[j]
-        coef = -b * float(expit(-b * float(vals @ x[idx])))
-        g = 2.0 * self.l2 * x
-        g[idx] += coef * vals
-        return g
+        return self._sample_gradients(x[:, None], [j])[:, 0]
+
+    def _sample_gradients(self, X: np.ndarray, samples: list[int]) -> np.ndarray:
+        """Column c is the gradient at ``X[:, c]`` of sample ``samples[c]``'s
+        loss plus the full regularizer."""
+        G = 2.0 * self.l2 * X
+        rows = [self._rows[j] for j in samples]
+        # one BLAS dot per column keeps each margin's summation order
+        dots = np.array([vals @ X[idx, c] for c, (idx, vals) in enumerate(rows)])
+        b = self.dataset.labels[samples]
+        coef = -b * expit(-b * dots)
+        for c, (idx, vals) in enumerate(rows):
+            G[idx, c] += coef[c] * vals
+        return G
 
     def constants(self) -> tuple[float, float]:
         if self._constants is None:

@@ -215,11 +215,10 @@ def sgd_round(
     round.  Node i's gradient draws come from the ``(averaging.seed, i, t,
     "grad")`` stream.  Returns the new iterates, payload bits per node and
     the largest gradient norm seen."""
-    n = x.shape[1]
-    grads = np.empty_like(x)
-    for i in range(n):
-        rng = pool.get(averaging.seed, node=i, round_=t, tag=_GRAD_TAG)
-        grads[:, i] = objective.stochastic_gradient(i, x[:, i], rng)
+    def rng_for(i):
+        return pool.get(averaging.seed, node=i, round_=t, tag=_GRAD_TAG)
+
+    grads = objective.stochastic_gradients(x, rng_for)
     max_grad = float(np.max(np.sqrt(np.sum(grads**2, axis=0))))
     x_half = x - eta * grads
     x_new, payloads = averaging.apply(x_half, t)
@@ -266,6 +265,11 @@ def run_optimization(
     if x.ndim != 2 or x.shape[1] != matrix.n:
         raise ValueError(f"initial X must be d x {matrix.n}, got shape {x.shape}")
     d = x.shape[0]
+    if (objective.n_nodes, objective.dim) != (matrix.n, d):
+        raise ValueError(
+            f"objective has {objective.n_nodes} nodes and dimension {objective.dim}, "
+            f"but the gossip matrix has {matrix.n} nodes and initial X dimension {d}"
+        )
 
     scheme = build_averaging(config, d)
     _check_theory_precondition(config, objective, scheme)

@@ -70,6 +70,11 @@ class TestParseCompression:
         with pytest.raises(ConfigError):
             parse_compression("qsgd:lots", 10)
 
+    @pytest.mark.parametrize("text", ["top_k:3000", "rand_k:2001", "unbiased:rand_k:3000"])
+    def test_rejects_k_above_d(self, text):
+        with pytest.raises(ConfigError, match=f"{text.split(':', 1)[-1]}'.*exceeds.*d = 2000"):
+            parse_compression(text, 2000)
+
 
 class TestSuiteFile:
     def test_parse(self, tmp_path):
@@ -84,6 +89,13 @@ class TestSuiteFile:
         path = tmp_path / "suite.ini"
         path.write_text("[x]\nkind = consensus\ntopologee = ring\n")
         with pytest.raises(ConfigError, match="unknown keys.*topologee"):
+            parse_suite_file(path)
+
+    def test_init_file_rejected_for_optimize(self, tmp_path):
+        # build_optimize starts from zeros, so the key would be ignored
+        path = tmp_path / "suite.ini"
+        path.write_text("[x]\nkind = optimize\ninit_file = init.txt\n")
+        with pytest.raises(ConfigError, match="unknown keys.*init_file"):
             parse_suite_file(path)
 
     def test_duplicate_seeds_rejected(self, tmp_path):

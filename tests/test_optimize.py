@@ -243,6 +243,15 @@ class TestRunOptimization:
         result = run_optimization(config, objective, x0)
         np.testing.assert_allclose(result.final_x, x0, atol=1e-14)
 
+    @pytest.mark.parametrize("targets_shape", [(5, 16), (6, 9)])
+    def test_objective_must_match_graph_and_dimension(self, targets_shape):
+        objective = QuadraticObjective(np.zeros(targets_shape))
+        config = SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 5.0, 1),
+                           iters=5, f_star=0.0)
+        d, n = targets_shape
+        with pytest.raises(ValueError, match=f"{n} nodes and dimension {d},.*9 nodes.*dimension 5"):
+            run_optimization(config, objective, np.zeros((5, 9)))
+
     def test_monotone_trend_quadratic(self):
         # suboptimality at T=2000 is below its value at T=1000, averaged
         # over 5 seeds, with the theoretical schedule

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipsim.streams import StreamPool, node_streams, stream, tag_code
 
@@ -61,3 +63,53 @@ def test_node_streams_match_individual_derivation():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         stream(-1)
+
+
+U64 = st.integers(0, 2**64 - 1)
+ADDRESSES = st.tuples(U64, U64, U64, st.text(max_size=12))
+
+
+def _consume(rng, kind, count):
+    """Leave ``rng`` part-way through its stream in one of three ways."""
+    if kind == "odd_uint32":
+        for _ in range(2 * count + 1):
+            rng.integers(2**31)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    elif kind == "part_buffer":
+        rng.random(4 * count + 1)
+        assert rng.bit_generator.state["buffer_pos"] < 4
+    else:
+        rng.standard_normal(count)
+
+
+DRAWS = {
+    "random": lambda rng: rng.random(9),
+    "standard_normal": lambda rng: rng.standard_normal(9),
+    "integers": lambda rng: rng.integers(1000, size=7),
+    "choice": lambda rng: rng.choice(50, size=6, replace=False),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    address=ADDRESSES,
+    before=ADDRESSES,
+    same_address=st.booleans(),
+    int_tag=st.booleans(),
+    prior=st.sampled_from(["odd_uint32", "part_buffer", "normals"]),
+    count=st.integers(0, 5),
+    draw=st.sampled_from(sorted(DRAWS)),
+)
+def test_pool_draws_do_not_depend_on_prior_consumption(
+    address, before, same_address, int_tag, prior, count, draw
+):
+    seed, node, round_, tag = address
+    pool = StreamPool()
+    if same_address:
+        before = address
+    b_seed, b_node, b_round, b_tag = before
+    _consume(pool.get(b_seed, node=b_node, round_=b_round, tag=b_tag), prior, count)
+    key = tag_code(tag) if int_tag else tag
+    got = DRAWS[draw](pool.get(seed, node=node, round_=round_, tag=key))
+    want = DRAWS[draw](stream(seed, node=node, round_=round_, tag=tag))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
