@@ -36,7 +36,6 @@ from .objectives import (
     solve_reference,
 )
 from .optimize import (
-    AveragedIterate,
     ExactAveraging,
     OptimizationResult,
     PracticalSchedule,

@@ -12,7 +12,8 @@ where ``omega`` is the quality factor returned by :func:`omega`
 * ``RandK(k)`` -- keep k coordinates chosen uniformly without replacement
   (``omega = k/d``).
 * ``TopK(k)`` -- keep the k largest-magnitude coordinates, deterministic
-  (``omega = k/d``); ties go to the lower index.
+  (``omega = k/d``): everything at or above the k-th largest magnitude,
+  with ties at that threshold going to the lower index.
 * ``Qsgd(s)`` -- random uniform-dither quantization to s levels per
   coordinate, rescaled by ``tau = 1 + min(d/s^2, sqrt(d)/s)`` so that the
   contraction above holds with ``omega = 1/tau``.
@@ -175,16 +176,17 @@ class TopK(CompressionSpec):
         k = self.k
         _check_k(k, d)
         mag = np.abs(X.T, order="C")  # one row per node
-        rows = np.argpartition(mag, d - k, axis=1)[:, d - k:]
-        # rows[:, 0] holds each node's k-th largest magnitude
-        threshold = np.take_along_axis(mag, rows[:, :1], axis=1)
-        tied = np.count_nonzero(mag >= threshold, axis=1) > k
-        for i in np.flatnonzero(tied):
-            # a stable sort of -|x| keeps the lowest-index ties
-            above = np.flatnonzero(mag[i] > threshold[i])
-            level = np.flatnonzero(mag[i] == threshold[i])
-            rows[i] = np.concatenate([above, level[: k - above.size]])
-        return _keep_rows(X, rows), _all_sent(X)
+        # each node's k-th largest magnitude; keep everything at or above it
+        threshold = np.partition(mag, d - k, axis=1)[:, d - k:d - k + 1]
+        keep = mag >= threshold
+        if np.count_nonzero(keep) > n * k:  # every row keeps at least k
+            for i in np.flatnonzero(np.count_nonzero(keep, axis=1) > k):
+                # a stable sort of -|x| keeps the lowest-index ties
+                above = np.count_nonzero(mag[i] > threshold[i])
+                keep[i, np.flatnonzero(mag[i] == threshold[i])[k - above:]] = False
+        q = np.zeros_like(X)
+        np.copyto(q, X, where=keep.T)
+        return q, _all_sent(X)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,12 @@ is node ``i``'s gradient at ``X[:, i]``.  It keeps the stream contract of
 once for each node that draws, in node order, and that node's draws are
 done before the next call, so a re-keyed :class:`~gossipsim.streams.StreamPool`
 handle is safe and node ``i``'s gradient depends only on its own stream.
-The noiseless quadratic draws nothing and never calls ``rng_for``.
-``stochastic_gradient(node, x, rng)`` is the one-column case of the same
-kernel.
+The noiseless quadratic draws nothing and never calls ``rng_for``.  The
+logistic oracle gathers the features of every node's sampled row from
+``X`` in one gather, takes one BLAS dot per row on its slice of that
+gather (so each margin keeps its summation order) and adds every row's
+loss gradient to ``G`` in one scatter.  ``stochastic_gradient(node, x,
+rng)`` is the one-column case of the same kernel.
 """
 
 from __future__ import annotations
@@ -332,12 +335,22 @@ class LogisticObjective:
         loss plus the full regularizer."""
         G = 2.0 * self.l2 * X
         rows = [self._rows[j] for j in samples]
-        # one BLAS dot per column keeps each margin's summation order
-        dots = np.array([vals @ X[idx, c] for c, (idx, vals) in enumerate(rows)])
+        sizes = [idx.size for idx, _ in rows]
+        idx_all = np.concatenate([idx for idx, _ in rows])
+        vals_all = np.concatenate([vals for _, vals in rows])
+        cols_all = np.repeat(np.arange(X.shape[1]), sizes)
+        feats = X[idx_all, cols_all]  # every sample's features, one gather
+        # one BLAS dot per sample on its contiguous slice keeps each
+        # margin's summation order
+        dots, lo = np.empty(len(rows)), 0
+        for c, (_, vals) in enumerate(rows):
+            hi = lo + vals.size
+            dots[c] = vals @ feats[lo:hi]
+            lo = hi
         b = self.dataset.labels[samples]
         coef = -b * expit(-b * dots)
-        for c, (idx, vals) in enumerate(rows):
-            G[idx, c] += coef[c] * vals
+        # (row, column) pairs are distinct, so one scatter adds each once
+        G[idx_all, cols_all] += np.repeat(coef, sizes) * vals_all
         return G
 
     def constants(self) -> tuple[float, float]:

@@ -23,6 +23,7 @@ maintained alongside.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,7 +45,6 @@ __all__ = [
     "blackbox_stepsize_requirement",
     "ExactAveraging",
     "TrackingAveraging",
-    "AveragedIterate",
     "SgdConfig",
     "OptimizationResult",
     "sgd_round",
@@ -144,29 +144,6 @@ class TrackingAveraging(Gossip):
 AveragingScheme = ExactAveraging | TrackingAveraging
 
 
-class AveragedIterate:
-    """Running weighted average ``(1/S_T) sum_t (a + t)^2 xbar_t``."""
-
-    def __init__(self, a: float, dim: int):
-        self.a = a
-        self.weighted_sum = np.zeros(dim)
-        self.weight_total = 0.0
-
-    def update(self, t: int, xbar: np.ndarray) -> None:
-        w = (self.a + t) ** 2
-        self.weighted_sum += w * xbar
-        self.weight_total += w
-
-    @property
-    def s_total(self) -> float:
-        return self.weight_total
-
-    def value(self) -> np.ndarray:
-        if self.weight_total <= 0:
-            raise ValueError("no iterates accumulated")
-        return self.weighted_sum / self.weight_total
-
-
 @dataclass(frozen=True)
 class SgdConfig:
     matrix: GossipMatrix
@@ -219,10 +196,11 @@ def sgd_round(
         return pool.get(averaging.seed, node=i, round_=t, tag=_GRAD_TAG)
 
     grads = objective.stochastic_gradients(x, rng_for)
-    max_grad = float(np.max(np.sqrt(np.sum(grads**2, axis=0))))
+    # a correctly rounded square root is monotone, so it commutes with max
+    max_grad = math.sqrt((grads * grads).sum(axis=0).max())
     x_half = x - eta * grads
     x_new, payloads = averaging.apply(x_half, t)
-    if not np.all(np.isfinite(x_new)):
+    if not np.isfinite(x_new).all():
         raise DivergenceError(t, float("inf"))
     return x_new, payloads, max_grad
 
@@ -279,7 +257,10 @@ def run_optimization(
 
         _, f_star = solve_reference(objective, config.fstar_tol)
 
-    averaged = AveragedIterate(config.schedule.a, d)
+    # running weighted average (1/S_T) sum_t (a + t)^2 xbar_t
+    a = config.schedule.a
+    weighted_sum = np.zeros(d)
+    total = 0.0
     degrees = np.asarray(matrix.degrees)
 
     records: list[OptimizeRecord] = []
@@ -290,7 +271,7 @@ def run_optimization(
 
     for t in range(config.iters + 1):
         final = t == config.iters
-        xbar = x.mean(axis=1)
+        xbar = x.sum(axis=1) / matrix.n  # what x.mean(axis=1) computes
         if final or t % config.eval_every == 0:
             subopt = objective.value(xbar) - f_star
             dispersion = float(np.sum((x - xbar[:, None]) ** 2))
@@ -302,19 +283,23 @@ def run_optimization(
                 raise DivergenceError(t, subopt)
         if final:
             break
-        averaged.update(t, xbar)
+        w = (a + t) ** 2
+        weighted_sum += w * xbar
+        total += w
         eta = config.schedule.eta(t)
         x, payloads, g = sgd_round(x, objective, eta, scheme, t, pool)
         empirical_g = max(empirical_g, g)
         bits += int(np.dot(degrees, payloads))
 
-    x_avg = averaged.value()
+    if total <= 0:
+        raise ValueError("no iterates accumulated")
+    x_avg = weighted_sum / total
     return OptimizationResult(
         records=records,
         final_x=x,
         x_avg=x_avg,
         avg_subopt=objective.value(x_avg) - f_star,
-        s_total=averaged.s_total,
+        s_total=total,
         f_star=f_star,
         empirical_g=empirical_g,
     )

@@ -18,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "node_streams", "tag_code", "StreamPool"]
+__all__ = ["stream", "tag_code", "StreamPool"]
 
 _U64 = 2**64
 
@@ -46,11 +46,6 @@ def stream(seed: int, *, node: int = 0, round_: int = 0, tag: str = "") -> np.ra
     counter = np.array([0, 0, round_, tag_code(tag)], dtype=np.uint64)
     key = np.array([seed, node], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
-
-
-def node_streams(seed: int, n: int, *, round_: int = 0, tag: str = "") -> list[np.random.Generator]:
-    """One independent stream per node for a given round and purpose."""
-    return [stream(seed, node=i, round_=round_, tag=tag) for i in range(n)]
 
 
 class StreamPool:

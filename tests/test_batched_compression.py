@@ -125,13 +125,16 @@ def cases(draw):
 @given(cases())
 def test_kernel_matches_per_column_reference_with_node_streams(case):
     spec, X, seed = case
-    q, bits, sent = compress_columns(spec, X, lambda i: stream(seed, node=i, tag="compress"))
-    want_q, want_bits, want_sent = reference(
-        spec, X, lambda i: stream(seed, node=i, tag="compress")
-    )
+    n = X.shape[1]
+    streams = [stream(seed, node=i, tag="compress") for i in range(n)]
+    q, bits, sent = compress_columns(spec, X, streams.__getitem__)
+    replay = [stream(seed, node=i, tag="compress") for i in range(n)]
+    want_q, want_bits, want_sent = reference(spec, X, replay.__getitem__)
     assert same_bits(q, want_q)
     assert np.array_equal(bits, want_bits)
     assert np.array_equal(sent, want_sent)
+    # every node's stream was consumed exactly as far as its reference
+    assert [g.random() for g in streams] == [g.random() for g in replay]
 
 
 @settings(max_examples=400, deadline=None)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gossipsim.compression import (
     CompressedMessage,
@@ -12,6 +15,7 @@ from gossipsim.compression import (
     RescaledUnbiased,
     TopK,
     compress,
+    compress_columns,
     omega,
     payload_bits,
     qsgd_tau,
@@ -244,6 +248,51 @@ class TestContraction:
         )
         se = norms.std() / math.sqrt(MC_DRAWS)
         assert norms.mean() <= tau * np.dot(x, x) + 4 * se
+
+
+class TestContractionProperties:
+    """``||Q(x) - x||^2 <= (1 - omega) ||x||^2`` over generated vectors: per
+    sample for the deterministic ``top_k``, and for the mean over
+    ``PROPERTY_DRAWS`` draws for the random operators, drawn in one
+    ``compress_columns`` call over that many copies of ``x``."""
+
+    PROPERTY_DRAWS = 2000
+    # rounding of the two sums of squares
+    ROUNDING = 1e-12
+    # the random bounds hold with equality for rand_k and rand_gossip, so the
+    # mean may exceed them by sampling error; 6 standard errors of the mean
+    # leave a false failure about once in 10^9 examples
+    STANDARD_ERRORS = 6.0
+
+    VECTORS = st.integers(1, 40).flatmap(
+        lambda d: arrays(np.float64, d, elements=st.floats(-1e3, 1e3, allow_nan=False))
+    ).filter(lambda x: np.dot(x, x) > 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(VECTORS, st.data())
+    def test_top_k_contracts_every_sample(self, x, data):
+        k = data.draw(st.integers(1, x.size))
+        q = compress(TopK(k), x).dense_value
+        bound = (1.0 - k / x.size) * np.dot(x, x)
+        assert np.sum((q - x) ** 2) <= bound + self.ROUNDING * np.dot(x, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(VECTORS, st.data(), st.integers(0, 2**32))
+    def test_random_operators_contract_in_the_mean(self, x, data, seed):
+        d = x.size
+        spec = data.draw(st.one_of(
+            st.integers(1, d).map(RandK),
+            st.sampled_from([1, 2, 16, 256]).map(Qsgd),
+            st.sampled_from([0.1, 0.5, 0.9, 1.0]).map(RandGossip),
+        ))
+        rng = stream(seed, tag="omega")  # one generator, consumed column by column
+        X = np.tile(x[:, None], (1, self.PROPERTY_DRAWS))
+        q, _, _ = compress_columns(spec, X, lambda i: rng)
+        errors = np.sum((q - X) ** 2, axis=0)
+        xnorm2 = np.dot(x, x)
+        se = errors.std() / math.sqrt(self.PROPERTY_DRAWS)
+        bound = (1.0 - omega(spec, d)) * xnorm2
+        assert errors.mean() <= bound + self.STANDARD_ERRORS * se + self.ROUNDING * xnorm2
 
 
 class TestSpecValidation:

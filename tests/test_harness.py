@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipsim import cli
 from gossipsim.compression import Identity, Qsgd, RandK, RescaledUnbiased, TopK
@@ -256,6 +258,24 @@ class TestCsvFormat:
         # round-trips exactly through text
         for v in (1.0 / 3.0, 1e-300, math.pi, -0.0):
             assert float(format_value(v)) == v
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.floats(allow_nan=False).map(lambda v: (v, float)),
+        st.integers(-(2**70), 2**70).map(lambda v: (v, int)),
+        st.integers(-(2**63), 2**63 - 1).map(lambda v: (np.int64(v), int)),
+        st.text(st.characters(blacklist_characters=",\n", blacklist_categories=("Cs",)))
+        .map(lambda v: (v, str)),
+    ))
+    def test_format_value_round_trips(self, case):
+        value, parse = case
+        text = format_value(value)
+        assert "," not in text and "\n" not in text
+        back = parse(text)
+        if parse is float:
+            assert back.hex() == value.hex()  # keeps the sign of zero and infinities
+        else:
+            assert back == value
 
     def test_write_rows(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipsim.objectives import (
     Dataset,
@@ -76,6 +78,33 @@ class TestParseLibsvm:
         assert np.array_equal(ds.labels, again.labels)
         assert (ds.features != again.features).nnz == 0
         assert serialize_libsvm(again) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_serialize_then_parse_round_trips(self, data):
+        d = data.draw(st.integers(1, 8))
+        m = data.draw(st.integers(1, 6))
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        data_, indices, indptr = [], [], [0]
+        for _ in range(m):
+            # any subset of the features, explicit zeros and -0.0 included
+            row = sorted(data.draw(st.sets(st.integers(0, d - 1))))
+            indices += row
+            data_ += [data.draw(values) for _ in row]
+            indptr.append(len(indices))
+        features = sp.csr_matrix(
+            (np.array(data_, dtype=float), np.array(indices, dtype=np.int64), indptr),
+            shape=(m, d),
+        )
+        labels = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                             min_size=m, max_size=m)))
+        ds = Dataset(features=features, labels=labels)
+        again = parse_libsvm(io.StringIO(serialize_libsvm(ds)), n_features=d)
+        assert again.labels.tobytes() == labels.tobytes()
+        assert again.features.shape == (m, d)
+        assert np.array_equal(again.features.indptr, features.indptr)
+        assert np.array_equal(again.features.indices, features.indices)
+        assert again.features.data.tobytes() == features.data.tobytes()
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):

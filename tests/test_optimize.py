@@ -7,7 +7,6 @@ from gossipsim.compression import Identity, RandK, TopK
 from gossipsim.consensus import DivergenceError, tracking_stepsize
 from gossipsim.objectives import QuadraticObjective
 from gossipsim.optimize import (
-    AveragedIterate,
     ExactAveraging,
     PracticalSchedule,
     SgdConfig,
@@ -82,24 +81,36 @@ class TestTheoreticalStepsize:
 
 
 class TestAveragedIterate:
+    """The running average ``(1/S_T) sum_t (a + t)^2 xbar_t`` of
+    ``run_optimization``, read through ``x_avg`` and ``s_total``."""
+
+    @staticmethod
+    def run(a, iters, targets, x0, b=4.0):
+        targets = np.asarray(targets, dtype=float)
+        config = SgdConfig(
+            matrix=build_gossip_matrix(FullyConnected(targets.shape[1])),
+            schedule=PracticalSchedule(a=a, b=b, m=1), iters=iters, f_star=0.0,
+        )
+        return run_optimization(config, QuadraticObjective(targets), np.asarray(x0, dtype=float))
+
     def test_weight_total_matches_closed_form(self):
         a, big_t = 410, 500
-        avg = AveragedIterate(float(a), dim=3)
-        for t in range(big_t):
-            avg.update(t, np.zeros(3))
+        result = self.run(float(a), big_t, np.zeros((3, 2)), np.zeros((3, 2)), b=1e6)
         closed = big_t * (2 * big_t**2 + 6 * a * big_t - 3 * big_t + 6 * a**2 - 6 * a + 1) // 6
-        assert avg.s_total == float(closed)  # integer-valued floats stay exact
-        assert avg.s_total >= big_t**3 / 3.0
+        assert result.s_total == float(closed)  # integer-valued floats stay exact
+        assert result.s_total >= big_t**3 / 3.0
 
     def test_weighted_value(self):
-        avg = AveragedIterate(2.0, dim=1)
-        avg.update(0, np.array([1.0]))  # weight 4
-        avg.update(1, np.array([10.0]))  # weight 9
-        assert avg.value()[0] == pytest.approx((4.0 + 90.0) / 13.0)
+        # eta_0 = m a / b = 0.5 moves xbar from 1 to (1 + 19) / 2 = 10, so
+        # x_avg weighs xbar_0 = 1 by a^2 = 4 and xbar_1 = 10 by (a + 1)^2 = 9
+        result = self.run(2.0, 2, np.full((1, 2), 19.0), np.ones((1, 2)))
+        assert result.s_total == 13.0
+        assert result.x_avg[0] == pytest.approx((4.0 + 90.0) / 13.0)
 
     def test_empty_average_rejected(self):
-        with pytest.raises(ValueError):
-            AveragedIterate(1.0, dim=2).value()
+        # a = 0 gives the only round weight (0 + 0)^2 = 0
+        with pytest.raises(ValueError, match="no iterates"):
+            self.run(0.0, 1, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestAveragingSchemes:

@@ -1,0 +1,249 @@
+"""The SGD round, its loop and ``top_k`` against copies of the code they replaced.
+
+``argpartition_top_k`` is the index-based selection that ``TopK.apply``
+replaced with a threshold; ``per_column_logistic`` is the logistic oracle
+with one scatter per column; ``reference_sgd_round`` and ``reference_run``
+spell the round and the loop with the ``mean``, ``np.max``/``np.sqrt``/
+``np.sum`` and ``np.all`` calls and the ``AveragedIterate`` class they used
+before.  The current code must match each byte for byte, memory order
+included, so no output of a run can move.
+"""
+
+import dataclasses
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import expit
+
+from gossipsim.compression import Identity, Qsgd, RandK, TopK, compress_columns
+from gossipsim.consensus import DivergenceError
+from gossipsim.objectives import Dataset, LogisticObjective, QuadraticObjective, Shard
+from gossipsim.optimize import (
+    PracticalSchedule,
+    SgdConfig,
+    build_averaging,
+    run_optimization,
+    sgd_round,
+)
+from gossipsim.records import OptimizeRecord
+from gossipsim.streams import StreamPool, stream
+from gossipsim.topology import FullyConnected, Ring, build_gossip_matrix
+
+
+def argpartition_top_k(X, k):
+    d = X.shape[0]
+    mag = np.abs(X.T, order="C")
+    rows = np.argpartition(mag, d - k, axis=1)[:, d - k:]
+    threshold = np.take_along_axis(mag, rows[:, :1], axis=1)
+    tied = np.count_nonzero(mag >= threshold, axis=1) > k
+    for i in np.flatnonzero(tied):
+        above = np.flatnonzero(mag[i] > threshold[i])
+        level = np.flatnonzero(mag[i] == threshold[i])
+        rows[i] = np.concatenate([above, level[: k - above.size]])
+    cols = np.repeat(np.arange(X.shape[1]), k)
+    rows = rows.ravel()
+    q = np.zeros_like(X)
+    q[rows, cols] = X[rows, cols]
+    return q
+
+
+class ArgpartitionTopK(TopK):
+    def apply(self, X, rng_for):
+        return argpartition_top_k(X, self.k), np.ones(X.shape[1], dtype=bool)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+
+# few distinct magnitudes, so ties at the threshold and signed zeros are common
+TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5])
+LAYOUTS = st.sampled_from(["C", "F", "strided"])
+
+
+def laid_out(X, layout):
+    if layout == "strided":
+        wide = np.zeros((X.shape[0], 2 * X.shape[1]))
+        wide[:, ::2] = X
+        return wide[:, ::2]
+    return np.asarray(X, order=layout)
+
+
+@st.composite
+def top_k_cases(draw):
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 5))
+    elements = st.one_of(TIES, st.floats(-1e3, 1e3, allow_nan=False))
+    X = draw(arrays(np.float64, (d, n), elements=elements))
+    k = draw(st.one_of(st.just(d), st.integers(1, d)))
+    return laid_out(X, draw(LAYOUTS)), k
+
+
+@settings(max_examples=500, deadline=None)
+@given(top_k_cases())
+@example((np.array([[1.0], [-1.0], [1.0], [2.0], [-1.0]]), 2))  # three tie at the threshold
+@example((np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]]), 3))  # k = d over signed zeros
+@example((np.array([[0.0, 1.0], [-0.0, -1.0], [2.0, 1.0]]), 1))
+@example((np.asfortranarray([[-2.0, 0.0], [2.0, -0.0], [-2.0, 0.0]]), 2))
+def test_top_k_threshold_equals_argpartition_selection(case):
+    X, k = case
+    q, _, _ = compress_columns(TopK(k), X)
+    assert same_bits(q, argpartition_top_k(X, k))
+
+
+def per_column_logistic(objective, X, rng_for):
+    samples = [objective._draw(i, rng_for(i)) for i in range(X.shape[1])]
+    G = 2.0 * objective.l2 * X
+    rows = [objective._rows[j] for j in samples]
+    dots = np.array([vals @ X[idx, c] for c, (idx, vals) in enumerate(rows)])
+    b = objective.dataset.labels[samples]
+    coef = -b * expit(-b * dots)
+    for c, (idx, vals) in enumerate(rows):
+        G[idx, c] += coef[c] * vals
+    return G
+
+
+def reference_sgd_round(x, objective, eta, averaging, t):
+    def rng_for(i):
+        return stream(averaging.seed, node=i, round_=t, tag="grad")
+
+    if isinstance(objective, LogisticObjective):
+        grads = per_column_logistic(objective, x, rng_for)
+    else:
+        grads = objective.stochastic_gradients(x, rng_for)
+    max_grad = float(np.max(np.sqrt(np.sum(grads**2, axis=0))))
+    x_half = x - eta * grads
+    x_new, payloads = averaging.apply(x_half, t)
+    if not np.all(np.isfinite(x_new)):
+        raise DivergenceError(t, float("inf"))
+    return x_new, payloads, max_grad
+
+
+class AveragedIterate:
+    def __init__(self, a, dim):
+        self.a = a
+        self.weighted_sum = np.zeros(dim)
+        self.weight_total = 0.0
+
+    def update(self, t, xbar):
+        w = (self.a + t) ** 2
+        self.weighted_sum += w * xbar
+        self.weight_total += w
+
+    def value(self):
+        return self.weighted_sum / self.weight_total
+
+
+def reference_run(config, objective, x0):
+    x = x0.copy()
+    scheme = build_averaging(config, x.shape[0])
+    averaged = AveragedIterate(config.schedule.a, x.shape[0])
+    degrees = np.asarray(config.matrix.degrees)
+    records, bits, empirical_g = [], 0, 0.0
+    for t in range(config.iters + 1):
+        xbar = x.mean(axis=1)
+        if t == config.iters or t % config.eval_every == 0:
+            records.append(OptimizeRecord(
+                t, objective.value(xbar) - config.f_star,
+                float(np.sum((x - xbar[:, None]) ** 2)), bits, config.schedule.eta(t),
+            ))
+        if t == config.iters:
+            break
+        averaged.update(t, xbar)
+        x, payloads, g = reference_sgd_round(x, objective, config.schedule.eta(t), scheme, t)
+        empirical_g = max(empirical_g, g)
+        bits += int(np.dot(degrees, payloads))
+    x_avg = averaged.value()
+    return records, x, x_avg, objective.value(x_avg) - config.f_star, averaged.weight_total, \
+        empirical_g
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 5))
+    kind = Ring(n) if n >= 3 and draw(st.booleans()) else FullyConnected(n)
+    return build_gossip_matrix(kind)
+
+
+@st.composite
+def objectives(draw, n):
+    d = draw(st.integers(1, 6))
+    values = st.floats(-10, 10, allow_nan=False)
+    if draw(st.booleans()):
+        targets = draw(arrays(np.float64, (d, n), elements=values))
+        sigma = draw(st.sampled_from([0.0, 0.5, 2.0]))
+        return QuadraticObjective(targets, noise_sigma=sigma)
+    m = draw(st.integers(n, 12))
+    mask = draw(arrays(np.bool_, (m, d)))
+    dense = np.where(mask, draw(arrays(np.float64, (m, d), elements=values)), 0.0)
+    labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+    shards = [Shard(i, part) for i, part in enumerate(np.array_split(np.arange(m), n))]
+    return LogisticObjective(Dataset(features=sp.csr_matrix(dense), labels=labels), shards)
+
+
+@st.composite
+def sgd_cases(draw):
+    matrix = draw(graphs())
+    objective = draw(objectives(matrix.n))
+    d = objective.dim
+    averaging = draw(st.sampled_from(["exact", "tracking"]))
+    spec = Identity()
+    if averaging == "tracking":
+        k = draw(st.integers(1, d))
+        spec = draw(st.sampled_from([Identity(), TopK(k), RandK(k), Qsgd(4)]))
+    config = SgdConfig(
+        matrix=matrix,
+        schedule=PracticalSchedule(a=draw(st.sampled_from([0.1, 0.5, 2.0])), b=4.0, m=1),
+        averaging=averaging,
+        gamma=draw(st.sampled_from([0.3, 1.0])),
+        compression=spec,
+        iters=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 2**32)),
+        eval_every=draw(st.integers(1, 3)),
+        f_star=0.0,
+    )
+    x0 = draw(arrays(np.float64, (d, matrix.n), elements=st.floats(-5, 5, allow_nan=False)))
+    return config, objective, x0
+
+
+def with_argpartition_top_k(config):
+    spec = config.compression
+    if isinstance(spec, TopK):
+        return dataclasses.replace(config, compression=ArgpartitionTopK(spec.k))
+    return config
+
+
+@settings(max_examples=200, deadline=None)
+@given(sgd_cases())
+def test_sgd_round_matches_earlier_expressions(case):
+    config, objective, x = case
+    d = x.shape[0]
+    scheme = build_averaging(config, d)
+    reference = build_averaging(with_argpartition_top_k(config), d)
+    want_x, pool = x, StreamPool()
+    for t in range(config.iters):
+        eta = config.schedule.eta(t)
+        x, bits, max_grad = sgd_round(x, objective, eta, scheme, t, pool)
+        want_x, want_bits, want_max = reference_sgd_round(want_x, objective, eta, reference, t)
+        assert same_bits(x, want_x)
+        assert same_bits(bits, want_bits)
+        assert type(max_grad) is float and max_grad.hex() == want_max.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sgd_cases())
+def test_run_optimization_matches_earlier_loop(case):
+    config, objective, x0 = case
+    result = run_optimization(config, objective, x0)
+    records, final_x, x_avg, avg_subopt, s_total, empirical_g = reference_run(
+        with_argpartition_top_k(config), objective, x0
+    )
+    assert repr(result.records) == repr(records)
+    assert same_bits(result.final_x, final_x)
+    assert same_bits(result.x_avg, x_avg)
+    assert repr((result.avg_subopt, result.s_total, result.empirical_g)) == repr(
+        (avg_subopt, s_total, empirical_g)
+    )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipsim.streams import StreamPool, node_streams, stream, tag_code
+from gossipsim.streams import StreamPool, stream, tag_code
 
 
 def test_same_key_same_draws():
@@ -54,10 +54,16 @@ def test_long_tags_are_hashed_deterministically():
 
 
 def test_node_streams_match_individual_derivation():
-    batch = node_streams(4, 3, round_=5, tag="grad")
-    for i, gen in enumerate(batch):
-        want = stream(4, node=i, round_=5, tag="grad").random(5)
-        assert np.array_equal(gen.random(5), want)
+    # per-node streams held side by side and drawn from in turns, last node
+    # first, each give the draws of that node's stream derived alone
+    batch = [stream(4, node=i, round_=5, tag="grad") for i in range(3)]
+    got = {i: [] for i in range(3)}
+    for _ in range(2):
+        for i in reversed(range(3)):
+            got[i].append(batch[i].random(3))
+    for i in range(3):
+        want = stream(4, node=i, round_=5, tag="grad").random(6)
+        assert np.array_equal(np.concatenate(got[i]), want)
 
 
 def test_negative_seed_rejected():
