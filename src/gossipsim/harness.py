@@ -226,15 +226,30 @@ def parse_suite_file(path: str | Path) -> list[ExperimentSpec]:
 
 
 def _coerce_options(label: str, raw: dict) -> dict:
+    """Typed options; a value of the wrong syntax is a ConfigError naming its key.
+
+    Range checks are left to the config dataclasses.
+    """
     opts = dict(raw)
+
+    def coerce(key, parse, expected):
+        try:
+            return parse(opts[key])
+        except ValueError:
+            raise ConfigError(f"[{label}]: {key} must be {expected}, got {opts[key]!r}") from None
+
     for key in ("n", "d", "torus_rows", "torus_cols", "iters", "eval_every", "value_bits"):
         if key in opts:
-            opts[key] = int(opts[key])
+            opts[key] = coerce(key, int, "an integer")
     for key in ("a", "b", "mu", "noise_sigma", "fstar_tol"):
         if key in opts:
-            opts[key] = float(opts[key])
+            opts[key] = coerce(key, float, "a number")
+    if "gamma" in opts and opts["gamma"].strip().lower() != "auto":
+        # checked only: the text goes on to resolve_gamma when the run is built
+        coerce("gamma", float, "a number or auto")
     if "seeds" in opts:
-        seeds = [int(tok) for tok in opts["seeds"].replace(",", " ").split()]
+        seeds = coerce("seeds", lambda text: [int(tok) for tok in text.replace(",", " ").split()],
+                       "integers")
         if not seeds:
             raise ConfigError(f"[{label}]: empty seeds list")
         if len(set(seeds)) != len(seeds):

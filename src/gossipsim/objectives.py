@@ -34,20 +34,27 @@ logistic oracle gathers the features of every node's sampled row from
 gather (so each margin keeps its summation order) and adds every row's
 loss gradient to ``G`` in one scatter.  ``stochastic_gradient(node, x,
 rng)`` is the one-column case of the same kernel.
+
+SciPy serves only the logistic objective, so it loads on first use there:
+``scipy.sparse`` where ``parse_libsvm`` and ``synthetic_classification``
+build their CSR matrix, and ``scipy.special.expit`` when a
+``LogisticObjective`` is built, which binds it for its oracles.  Importing
+the package, running consensus and the quadratic objective never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Iterable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .compression import RngFor
 from .streams import stream
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Dataset",
@@ -137,6 +144,8 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
         raise ValueError(f"n_features = {d} is below the largest index {max_index}")
     if d < 1:
         raise ValueError("dataset has no features; pass n_features")
+    import scipy.sparse as sp  # see the module docstring on SciPy
+
     features = sp.csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
         shape=(len(labels), d),
@@ -260,6 +269,8 @@ class LogisticObjective:
     """Sharded l2-regularized logistic regression (see module docstring)."""
 
     def __init__(self, dataset: Dataset, shards: list[Shard]):
+        from scipy.special import expit  # see the module docstring on SciPy
+
         if not shards:
             raise ValueError("at least one shard is required")
         covered = np.sort(np.concatenate([s.indices for s in shards]))
@@ -271,7 +282,9 @@ class LogisticObjective:
         self.shards = shards
         self.l2 = 1.0 / (2 * dataset.m)
         self._constants: tuple[float, float] | None = None
+        self._expit = expit  # bound here, not imported by the per-round oracles
         csr = dataset.features
+        self._features_t = csr.T  # a CSC view sharing the CSR arrays
         self._rows = [
             (csr.indices[csr.indptr[j]:csr.indptr[j + 1]], csr.data[csr.indptr[j]:csr.indptr[j + 1]])
             for j in range(dataset.m)
@@ -304,16 +317,19 @@ class LogisticObjective:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Exact gradient of the full objective over all m samples."""
-        return self._subset_gradient(self.dataset.features, self.dataset.labels, x)
+        return self._subset_gradient(
+            self.dataset.features, self._features_t, self.dataset.labels, x
+        )
 
     def local_gradient(self, node: int, x: np.ndarray) -> np.ndarray:
         idx = self.shards[node].indices
-        return self._subset_gradient(self.dataset.features[idx], self.dataset.labels[idx], x)
+        rows = self.dataset.features[idx]
+        return self._subset_gradient(rows, rows.T, self.dataset.labels[idx], x)
 
-    def _subset_gradient(self, rows, labels, x):
+    def _subset_gradient(self, rows, rows_t, labels, x):
         margins = labels * (rows @ x)
-        coef = -labels * expit(-margins)  # -b * sigma(-b a.x)
-        grad = np.asarray(rows.T @ coef).ravel() / rows.shape[0]
+        coef = -labels * self._expit(-margins)  # -b * sigma(-b a.x)
+        grad = np.asarray(rows_t @ coef).ravel() / rows.shape[0]
         return grad + 2.0 * self.l2 * x
 
     def stochastic_gradients(self, X: np.ndarray, rng_for: RngFor) -> np.ndarray:
@@ -348,16 +364,16 @@ class LogisticObjective:
             dots[c] = vals @ feats[lo:hi]
             lo = hi
         b = self.dataset.labels[samples]
-        coef = -b * expit(-b * dots)
+        coef = -b * self._expit(-b * dots)
         # (row, column) pairs are distinct, so one scatter adds each once
         G[idx_all, cols_all] += np.repeat(coef, sizes) * vals_all
         return G
 
     def constants(self) -> tuple[float, float]:
         if self._constants is None:
-            a = self.dataset.features
+            a, a_t = self.dataset.features, self._features_t
             lam = power_iteration(
-                lambda v: np.asarray(a.T @ (a @ v)).ravel() / self.dataset.m, self.dataset.d
+                lambda v: np.asarray(a_t @ (a @ v)).ravel() / self.dataset.m, self.dataset.d
             )
             mu = 2.0 * self.l2
             self._constants = (mu, mu + 0.25 * lam)
@@ -416,6 +432,8 @@ def synthetic_classification(m: int, d: int, seed: int = 0, flip: float = 0.05) 
     labels = np.where(margins >= 0, 1.0, -1.0)
     flips = rng.random(m) < flip
     labels[flips] = -labels[flips]
+    import scipy.sparse as sp  # see the module docstring on SciPy
+
     return Dataset(features=sp.csr_matrix(features), labels=labels)
 
 

@@ -285,14 +285,21 @@ class TestContractionProperties:
             st.sampled_from([1, 2, 16, 256]).map(Qsgd),
             st.sampled_from([0.1, 0.5, 0.9, 1.0]).map(RandGossip),
         ))
+        self.check_mean_contraction(x, spec, seed)
+
+    def test_tiny_vector_keeps_its_sampling_allowance(self):
+        # the raw errors' squared deviations underflow to 0 here
+        self.check_mean_contraction(np.array([7.05726259e-83, 0.0, 0.0]), RandK(2), 0)
+
+    def check_mean_contraction(self, x, spec, seed):
         rng = stream(seed, tag="omega")  # one generator, consumed column by column
         X = np.tile(x[:, None], (1, self.PROPERTY_DRAWS))
         q, _, _ = compress_columns(spec, X, lambda i: rng)
-        errors = np.sum((q - X) ** 2, axis=0)
-        xnorm2 = np.dot(x, x)
-        se = errors.std() / math.sqrt(self.PROPERTY_DRAWS)
-        bound = (1.0 - omega(spec, d)) * xnorm2
-        assert errors.mean() <= bound + self.STANDARD_ERRORS * se + self.ROUNDING * xnorm2
+        # relative to ||x||^2, so tiny vectors keep a nonzero standard error
+        ratios = np.sum((q - X) ** 2, axis=0) / np.dot(x, x)
+        se = ratios.std() / math.sqrt(self.PROPERTY_DRAWS)
+        bound = 1.0 - omega(spec, x.size)
+        assert ratios.mean() <= bound + self.STANDARD_ERRORS * se + self.ROUNDING
 
 
 class TestSpecValidation:

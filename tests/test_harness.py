@@ -118,6 +118,23 @@ class TestSuiteFile:
         with pytest.raises(ConfigError, match="kind"):
             parse_suite_file(path)
 
+    @pytest.mark.parametrize("key, text, expected", [
+        ("n", "abc", "an integer"),
+        ("noise_sigma", "high", "a number"),
+        ("seeds", "1 x", "integers"),
+        ("gamma", "fast", "a number or auto"),
+    ])
+    def test_coercion_error_names_section_and_key(self, tmp_path, key, text, expected):
+        path = tmp_path / "suite.ini"
+        path.write_text(f"[x]\nkind = optimize\n{key} = {text}\n")
+        with pytest.raises(ConfigError, match=rf"^\[x\]: {key} must be {expected}, got '{text}'$"):
+            parse_suite_file(path)
+
+    def test_gamma_text_is_kept_for_the_builders(self, tmp_path):
+        path = tmp_path / "suite.ini"
+        path.write_text("[x]\nkind = consensus\ngamma = Auto\n\n[y]\nkind = consensus\ngamma = 0.5\n")
+        assert [s.options["gamma"] for s in parse_suite_file(path)] == ["Auto", "0.5"]
+
 
 class TestRunSuite:
     def test_outputs_per_seed_plus_summary(self, tmp_path):
@@ -467,6 +484,20 @@ class TestCli:
             "--d", "4", "--iters", "5",
         ])
         assert code == 0
+
+    def test_suite_gamma_syntax_is_a_config_error(self, tmp_path, capsys):
+        # as --gamma fast is: the whole suite aborts before any run
+        config = tmp_path / "suite.ini"
+        config.write_text(
+            SUITE + "\n[bad-gamma]\nkind = consensus\ntopology = ring\nn = 4\nd = 3\ngamma = fast\n"
+        )
+        code = cli.main([
+            "consensus", "--config", str(config), "--out-dir", str(tmp_path / "res"),
+        ])
+        assert code == 2
+        assert "[bad-gamma]: gamma must be a number or auto" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+        assert cli.main(["consensus", "--n", "4", "--d", "3", "--gamma", "fast"]) == 2
 
     def test_partial_suite_failure_exit_code(self, tmp_path, capsys):
         config = tmp_path / "suite.ini"
