@@ -30,7 +30,6 @@ import argparse
 import sys
 
 from . import harness
-from .consensus import GossipScheme
 from .records import write_records_csv, write_rows_csv
 
 EXIT_OK = 0
@@ -128,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("consensus", help="run a gossip averaging experiment")
     _add_gossip_flags(p)
     _add_run_flags(p)
-    p.add_argument("--scheme", choices=[s.value for s in GossipScheme])
+    p.add_argument("--scheme", choices=harness.CHOICES["scheme"])
     p.add_argument("--init-file", help="initial matrix, one node row per line "
                                        "(default: Gaussian)")
     p.set_defaults(func=_cmd_run)
@@ -137,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gossip_flags(p)
     _add_run_flags(p)
     _add_objective_flags(p)
-    p.add_argument("--schedule", choices=["practical", "theoretical"])
+    p.add_argument("--schedule", choices=harness.CHOICES["schedule"])
     p.add_argument("--a", type=float)
     p.add_argument("--b", type=float)
     p.set_defaults(func=_cmd_run)
@@ -159,12 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_objective_flags(p) -> None:
-    p.add_argument("--objective", choices=["quadratic", "logistic"])
+    p.add_argument("--objective", choices=harness.CHOICES["objective"])
     p.add_argument("--data", dest="data_path", help="LIBSVM file for the logistic objective")
-    p.add_argument("--partition", choices=["shuffled", "sorted"])
+    p.add_argument("--partition", choices=harness.CHOICES["partition"])
     p.add_argument("--noise-sigma", type=float)
     p.add_argument("--targets-seed", type=int)
-    p.add_argument("--averaging", choices=["exact", "tracking"])
+    p.add_argument("--averaging", choices=harness.CHOICES["averaging"])
     p.add_argument("--fstar-tol", type=float)
 
 

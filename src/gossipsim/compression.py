@@ -28,11 +28,12 @@ where ``omega`` is the quality factor returned by :func:`omega`
 
 Every simulation round compresses one message per node, so the operators
 work on a whole ``d x n`` matrix at once: :func:`compress_columns` treats
-column ``i`` as node ``i``'s message and returns the reconstructions, the
-bit cost of each message and whether it was sent.  Random operators draw
-column ``i``'s numbers only from ``rng_for(i)``, one column after another in
-node order, exactly as many as one message needs.  The simulators key
-``rng_for(i)`` to the ``(seed, i, t, "compress")`` stream, so a node's
+column ``i`` as node ``i``'s message and returns the reconstructions,
+written into a buffer a simulator can reuse every round, the bit cost of
+each message and whether it was sent.  Random operators draw column ``i``'s
+numbers only from ``rng_for(i)``, one column after another in node order,
+exactly as many as one message needs.  The simulators key ``rng_for(i)`` to
+the ``(seed, i, t, "compress")`` stream, so a node's
 message does not depend on the other columns or on batching them.
 :func:`compress` is the one-vector case of the same kernel.
 
@@ -76,13 +77,15 @@ class CompressionSpec:
 
     Subclasses implement ``omega``, ``message_bits`` and ``apply``; those
     that consume random draws set ``random``, those that may send nothing
-    set ``skips``, and those with ``E Q(x) = x`` set ``unbiased``.
+    set ``skips``, those with ``E Q(x) = x`` set ``unbiased``, and those
+    that work on the ``n x d`` scratch set ``node_major``.
     """
 
     value_bits: int = field(default=32, kw_only=True)
     random: ClassVar[bool] = False
     skips: ClassVar[bool] = False
     unbiased: ClassVar[bool] = False
+    node_major: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.value_bits < 1:
@@ -100,9 +103,12 @@ class CompressionSpec:
         """Scale that lifts the operator to its unbiased estimator."""
         raise ValueError(f"no unbiased rescaling for {type(self).__name__}")
 
-    def apply(self, X: np.ndarray, rng_for: RngFor | None) -> tuple[np.ndarray, np.ndarray]:
-        """Compress every column of the finite ``d x n`` matrix ``X``;
-        returns the reconstructions and a per-column sent mask."""
+    def apply(self, X: np.ndarray, rng_for: RngFor | None, out: np.ndarray,
+              scratch: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Compress every column of the finite ``d x n`` matrix ``X`` into
+        ``out`` (``d x n``, contiguous, not overlapping ``X``), using the
+        ``n x d`` ``scratch`` if ``node_major``; returns ``out`` and a
+        per-column sent mask."""
         raise TypeError(f"unknown compression spec {self!r}")
 
 
@@ -119,8 +125,9 @@ class Identity(CompressionSpec):
     def natural_tau(self, d):
         return 1.0
 
-    def apply(self, X, rng_for):
-        return X.copy(order="K"), _all_sent(X)
+    def apply(self, X, rng_for, out, scratch):
+        np.copyto(out, X)
+        return out, _all_sent(X)
 
 
 @dataclass(frozen=True)
@@ -145,18 +152,22 @@ class RandK(CompressionSpec):
         _check_k(self.k, d)
         return d / self.k
 
-    def apply(self, X, rng_for):
+    def apply(self, X, rng_for, out, scratch):
         d, n = X.shape
         _check_k(self.k, d)
         rows = np.stack(
             [_rng(rng_for, i, self).choice(d, size=self.k, replace=False) for i in range(n)]
-        )
-        return _keep_rows(X, rows), _all_sent(X)
+        ).ravel()
+        cols = np.repeat(np.arange(n), self.k)
+        out.fill(0.0)
+        out[rows, cols] = X[rows, cols]
+        return out, _all_sent(X)
 
 
 @dataclass(frozen=True)
 class TopK(CompressionSpec):
     k: int = 1
+    node_major: ClassVar[bool] = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -171,28 +182,33 @@ class TopK(CompressionSpec):
         _check_k(self.k, d)
         return self.k * (self.value_bits + _index_bits(d))
 
-    def apply(self, X, rng_for):
+    def apply(self, X, rng_for, out, scratch):
         d, n = X.shape
         k = self.k
         _check_k(k, d)
-        mag = np.abs(X.T, order="C")  # one row per node
-        # each node's k-th largest magnitude; keep everything at or above it
-        threshold = np.partition(mag, d - k, axis=1)[:, d - k:d - k + 1]
+        mag = np.abs(X.T, out=scratch)  # one row per node
+        # each node's k-th largest magnitude, partitioned in out's memory;
+        # keep everything at or above it
+        part = out.ravel(order="K").reshape(n, d)
+        np.copyto(part, mag)
+        part.partition(d - k, axis=1)
+        threshold = part[:, d - k:d - k + 1]
         keep = mag >= threshold
         if np.count_nonzero(keep) > n * k:  # every row keeps at least k
             for i in np.flatnonzero(np.count_nonzero(keep, axis=1) > k):
                 # a stable sort of -|x| keeps the lowest-index ties
                 above = np.count_nonzero(mag[i] > threshold[i])
                 keep[i, np.flatnonzero(mag[i] == threshold[i])[k - above:]] = False
-        q = np.zeros_like(X)
-        np.copyto(q, X, where=keep.T)
-        return q, _all_sent(X)
+        out.fill(0.0)
+        np.copyto(out, X, where=keep.T)
+        return out, _all_sent(X)
 
 
 @dataclass(frozen=True)
 class Qsgd(CompressionSpec):
     s: int = 1
     random: ClassVar[bool] = True
+    node_major: ClassVar[bool] = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -209,24 +225,25 @@ class Qsgd(CompressionSpec):
     def natural_tau(self, d):
         return qsgd_tau(self.s, d)
 
-    def apply(self, X, rng_for):
+    def apply(self, X, rng_for, out, scratch):
         d, n = X.shape
-        norms = np.array([np.linalg.norm(X[:, i]) for i in range(n)])
+        norms = _column_norms(X, scratch)
         live = norms > 0.0
-        dither = np.zeros((n, d))
         for i in np.flatnonzero(live):  # a zero column draws nothing
-            _rng(rng_for, i, self).random(out=dither[i])
+            _rng(rng_for, i, self).random(out=scratch[i])
         norms[~live] = 1.0
-        # levels = floor(s |x| / norm + xi), step by step in that order
-        q = np.abs(X)
+        # levels = floor(s |x| / norm + xi), step by step in that order; the
+        # columns that drew nothing are zeroed at the end
+        q = np.abs(X, out=out)
         q *= self.s
         q /= norms
-        q += dither.T
+        q += scratch.T
         np.floor(q, out=q)
         # (sign(x) * scale) * levels equals copysign(scale * levels, x) bit
-        # for bit, because levels >= 0 and np.sign maps -0.0 to +0.0
+        # for bit, because levels >= 0 and np.sign maps -0.0 to +0.0, as
+        # x + 0.0 does
         q *= norms / (self.s * qsgd_tau(self.s, d))
-        np.copysign(q, X, out=q, where=X != 0.0)
+        np.copysign(q, np.add(X.T, 0.0, out=scratch).T, out=q)
         q[:, ~live] = 0.0  # the norm also underflows to zero for tiny nonzero x
         return q, _all_sent(X)
 
@@ -251,11 +268,11 @@ class RandGossip(CompressionSpec):
     def natural_tau(self, d):
         return 1.0 / self.p
 
-    def apply(self, X, rng_for):
+    def apply(self, X, rng_for, out, scratch):
         sent = np.array([_rng(rng_for, i, self).random() < self.p for i in range(X.shape[1])])
-        q = np.zeros_like(X)
-        q[:, sent] = X[:, sent]
-        return q, sent
+        out.fill(0.0)
+        np.copyto(out, X, where=sent)
+        return out, sent
 
 
 @dataclass(frozen=True)
@@ -278,14 +295,18 @@ class RescaledUnbiased(CompressionSpec):
     def skips(self):
         return self.inner.skips
 
+    @property
+    def node_major(self):
+        return self.inner.node_major
+
     def omega(self, d):
         return 1.0 / self.inner.natural_tau(d)
 
     def message_bits(self, d):
         return self.inner.message_bits(d)
 
-    def apply(self, X, rng_for):
-        q, sent = self.inner.apply(X, rng_for)
+    def apply(self, X, rng_for, out, scratch):
+        q, sent = self.inner.apply(X, rng_for, out, scratch)
         q *= self.inner.natural_tau(X.shape[0])
         return q, sent
 
@@ -342,7 +363,8 @@ def payload_bits(spec: CompressionSpec, d: int, message: CompressedMessage | Non
 
 
 def compress_columns(
-    spec: CompressionSpec, X: np.ndarray, rng_for: RngFor | None = None
+    spec: CompressionSpec, X: np.ndarray, rng_for: RngFor | None = None,
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compress column ``i`` of ``X`` as node ``i``'s message, for every i.
 
@@ -356,11 +378,17 @@ def compress_columns(
         ``i -> Generator``; required for the random operators.  It is called
         once per column that draws, in column order, and the generator is
         used up before the next call, so a re-keyed pool handle is safe.
+    out, scratch : ndarray, optional
+        Float buffers the kernel writes into: ``out`` is a contiguous
+        ``d x n`` array and ``scratch`` an ``n x d`` array, neither
+        overlapping ``X``; only the ``node_major`` operators use
+        ``scratch``.  Allocated when omitted, ``out`` in the memory order
+        of ``X``; the results are the same bytes either way.
 
     Returns
     -------
     Q : ndarray
-        The ``d x n`` reconstructions, in the memory order of ``X``.
+        The ``d x n`` reconstructions in ``out``.
     bits : ndarray
         Modeled cost of each column's message (0 when nothing was sent).
     transmitted : ndarray
@@ -373,7 +401,11 @@ def compress_columns(
         column = np.flatnonzero(~np.isfinite(X).all(axis=0))[0]
         raise ValueError(f"x contains nonfinite entries (column {column})")
     cost = spec.message_bits(X.shape[0])
-    q, sent = spec.apply(X, rng_for)
+    if out is None:
+        out = np.empty_like(X)
+    if scratch is None and spec.node_major:
+        scratch = np.empty(X.shape[::-1])
+    q, sent = spec.apply(X, rng_for, out, scratch)
     return q, np.where(sent, cost, 0), sent
 
 
@@ -408,14 +440,14 @@ def _rng(rng_for: RngFor | None, i: int, spec: CompressionSpec) -> np.random.Gen
     return rng
 
 
+def _column_norms(X: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(X[:, i])`` for every column i, bit for bit: the same
+    unit-stride dot and square root, over the node-major copy of ``X`` that
+    this leaves in ``scratch``."""
+    np.copyto(scratch, X.T)
+    return np.sqrt(np.matmul(scratch[:, None, :], scratch[:, :, None]).reshape(X.shape[1]))
+
+
 def _all_sent(X: np.ndarray) -> np.ndarray:
     return np.ones(X.shape[1], dtype=bool)
 
-
-def _keep_rows(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Zeros except ``X[rows[i], i]`` for every column i."""
-    cols = np.repeat(np.arange(X.shape[1]), rows.shape[1])
-    rows = rows.ravel()
-    q = np.zeros_like(X)
-    q[rows, cols] = X[rows, cols]
-    return q

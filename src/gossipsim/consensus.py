@@ -149,6 +149,15 @@ class Gossip:
     their aggregates ``s += Q(x - x_hat) W``, so ``s = x_hat W`` throughout;
     both start at zero and stay ``None`` for the other schemes.  Exact
     gossip pays ``d * value_bits`` per message.
+
+    The kernel owns every ``d x n`` array a round touches, allocated on the
+    first round in the memory order of ``x``: ``x_hat`` and ``s`` for
+    tracking, one ``work`` array (:meth:`work_like`), and for the
+    compressed schemes the message buffer and, if the operator is
+    ``node_major``, its ``n x d`` scratch.  The arrays that
+    :meth:`exchange` and :meth:`compress` return -- the messages ``q``,
+    ``x_hat``, ``s`` and ``received`` -- are these buffers: the next round
+    overwrites them, so copy what must outlive it.
     """
 
     def __init__(self, scheme: GossipScheme, matrix: GossipMatrix, gamma: float = 1.0,
@@ -161,39 +170,66 @@ class Gossip:
         self.seed = seed
         self.x_hat: np.ndarray | None = None
         self.s: np.ndarray | None = None
+        self._work = self._q = self._scratch = None
         self._pool = StreamPool()
 
+    def work_like(self, x: np.ndarray) -> np.ndarray:
+        """The kernel's ``work`` array, shaped and laid out like ``x``; the
+        rounds use it between their steps, so it holds nothing across them.
+        It is allocated anew when ``x`` changes shape or turns C-ordered."""
+        work = self._work
+        if work is None or work.shape != x.shape or (
+                x.flags.c_contiguous and not work.flags.c_contiguous):
+            work = self._work = np.empty_like(x, dtype=float)
+        return work
+
     def compress(self, v: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every node's round-``t`` message ``Q(v_i)`` and its bits."""
+        """Every node's round-``t`` message ``Q(v_i)``, in the message buffer,
+        and its bits."""
         def rng_for(i):
             return self._pool.get(self.seed, node=i, round_=t, tag=_COMPRESS_TAG)
 
-        return compress_columns(self.compression, v, rng_for)[:2]
+        if self._q is None or self._q.shape != v.shape:
+            self._q = np.empty_like(v, dtype=float)
+            self._scratch = np.empty(v.shape[::-1]) if self.compression.node_major else None
+        return compress_columns(self.compression, v, rng_for, self._q, self._scratch)[:2]
 
     def exchange(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Round ``t``'s messages: ``(received, own, bits)``."""
-        weights = self.matrix.weights
+        weights, work = self.matrix.weights, self.work_like(x)
         if self.scheme is GossipScheme.EXACT:
             bits = np.full(x.shape[1], x.shape[0] * self.compression.value_bits)
-            return x @ weights, x, bits
+            return np.matmul(x, weights, out=work), x, bits
         if self.scheme is GossipScheme.TRACKING:
             if self.x_hat is None:
                 self.x_hat, self.s = np.zeros_like(x), np.zeros_like(x)
-            q, bits = self.compress(x - self.x_hat, t)
-            x_hat, s = self.x_hat + q, self.s + q @ weights
-            self.x_hat, self.s = x_hat, s
-            return s, x_hat, bits
+            q, bits = self.compress(np.subtract(x, self.x_hat, out=work), t)
+            self.x_hat += q
+            self.s += np.matmul(q, weights, out=work)
+            return self.s, self.x_hat, bits
         q, bits = self.compress(x, t)
-        return q @ weights, x if self.scheme is GossipScheme.DIRECT else q, bits
+        own = x if self.scheme is GossipScheme.DIRECT else q
+        return np.matmul(q, weights, out=work), own, bits
+
+    def move(self, received: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """The gossip step ``gamma (received - own)``, in the work array."""
+        move = np.subtract(received, own, out=self._work)
+        move *= self.gamma
+        return move
 
     def apply(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """One gossip round: the new iterates and each node's payload bits."""
+        """One gossip round: new C-ordered iterates, as ``x @ W`` is, and each
+        node's payload bits."""
         received, own, bits = self.exchange(x, t)
-        return x + self.gamma * (received - own), bits
+        return np.add(x, self.move(received, own), order="C"), bits
 
 
-def _consensus_error(x: np.ndarray, target: np.ndarray) -> float:
-    return float(np.sum((x - target[:, None]) ** 2))
+def _squared_error(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
+    """``np.sum((a - b) ** 2)`` computed in ``work``; laid out as ``a - b``
+    would be, it gives np.sum the same pairwise order."""
+    np.subtract(a, b, out=work)
+    np.square(work, out=work)
+    return float(np.sum(work))
 
 
 def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusResult:
@@ -206,6 +242,9 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     ``sum_i (||x_i - xbar||^2 + ||x_i - xhat_i^(t+1)||^2)`` (equal to the
     error for schemes without estimates), cumulative transmitted bits of
     the rounds already completed, and the drift of the iterate mean.
+
+    The iterates are updated in place in a copy of ``initial_x``;
+    ``final`` holds that copy and the kernel's last ``x_hat`` and ``s``.
     """
     matrix = config.matrix
     if matrix.delta <= 0.0:
@@ -216,12 +255,13 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     if x.shape[1] != matrix.n:
         raise ValueError(f"initial X has {x.shape[1]} columns but the graph has {matrix.n} nodes")
 
+    gossip = Gossip(config.scheme, matrix, config.gamma, config.compression, config.seed)
+    work = gossip.work_like(x)  # every evaluation runs in it
     target = x.mean(axis=1)
-    initial_error = _consensus_error(x, target)
+    initial_error = _squared_error(x, target[:, None], work)
     limit = DIVERGENCE_FACTOR * max(initial_error, 1.0)
     degrees = np.asarray(matrix.degrees)
     tracking = config.scheme == GossipScheme.TRACKING
-    gossip = Gossip(config.scheme, matrix, config.gamma, config.compression, config.seed)
 
     records: list[ConsensusRecord] = []
     bits = 0
@@ -230,7 +270,7 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
         evaluate = final or t % config.eval_every == 0
         error = lyap = drift = None
         if evaluate:
-            error = _consensus_error(x, target)
+            error = _squared_error(x, target[:, None], work)
             drift = float(np.linalg.norm(x.mean(axis=1) - target))
             if not np.isfinite(error) or error > limit:
                 raise DivergenceError(t, error)
@@ -239,16 +279,16 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
             if tracking:
                 # Lyapunov pairs x^(T) with the estimate the round-T
                 # correction would produce; nothing downstream is advanced.
-                q, _ = gossip.compress(x - gossip.x_hat, t)
-                lyap = error + float(np.sum((x - (gossip.x_hat + q)) ** 2))
+                q, _ = gossip.compress(np.subtract(x, gossip.x_hat, out=work), t)
+                lyap = error + _squared_error(x, np.add(gossip.x_hat, q, out=work), work)
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
             break
 
-        x_new, payloads = gossip.apply(x, t)
+        received, own, payloads = gossip.exchange(x, t)
 
         if evaluate:
             if tracking:
-                lyap = error + float(np.sum((x - gossip.x_hat) ** 2))
+                lyap = error + _squared_error(x, gossip.x_hat, work)
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
         if config.check_state_invariants and tracking:
             recon = gossip.x_hat @ matrix.weights
@@ -256,10 +296,15 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
             if np.max(np.abs(gossip.s - recon)) > 1e-10 * scale:
                 raise AssertionError(f"aggregate s drifted from x_hat @ W at round {t}")
 
+        x += gossip.move(received, own)
+        if t == 0 and not x.flags.c_contiguous:
+            # from round 1 on the iterates are C-ordered like x @ W, whatever
+            # the input's layout, and so is every sum taken in work
+            x = np.ascontiguousarray(x)
+            work = gossip.work_like(x)
         bits += int(np.dot(degrees, payloads))
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x).all():
             raise DivergenceError(t, float("inf"))
-        x = x_new
 
     return ConsensusResult(
         records=records, final=NodeStates(x, gossip.x_hat, gossip.s),

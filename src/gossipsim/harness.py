@@ -71,6 +71,7 @@ __all__ = [
     "ExperimentSpec",
     "GridSpec",
     "SUITE_KEYS",
+    "CHOICES",
     "parse_suite_file",
     "build_consensus",
     "build_optimize",
@@ -191,6 +192,14 @@ SUITE_KEYS = {
         "a", "b", "mu", "noise_sigma", "fstar_tol", "targets_seed",
     },
 }
+# The values each choice key may take, in suite files and as CLI flags.
+CHOICES = {
+    "scheme": tuple(s.value for s in GossipScheme),
+    "averaging": ("exact", "tracking"),
+    "objective": ("quadratic", "logistic"),
+    "partition": ("shuffled", "sorted"),
+    "schedule": ("practical", "theoretical"),
+}
 
 
 @dataclass(frozen=True)
@@ -226,11 +235,17 @@ def parse_suite_file(path: str | Path) -> list[ExperimentSpec]:
 
 
 def _coerce_options(label: str, raw: dict) -> dict:
-    """Typed options; a value of the wrong syntax is a ConfigError naming its key.
+    """Typed options; a value of the wrong syntax or outside the key's
+    ``CHOICES`` is a ConfigError naming its key.
 
     Range checks are left to the config dataclasses.
     """
     opts = dict(raw)
+    for key, choices in CHOICES.items():
+        if key in opts and opts[key] not in choices:
+            raise ConfigError(
+                f"[{label}]: {key} must be one of {', '.join(choices)}, got {opts[key]!r}"
+            )
 
     def coerce(key, parse, expected):
         try:

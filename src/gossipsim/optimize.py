@@ -136,9 +136,14 @@ class TrackingAveraging(Gossip):
 
     def apply(self, x_half, t):
         received, own, bits = self.exchange(x_half, t)
-        # Gossip.apply's x + gamma (s - x_hat) rounds differently; the
+        # (x_half - gamma x_hat) + gamma s, the sum taken in either order:
+        # Gossip.apply's x + gamma (s - x_hat) rounds differently, and the
         # sgd-logistic hashes in bench/golden.json pin this association.
-        return (x_half - self.gamma * own) + self.gamma * received, bits
+        work = np.multiply(own, self.gamma, out=self._work)
+        np.subtract(x_half, work, out=work)
+        x_new = np.multiply(received, self.gamma, order="C")
+        x_new += work
+        return x_new, bits
 
 
 AveragingScheme = ExactAveraging | TrackingAveraging

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gossipsim import cli
 from gossipsim.compression import Identity, Qsgd, RandK, RescaledUnbiased, TopK
 from gossipsim.harness import (
+    CHOICES,
     SUITE_KEYS,
     CheckOutcome,
     ConfigError,
@@ -129,6 +130,25 @@ class TestSuiteFile:
         path.write_text(f"[x]\nkind = optimize\n{key} = {text}\n")
         with pytest.raises(ConfigError, match=rf"^\[x\]: {key} must be {expected}, got '{text}'$"):
             parse_suite_file(path)
+
+    @pytest.mark.parametrize("kind, key", [
+        ("consensus", "scheme"),
+        ("optimize", "averaging"),
+        ("optimize", "objective"),
+        ("optimize", "partition"),
+        ("optimize", "schedule"),
+    ])
+    def test_choice_key_checked_against_cli_choices(self, tmp_path, kind, key):
+        path = tmp_path / "suite.ini"
+        path.write_text(f"[x]\nkind = {kind}\n{key} = banana\n")
+        choices = ", ".join(CHOICES[key])
+        with pytest.raises(ConfigError, match=rf"^\[x\]: {key} must be one of {choices}, got 'banana'$"):
+            parse_suite_file(path)
+        with pytest.raises(SystemExit) as exc:  # the flag has the same choices
+            cli.build_parser().parse_args([kind, f"--{key}", "banana"])
+        assert exc.value.code == 2
+        path.write_text(f"[x]\nkind = {kind}\n{key} = {CHOICES[key][-1]}\n")
+        assert parse_suite_file(path)[0].options[key] == CHOICES[key][-1]
 
     def test_gamma_text_is_kept_for_the_builders(self, tmp_path):
         path = tmp_path / "suite.ini"
@@ -498,6 +518,16 @@ class TestCli:
         assert "[bad-gamma]: gamma must be a number or auto" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
         assert cli.main(["consensus", "--n", "4", "--d", "3", "--gamma", "fast"]) == 2
+
+    def test_bad_choice_in_suite_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "suite.ini"
+        config.write_text(SUITE + "\n[bad-scheme]\nkind = consensus\nscheme = banana\n")
+        code = cli.main([
+            "consensus", "--config", str(config), "--out-dir", str(tmp_path / "res"),
+        ])
+        assert code == 2
+        assert "[bad-scheme]: scheme must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_partial_suite_failure_exit_code(self, tmp_path, capsys):
         config = tmp_path / "suite.ini"

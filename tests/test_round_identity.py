@@ -1,12 +1,15 @@
-"""The SGD round, its loop and ``top_k`` against copies of the code they replaced.
+"""The rounds, their loops and ``top_k`` against copies of the code they replaced.
 
 ``argpartition_top_k`` is the index-based selection that ``TopK.apply``
 replaced with a threshold; ``per_column_logistic`` is the logistic oracle
 with one scatter per column; ``reference_sgd_round`` and ``reference_run``
 spell the round and the loop with the ``mean``, ``np.max``/``np.sqrt``/
 ``np.sum`` and ``np.all`` calls and the ``AveragedIterate`` class they used
-before.  The current code must match each byte for byte, memory order
-included, so no output of a run can move.
+before.  ``AllocatingGossip`` and ``allocating_run_consensus`` are the gossip
+kernel and the consensus loop from before the kernel owned its round
+buffers: every operator and every expression allocates its result.  The
+current code must match each byte for byte, memory order included, so no
+output of a run can move.
 """
 
 import dataclasses
@@ -18,19 +21,36 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
-from gossipsim.compression import Identity, Qsgd, RandK, TopK, compress_columns
-from gossipsim.consensus import DivergenceError
+from gossipsim.compression import (
+    Identity,
+    Qsgd,
+    RandGossip,
+    RandK,
+    RescaledUnbiased,
+    TopK,
+    compress_columns,
+    qsgd_tau,
+)
+from gossipsim.consensus import (
+    DIVERGENCE_FACTOR,
+    ConsensusConfig,
+    DivergenceError,
+    Gossip,
+    GossipScheme,
+    run_consensus,
+)
 from gossipsim.objectives import Dataset, LogisticObjective, QuadraticObjective, Shard
 from gossipsim.optimize import (
     PracticalSchedule,
     SgdConfig,
+    TrackingAveraging,
     build_averaging,
     run_optimization,
     sgd_round,
 )
-from gossipsim.records import OptimizeRecord
+from gossipsim.records import ConsensusRecord, OptimizeRecord
 from gossipsim.streams import StreamPool, stream
-from gossipsim.topology import FullyConnected, Ring, build_gossip_matrix
+from gossipsim.topology import FullyConnected, Ring, Torus, build_gossip_matrix
 
 
 def argpartition_top_k(X, k):
@@ -51,7 +71,7 @@ def argpartition_top_k(X, k):
 
 
 class ArgpartitionTopK(TopK):
-    def apply(self, X, rng_for):
+    def apply(self, X, rng_for, out, scratch):
         return argpartition_top_k(X, self.k), np.ones(X.shape[1], dtype=bool)
 
 
@@ -247,3 +267,235 @@ def test_run_optimization_matches_earlier_loop(case):
     assert repr((result.avg_subopt, result.s_total, result.empirical_g)) == repr(
         (avg_subopt, s_total, empirical_g)
     )
+
+
+# ---------------------------------------------------------------------------
+# consensus rounds against the allocating kernel
+
+
+def allocating_compress(spec, X, rng_for):
+    """``compress_columns`` as it was before the operators wrote into buffers."""
+    d, n = X.shape
+    if not np.isfinite(X).all():
+        raise ValueError("x contains nonfinite entries")
+    sent = np.ones(n, dtype=bool)
+    if isinstance(spec, RescaledUnbiased):
+        q, bits = allocating_compress(spec.inner, X, rng_for)
+        q *= spec.inner.natural_tau(d)
+        return q, bits
+    if isinstance(spec, Identity):
+        q = X.copy(order="K")
+    elif isinstance(spec, RandK):
+        rows = np.stack([rng_for(i).choice(d, size=spec.k, replace=False) for i in range(n)])
+        cols = np.repeat(np.arange(n), spec.k)
+        rows = rows.ravel()
+        q = np.zeros_like(X)
+        q[rows, cols] = X[rows, cols]
+    elif isinstance(spec, TopK):
+        q = argpartition_top_k(X, spec.k)
+    elif isinstance(spec, Qsgd):
+        norms = np.array([np.linalg.norm(X[:, i]) for i in range(n)])
+        live = norms > 0.0
+        dither = np.zeros((n, d))
+        for i in np.flatnonzero(live):
+            rng_for(i).random(out=dither[i])
+        norms[~live] = 1.0
+        q = np.abs(X)
+        q *= spec.s
+        q /= norms
+        q += dither.T
+        np.floor(q, out=q)
+        q *= norms / (spec.s * qsgd_tau(spec.s, d))
+        np.copysign(q, X, out=q, where=X != 0.0)
+        q[:, ~live] = 0.0
+    else:
+        assert isinstance(spec, RandGossip)
+        sent = np.array([rng_for(i).random() < spec.p for i in range(n)])
+        q = np.zeros_like(X)
+        q[:, sent] = X[:, sent]
+    return q, np.where(sent, spec.message_bits(d), 0)
+
+
+@st.composite
+def operators(draw, d, unbiased=False):
+    k = st.integers(1, d)
+    primitives = st.one_of(
+        k.map(RandK), st.integers(1, 64).map(Qsgd), st.floats(0.05, 1.0).map(RandGossip)
+    )
+    rescaled = st.one_of(st.just(Identity()), primitives.map(RescaledUnbiased))
+    return draw(rescaled if unbiased else st.one_of(rescaled, primitives, k.map(TopK)))
+
+
+# signed zeros, ties, subnormals and entries whose squares underflow; no
+# column norm overflows, where the message would be nan
+SMALL = st.one_of(TIES, st.sampled_from([5e-324, -5e-324, 1e-160, -1e-160]),
+                  st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_operators_match_allocating_operators(data, seed):
+    d, n = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 5))
+    X = laid_out(data.draw(arrays(np.float64, (d, n), elements=SMALL)), data.draw(LAYOUTS))
+    spec = data.draw(operators(d))
+
+    def rng_for(i):
+        return stream(seed, node=i, round_=0, tag="compress")
+
+    out, scratch = np.full_like(X, np.nan), np.full((n, d), np.nan)
+    q, bits, _ = compress_columns(spec, X, rng_for, out, scratch)
+    want_q, want_bits = allocating_compress(spec, X, rng_for)
+    assert same_bits(q, want_q) and same_bits(bits, want_bits)
+
+
+class AllocatingGossip:
+    def __init__(self, scheme, matrix, gamma, compression, seed):
+        self.scheme, self.matrix, self.gamma = scheme, matrix, gamma
+        self.compression, self.seed = compression, seed
+        self.x_hat = self.s = None
+
+    def compress(self, v, t):
+        return allocating_compress(
+            self.compression, v, lambda i: stream(self.seed, node=i, round_=t, tag="compress")
+        )
+
+    def exchange(self, x, t):
+        weights = self.matrix.weights
+        if self.scheme is GossipScheme.EXACT:
+            bits = np.full(x.shape[1], x.shape[0] * self.compression.value_bits)
+            return x @ weights, x, bits
+        if self.scheme is GossipScheme.TRACKING:
+            if self.x_hat is None:
+                self.x_hat, self.s = np.zeros_like(x), np.zeros_like(x)
+            q, bits = self.compress(x - self.x_hat, t)
+            self.x_hat, self.s = self.x_hat + q, self.s + q @ weights
+            return self.s, self.x_hat, bits
+        q, bits = self.compress(x, t)
+        return q @ weights, x if self.scheme is GossipScheme.DIRECT else q, bits
+
+    def apply(self, x, t):
+        received, own, bits = self.exchange(x, t)
+        return x + self.gamma * (received - own), bits
+
+    def averaging_apply(self, x_half, t):
+        """``TrackingAveraging.apply``'s association."""
+        received, own, bits = self.exchange(x_half, t)
+        return (x_half - self.gamma * own) + self.gamma * received, bits
+
+
+def allocating_run_consensus(config, initial_x):
+    """``run_consensus``'s loop as it was: returns ``(records, x, x_hat, s)``."""
+    x = np.array(initial_x, dtype=float)
+    target = x.mean(axis=1)
+
+    def error_of(x):
+        return float(np.sum((x - target[:, None]) ** 2))
+
+    limit = DIVERGENCE_FACTOR * max(error_of(x), 1.0)
+    degrees = np.asarray(config.matrix.degrees)
+    tracking = config.scheme == GossipScheme.TRACKING
+    gossip = AllocatingGossip(config.scheme, config.matrix, config.gamma, config.compression,
+                              config.seed)
+    records, bits = [], 0
+    for t in range(config.iters + 1):
+        final = t == config.iters
+        evaluate = final or t % config.eval_every == 0
+        error = lyap = drift = None
+        if evaluate:
+            error = error_of(x)
+            drift = float(np.linalg.norm(x.mean(axis=1) - target))
+            if not np.isfinite(error) or error > limit:
+                raise DivergenceError(t, error)
+            lyap = error
+        if final:
+            if tracking:
+                q, _ = gossip.compress(x - gossip.x_hat, t)
+                lyap = error + float(np.sum((x - (gossip.x_hat + q)) ** 2))
+            records.append(ConsensusRecord(t, error, lyap, bits, drift))
+            break
+        x_new, payloads = gossip.apply(x, t)
+        if evaluate:
+            if tracking:
+                lyap = error + float(np.sum((x - gossip.x_hat) ** 2))
+            records.append(ConsensusRecord(t, error, lyap, bits, drift))
+        bits += int(np.dot(degrees, payloads))
+        if not np.all(np.isfinite(x_new)):
+            raise DivergenceError(t, float("inf"))
+        x = x_new
+    return records, x, gossip.x_hat, gossip.s
+
+
+@st.composite
+def gossip_cases(draw):
+    """``(config, x0)`` over generated graphs, schemes, operators and layouts."""
+    matrix = build_gossip_matrix(draw(st.one_of(
+        st.integers(3, 9).map(Ring),
+        st.tuples(st.integers(3, 4), st.integers(3, 4)).map(lambda rc: Torus(*rc)),
+        st.integers(2, 6).map(FullyConnected),
+    )))
+    d = draw(st.integers(1, 8))
+    scheme = draw(st.sampled_from(list(GossipScheme)))
+    spec = draw(operators(d, unbiased=scheme in (GossipScheme.DIRECT, GossipScheme.PAIRED)))
+    config = ConsensusConfig(
+        scheme=scheme, matrix=matrix, gamma=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        compression=spec, iters=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**32)),
+        eval_every=draw(st.integers(1, 3)),
+    )
+    x0 = draw(arrays(np.float64, (d, matrix.n), elements=SMALL))
+    return config, laid_out(x0, draw(LAYOUTS))
+
+
+def outcome(run, *args):
+    """The run's result, or the error it raised: a divergence with its
+    round and value, a nonfinite message by its type alone."""
+    try:
+        return run(*args)
+    except DivergenceError as exc:
+        return DivergenceError, str(exc)
+    except ValueError:
+        return ValueError, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(gossip_cases())
+def test_run_consensus_matches_allocating_loop(case):
+    config, x0 = case
+    got = outcome(lambda: run_consensus(config, x0))
+    want = outcome(allocating_run_consensus, config, x0)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    records, x, x_hat, s = want
+    assert repr(got.records) == repr(records)
+    assert same_bits(got.final.x, x)
+    if x_hat is None:
+        assert got.final.x_hat is None and got.final.s is None
+    else:  # same values; the kernel keeps them in x0's memory order
+        assert got.final.x_hat.tobytes() == x_hat.tobytes()
+        assert got.final.s.tobytes() == s.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(gossip_cases())
+def test_gossip_and_tracking_averaging_rounds_match_allocating_kernel(case):
+    config, x = case
+    args = (config.matrix, config.gamma, config.compression)
+    gossip, want = Gossip(config.scheme, *args, config.seed), AllocatingGossip(
+        config.scheme, *args, config.seed)
+    tracking = config.scheme is GossipScheme.TRACKING
+    if tracking:
+        averaging = TrackingAveraging(*args, x.shape[0], config.seed)
+        want_averaging = AllocatingGossip(config.scheme, *args, config.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.iters):
+            before = x.tobytes()
+            got_x, got_bits = gossip.apply(x, t)
+            want_x, want_bits = want.apply(x, t)
+            assert same_bits(got_x, want_x) and same_bits(got_bits, want_bits)
+            if tracking:
+                got_avg, _ = averaging.apply(x, t)
+                assert same_bits(got_avg, want_averaging.averaging_apply(x, t)[0])
+            assert x.tobytes() == before
+            if not np.isfinite(want_x).all():
+                break
+            x = want_x
