@@ -2,7 +2,6 @@
 compressed communication."""
 
 from .compression import (
-    CompressedMessage,
     CompressionSpec,
     Identity,
     Qsgd,
@@ -10,10 +9,8 @@ from .compression import (
     RandK,
     RescaledUnbiased,
     TopK,
-    compress,
     compress_columns,
     omega,
-    payload_bits,
 )
 from .consensus import (
     ConsensusConfig,

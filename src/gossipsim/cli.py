@@ -150,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("check", help="run the built-in theory checks")
-    p.add_argument("--kind", default="all",
-                   choices=["exact_rate", "tracking_rate", "mixing", "omega_contract", "identity_reduction", "all"])
+    p.add_argument("--kind", default="all", choices=[*harness.CHECKS, "all"])
     p.add_argument("--out", help="optional CSV report path")
     p.set_defaults(func=_cmd_check)
     return parser

@@ -29,13 +29,14 @@ where ``omega`` is the quality factor returned by :func:`omega`
 Every simulation round compresses one message per node, so the operators
 work on a whole ``d x n`` matrix at once: :func:`compress_columns` treats
 column ``i`` as node ``i``'s message and returns the reconstructions,
-written into a buffer a simulator can reuse every round, the bit cost of
-each message and whether it was sent.  Random operators draw column ``i``'s
-numbers only from ``rng_for(i)``, one column after another in node order,
-exactly as many as one message needs.  The simulators key ``rng_for(i)`` to
-the ``(seed, i, t, "compress")`` stream, so a node's
-message does not depend on the other columns or on batching them.
-:func:`compress` is the one-vector case of the same kernel.
+written into a buffer a simulator can reuse every round, and the bit cost
+of each message, 0 for a message that was not sent.  Random operators draw
+column ``i``'s numbers only from ``rng_for(i)``, one column after another
+in node order, exactly as many as one message needs.  The simulators key
+``rng_for(i)`` to the ``(seed, i, t, "compress")`` stream, so a node's
+message does not depend on the other columns or on batching them; a run of
+independent draws of one vector is one call over copies of it, with one
+generator for every column.
 
 The bit cost of a message is modeled, not materialized: sparse formats pay
 ``ceil(log2 d)`` bits per transmitted index, quantized formats pay
@@ -59,11 +60,8 @@ __all__ = [
     "Qsgd",
     "RandGossip",
     "RescaledUnbiased",
-    "CompressedMessage",
-    "compress",
     "compress_columns",
     "omega",
-    "payload_bits",
     "qsgd_tau",
     "resolve_k",
 ]
@@ -76,14 +74,11 @@ class CompressionSpec:
     """Base for all operator specs; carries the bit-accounting knob.
 
     Subclasses implement ``omega``, ``message_bits`` and ``apply``; those
-    that consume random draws set ``random``, those that may send nothing
-    set ``skips``, those with ``E Q(x) = x`` set ``unbiased``, and those
-    that work on the ``n x d`` scratch set ``node_major``.
+    with ``E Q(x) = x`` set ``unbiased``, and those that work on the
+    ``n x d`` scratch set ``node_major``.
     """
 
     value_bits: int = field(default=32, kw_only=True)
-    random: ClassVar[bool] = False
-    skips: ClassVar[bool] = False
     unbiased: ClassVar[bool] = False
     node_major: ClassVar[bool] = False
 
@@ -96,7 +91,7 @@ class CompressionSpec:
         raise TypeError(f"unknown compression spec {self!r}")
 
     def message_bits(self, d: int) -> int:
-        """Modeled cost of one sent message at dimension ``d``."""
+        """Modeled cost of one sent message at dimension ``d``; at least 1."""
         raise TypeError(f"unknown compression spec {self!r}")
 
     def natural_tau(self, d: int) -> float:
@@ -133,7 +128,6 @@ class Identity(CompressionSpec):
 @dataclass(frozen=True)
 class RandK(CompressionSpec):
     k: int = 1
-    random: ClassVar[bool] = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -207,7 +201,6 @@ class TopK(CompressionSpec):
 @dataclass(frozen=True)
 class Qsgd(CompressionSpec):
     s: int = 1
-    random: ClassVar[bool] = True
     node_major: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -251,8 +244,6 @@ class Qsgd(CompressionSpec):
 @dataclass(frozen=True)
 class RandGossip(CompressionSpec):
     p: float = 1.0
-    random: ClassVar[bool] = True
-    skips: ClassVar[bool] = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -288,14 +279,6 @@ class RescaledUnbiased(CompressionSpec):
             )
 
     @property
-    def random(self):
-        return self.inner.random
-
-    @property
-    def skips(self):
-        return self.inner.skips
-
-    @property
     def node_major(self):
         return self.inner.node_major
 
@@ -309,15 +292,6 @@ class RescaledUnbiased(CompressionSpec):
         q, sent = self.inner.apply(X, rng_for, out, scratch)
         q *= self.inner.natural_tau(X.shape[0])
         return q, sent
-
-
-@dataclass(frozen=True)
-class CompressedMessage:
-    """Reconstructed payload plus its modeled transmission cost in bits."""
-
-    dense_value: np.ndarray
-    payload_bits: int
-    transmitted: bool = True
 
 
 def qsgd_tau(s: int, d: int) -> float:
@@ -348,24 +322,10 @@ def omega(spec: CompressionSpec, d: int) -> float:
     return spec.omega(d)
 
 
-def payload_bits(spec: CompressionSpec, d: int, message: CompressedMessage | None = None) -> int:
-    """Modeled cost in bits of one message produced by ``spec`` at dimension d.
-
-    ``RandGossip`` costs depend on whether the draw transmitted anything, so
-    the message must be supplied for it.
-    """
-    bits = spec.message_bits(d)
-    if message is None:
-        if spec.skips:
-            raise ValueError(f"{type(spec).__name__} cost depends on the message; pass one")
-        return bits
-    return bits if message.transmitted else 0
-
-
 def compress_columns(
     spec: CompressionSpec, X: np.ndarray, rng_for: RngFor | None = None,
     out: np.ndarray | None = None, scratch: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Compress column ``i`` of ``X`` as node ``i``'s message, for every i.
 
     Parameters
@@ -390,9 +350,8 @@ def compress_columns(
     Q : ndarray
         The ``d x n`` reconstructions in ``out``.
     bits : ndarray
-        Modeled cost of each column's message (0 when nothing was sent).
-    transmitted : ndarray
-        Boolean mask of the columns that sent a message.
+        Modeled cost of each column's message: ``spec.message_bits(d)``,
+        which is at least 1, or 0 when the column sent nothing.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size < 1:
@@ -406,31 +365,7 @@ def compress_columns(
     if scratch is None and spec.node_major:
         scratch = np.empty(X.shape[::-1])
     q, sent = spec.apply(X, rng_for, out, scratch)
-    return q, np.where(sent, cost, 0), sent
-
-
-def compress(
-    spec: CompressionSpec, x: np.ndarray, rng: np.random.Generator | None = None
-) -> CompressedMessage:
-    """Apply the operator to ``x`` and return the reconstruction with its cost.
-
-    Parameters
-    ----------
-    spec : CompressionSpec
-        Operator to apply; must be valid for ``d = len(x)``.
-    x : ndarray
-        Finite one-dimensional input vector.
-    rng : numpy Generator, optional
-        Source of randomness; required for the random operators.  One call
-        consumes exactly the draws of one message, so passing streams keyed
-        per (node, round) makes simulations reproducible and thread safe.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError(f"x must be a nonempty 1-d vector, got shape {x.shape}")
-    q, bits, sent = compress_columns(spec, x[:, None], lambda i: rng)
-    return CompressedMessage(dense_value=q[:, 0], payload_bits=int(bits[0]),
-                             transmitted=bool(sent[0]))
+    return q, np.where(sent, cost, 0)
 
 
 def _rng(rng_for: RngFor | None, i: int, spec: CompressionSpec) -> np.random.Generator:

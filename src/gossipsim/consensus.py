@@ -90,7 +90,6 @@ class ConsensusConfig:
     iters: int = 100
     seed: int = 0
     eval_every: int = 1
-    check_state_invariants: bool = False
 
     def __post_init__(self):
         _check_gossip(self.scheme, self.gamma, self.compression)
@@ -155,7 +154,7 @@ class Gossip:
     tracking, one ``work`` array (:meth:`work_like`), and for the
     compressed schemes the message buffer and, if the operator is
     ``node_major``, its ``n x d`` scratch.  The arrays that
-    :meth:`exchange` and :meth:`compress` return -- the messages ``q``,
+    :meth:`exchange` and :meth:`messages` return -- the messages ``q``,
     ``x_hat``, ``s`` and ``received`` -- are these buffers: the next round
     overwrites them, so copy what must outlive it.
     """
@@ -183,7 +182,7 @@ class Gossip:
             work = self._work = np.empty_like(x, dtype=float)
         return work
 
-    def compress(self, v: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    def messages(self, v: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Every node's round-``t`` message ``Q(v_i)``, in the message buffer,
         and its bits."""
         def rng_for(i):
@@ -192,7 +191,7 @@ class Gossip:
         if self._q is None or self._q.shape != v.shape:
             self._q = np.empty_like(v, dtype=float)
             self._scratch = np.empty(v.shape[::-1]) if self.compression.node_major else None
-        return compress_columns(self.compression, v, rng_for, self._q, self._scratch)[:2]
+        return compress_columns(self.compression, v, rng_for, self._q, self._scratch)
 
     def exchange(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Round ``t``'s messages: ``(received, own, bits)``."""
@@ -203,11 +202,11 @@ class Gossip:
         if self.scheme is GossipScheme.TRACKING:
             if self.x_hat is None:
                 self.x_hat, self.s = np.zeros_like(x), np.zeros_like(x)
-            q, bits = self.compress(np.subtract(x, self.x_hat, out=work), t)
+            q, bits = self.messages(np.subtract(x, self.x_hat, out=work), t)
             self.x_hat += q
             self.s += np.matmul(q, weights, out=work)
             return self.s, self.x_hat, bits
-        q, bits = self.compress(x, t)
+        q, bits = self.messages(x, t)
         own = x if self.scheme is GossipScheme.DIRECT else q
         return np.matmul(q, weights, out=work), own, bits
 
@@ -279,7 +278,7 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
             if tracking:
                 # Lyapunov pairs x^(T) with the estimate the round-T
                 # correction would produce; nothing downstream is advanced.
-                q, _ = gossip.compress(np.subtract(x, gossip.x_hat, out=work), t)
+                q, _ = gossip.messages(np.subtract(x, gossip.x_hat, out=work), t)
                 lyap = error + _squared_error(x, np.add(gossip.x_hat, q, out=work), work)
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
             break
@@ -290,11 +289,6 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
             if tracking:
                 lyap = error + _squared_error(x, gossip.x_hat, work)
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
-        if config.check_state_invariants and tracking:
-            recon = gossip.x_hat @ matrix.weights
-            scale = max(1.0, float(np.max(np.abs(recon))))
-            if np.max(np.abs(gossip.s - recon)) > 1e-10 * scale:
-                raise AssertionError(f"aggregate s drifted from x_hat @ W at round {t}")
 
         x += gossip.move(received, own)
         if t == 0 and not x.flags.c_contiguous:

@@ -53,6 +53,7 @@ from .optimize import (
     SgdConfig,
     TheoreticalSchedule,
     run_optimization,
+    theoretical_stepsize,
 )
 from .records import write_records_csv, write_rows_csv
 from .streams import stream
@@ -79,6 +80,7 @@ __all__ = [
     "run_suite",
     "grid_search",
     "theory_check",
+    "CHECKS",
     "CheckOutcome",
     "parse_compression",
     "build_topology",
@@ -331,10 +333,17 @@ def build_optimize(spec: ExperimentSpec, seed: int):
     matrix = _build_matrix(o)
     objective = build_objective(o, matrix, o.get("d"), seed)
     d = objective.dim
+    gossip = _gossip_options(o, matrix, d, seed)
+    averaging = o.get("averaging", "exact")
     schedule_name = o.get("schedule", "practical")
     if schedule_name == "theoretical":
-        mu, _ = objective.constants()
-        schedule = TheoreticalSchedule(mu=o.get("mu", mu), a=o.get("a", 410.0))
+        mu, big_l = objective.constants()
+        if "a" in o:
+            a = o["a"]
+        else:  # the requirement run_optimization checks a against
+            om = comp.omega(gossip["compression"], d) if averaging == "tracking" else 1.0
+            _, a = theoretical_stepsize(mu, big_l, matrix.delta, om, 0)
+        schedule = TheoreticalSchedule(mu=o.get("mu", mu), a=a)
     elif schedule_name == "practical":
         m = objective.samples_per_node * matrix.n if isinstance(objective, LogisticObjective) else 1
         schedule = PracticalSchedule(a=o.get("a", 0.1), b=o.get("b", float(d)), m=m)
@@ -342,9 +351,9 @@ def build_optimize(spec: ExperimentSpec, seed: int):
         raise ConfigError(f"unknown schedule {schedule_name!r}")
     config = SgdConfig(
         schedule=schedule,
-        averaging=o.get("averaging", "exact"),
+        averaging=averaging,
         fstar_tol=o.get("fstar_tol", 1e-10),
-        **_gossip_options(o, matrix, d, seed),
+        **gossip,
     )
     return config, objective, np.zeros((d, matrix.n))
 
@@ -556,10 +565,15 @@ def _check_mixing() -> list[CheckOutcome]:
 
 
 def _omega_contract_outcomes() -> list[CheckOutcome]:
+    """Draws of one fixed ``x`` are columns of one ``compress_columns`` call
+    per chunk, all from one generator.  The tiles are F-ordered, so each
+    message is a contiguous row of ``Q.T`` and its row sum adds in the
+    order ``np.sum`` uses for one vector."""
     outcomes = []
-    d, draws = 400, 10_000
+    d, draws, chunk = 400, 10_000, 1_000
     x = stream(2024, tag="omega-fixture").standard_normal(d)
     xnorm2 = float(np.dot(x, x))
+    copies = np.tile(x, (chunk, 1)).T
     cases = [
         ("rand_k", comp.RandK(max(1, d // 100))),
         ("qsgd16", comp.Qsgd(16)),
@@ -569,9 +583,9 @@ def _omega_contract_outcomes() -> list[CheckOutcome]:
         om = comp.omega(spec, d)
         rng = stream(2024, tag=f"omega-{name}")
         ratios = np.empty(draws)
-        for i in range(draws):
-            msg = comp.compress(spec, x, rng)
-            ratios[i] = float(np.sum((msg.dense_value - x) ** 2)) / xnorm2
+        for lo in range(0, draws, chunk):
+            q, _ = comp.compress_columns(spec, copies, lambda i: rng)
+            ratios[lo:lo + chunk] = np.sum((q.T - x) ** 2, axis=1) / xnorm2
         se = float(np.std(ratios) / math.sqrt(draws))
         observed = float(np.mean(ratios))
         bound = (1.0 - om) + 4.0 * se
@@ -579,13 +593,10 @@ def _omega_contract_outcomes() -> list[CheckOutcome]:
     # deterministic top_k holds per sample
     spec = comp.TopK(max(1, d // 100))
     om = comp.omega(spec, d)
-    rng = stream(2024, tag="omega-topk-samples")
-    worst = -math.inf
-    for _ in range(100):
-        sample = rng.standard_normal(d)
-        msg = comp.compress(spec, sample, None)
-        ratio = float(np.sum((msg.dense_value - sample) ** 2) / np.dot(sample, sample))
-        worst = max(worst, ratio - (1.0 - om))
+    samples = stream(2024, tag="omega-topk-samples").standard_normal((100, d))
+    q, _ = comp.compress_columns(spec, samples.T)
+    errors = np.sum((q.T - samples) ** 2, axis=1)
+    worst = max(float(e / np.dot(s, s)) - (1.0 - om) for e, s in zip(errors, samples))
     outcomes.append(CheckOutcome("omega_contract", "top_k_per_sample", worst <= 0.0, worst, 0.0))
     return outcomes
 
@@ -608,21 +619,20 @@ def _check_identity_reduction() -> CheckOutcome:
     return CheckOutcome("identity_reduction", "identity_reduction", diff <= 1e-12, diff, 1e-12)
 
 
+# The built-in bound suites by kind, in the order ``all`` runs them.
+CHECKS = {
+    "exact_rate": lambda: [_check_exact_rate(0.5), _check_exact_rate(1.0)],
+    "tracking_rate": lambda: [_check_tracking_rate()],
+    "mixing": _check_mixing,
+    "omega_contract": _omega_contract_outcomes,
+    "identity_reduction": lambda: [_check_identity_reduction()],
+}
+
+
 def theory_check(kind: str) -> list[CheckOutcome]:
-    """Run one of the built-in bound suites; see the CLI ``check`` command."""
-    if kind == "exact_rate":
-        return [_check_exact_rate(0.5), _check_exact_rate(1.0)]
-    if kind == "tracking_rate":
-        return [_check_tracking_rate()]
-    if kind == "mixing":
-        return _check_mixing()
-    if kind == "omega_contract":
-        return _omega_contract_outcomes()
-    if kind == "identity_reduction":
-        return [_check_identity_reduction()]
+    """Run one of the ``CHECKS``, or all of them; see the CLI ``check`` command."""
     if kind == "all":
-        out = []
-        for k in ("exact_rate", "tracking_rate", "mixing", "omega_contract", "identity_reduction"):
-            out.extend(theory_check(k))
-        return out
-    raise ConfigError(f"unknown check kind {kind!r}")
+        return [outcome for check in CHECKS.values() for outcome in check()]
+    if kind not in CHECKS:
+        raise ConfigError(f"unknown check kind {kind!r}")
+    return CHECKS[kind]()

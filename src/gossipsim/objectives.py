@@ -32,8 +32,7 @@ The noiseless quadratic draws nothing and never calls ``rng_for``.  The
 logistic oracle gathers the features of every node's sampled row from
 ``X`` in one gather, takes one BLAS dot per row on its slice of that
 gather (so each margin keeps its summation order) and adds every row's
-loss gradient to ``G`` in one scatter.  ``stochastic_gradient(node, x,
-rng)`` is the one-column case of the same kernel.
+loss gradient to ``G`` in one scatter.
 
 SciPy serves only the logistic objective, so it loads on first use there:
 ``scipy.sparse`` where ``parse_libsvm`` and ``synthetic_classification``
@@ -245,10 +244,6 @@ class QuadraticObjective:
         """Column i is node i's stochastic gradient at ``X[:, i]``."""
         return self._noisy_gradients(X - self.targets, rng_for)
 
-    def stochastic_gradient(self, node: int, x, rng: np.random.Generator | None = None):
-        g = x[:, None] - self.targets[:, [node]]
-        return self._noisy_gradients(g, lambda i: rng)[:, 0]
-
     def _noisy_gradients(self, G: np.ndarray, rng_for: RngFor) -> np.ndarray:
         """Adds column i's noise, drawn from ``rng_for(i)``, to ``G`` in place."""
         if self.noise_sigma > 0.0:
@@ -336,15 +331,9 @@ class LogisticObjective:
         """Column i is node i's stochastic gradient at ``X[:, i]``."""
         return self._sample_gradients(X, [self._draw(i, rng_for(i)) for i in range(X.shape[1])])
 
-    def stochastic_gradient(self, node: int, x, rng: np.random.Generator):
-        return self._sample_gradient(self._draw(node, rng), x)
-
     def _draw(self, node: int, rng: np.random.Generator) -> int:
         idx = self.shards[node].indices
         return int(idx[rng.integers(len(idx))])
-
-    def _sample_gradient(self, j: int, x: np.ndarray) -> np.ndarray:
-        return self._sample_gradients(x[:, None], [j])[:, 0]
 
     def _sample_gradients(self, X: np.ndarray, samples: list[int]) -> np.ndarray:
         """Column c is the gradient at ``X[:, c]`` of sample ``samples[c]``'s
@@ -448,9 +437,10 @@ def sigma_bar_squared(objective: Objective, x: np.ndarray) -> float:
     total = 0.0
     for i, shard in enumerate(objective.shards):
         mean_grad = objective.local_gradient(i, x)
+        samples = shard.indices.tolist()
+        grads = objective._sample_gradients(np.tile(x[:, None], (1, len(samples))), samples)
         acc = 0.0
-        for j in shard.indices:
-            g = objective._sample_gradient(int(j), x)
+        for g in grads.T:
             acc += float(np.sum((g - mean_grad) ** 2))
-        total += acc / len(shard.indices)
+        total += acc / len(samples)
     return total / objective.n_nodes

@@ -159,7 +159,6 @@ class SgdConfig:
     iters: int = 100
     seed: int = 0
     eval_every: int = 1
-    strict_theory: bool = False
     f_star: float | None = None
     fstar_tol: float = 1e-10
 
@@ -222,13 +221,10 @@ def _check_theory_precondition(config: SgdConfig, objective: Objective, scheme) 
     mu, big_l = objective.constants()
     _, needed = theoretical_stepsize(mu, big_l, config.matrix.delta, scheme.omega, 0)
     if config.schedule.a < needed * (1.0 - 1e-9):
-        msg = (
+        warnings.warn(
             f"schedule parameter a = {config.schedule.a} is below the theoretical "
-            f"requirement {needed:.6g}"
+            f"requirement {needed:.6g}", stacklevel=3,
         )
-        if config.strict_theory:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=3)
 
 
 def run_optimization(

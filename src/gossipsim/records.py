@@ -4,23 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
 __all__ = [
     "ConsensusRecord",
     "OptimizeRecord",
-    "MetricsRecord",
-    "CONSENSUS_COLUMNS",
-    "OPTIMIZE_COLUMNS",
     "format_value",
     "write_records_csv",
     "write_rows_csv",
 ]
-
-CONSENSUS_COLUMNS = ["iter", "error", "lyapunov", "bits", "mean_drift"]
-OPTIMIZE_COLUMNS = ["iter", "subopt", "dispersion", "bits", "eta"]
 
 
 @dataclass(frozen=True)
@@ -39,9 +32,6 @@ class OptimizeRecord:
     dispersion: float
     bits: int
     eta: float
-
-
-MetricsRecord = Union[ConsensusRecord, OptimizeRecord]
 
 
 def format_value(v) -> str:
@@ -66,7 +56,9 @@ def write_rows_csv(path: str | Path, header: list[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_records_csv(path: str | Path, records: list[MetricsRecord]) -> None:
+def write_records_csv(
+    path: str | Path, records: list[ConsensusRecord] | list[OptimizeRecord]
+) -> None:
     if not records:
         raise ValueError("no records to write")
     cols = [f.name for f in fields(records[0])]

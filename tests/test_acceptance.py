@@ -18,7 +18,7 @@ from gossipsim.compression import (
     RandK,
     RescaledUnbiased,
     TopK,
-    compress,
+    compress_columns,
     omega,
 )
 from gossipsim.consensus import (
@@ -201,34 +201,33 @@ def test_criterion_05_sparsified_replica_iteration_and_bit_cost():
 
 def test_criterion_06_omega_contract_monte_carlo():
     with Budget(6, "compression contraction contract", 5.0):
-        d, draws = 2000, 10_000
+        d, draws, chunk = 2000, 10_000, 500
         x = stream(2024, tag="omega-fixture").standard_normal(d)
         xnorm2 = float(np.dot(x, x))
+        copies = np.tile(x, (chunk, 1)).T  # one column per draw
+
+        def distortions(spec, rng, count):
+            """``count`` draws of Q(x), one generator consumed column by column."""
+            errors = [
+                np.sum((compress_columns(spec, copies, lambda i: rng)[0].T - x) ** 2, axis=1)
+                for _ in range(count // chunk)
+            ]
+            return np.concatenate(errors) / xnorm2
+
         for spec in (RandK(20), Qsgd(256), RandK(100), Qsgd(16)):
             om = omega(spec, d)
-            rng = stream(1, tag="mc")
-            ratios = np.empty(draws // 4)
-            for i in range(ratios.size):
-                q = compress(spec, x, rng).dense_value
-                ratios[i] = float(np.sum((q - x) ** 2)) / xnorm2
+            ratios = distortions(spec, stream(1, tag="mc"), draws // 4)
             se = float(np.std(ratios) / math.sqrt(ratios.size))
             assert np.mean(ratios) <= (1.0 - om) + 4 * se, spec
         # rand-gossip with full draw count
-        spec = RandGossip(0.25)
-        rng = stream(2, tag="mc")
-        ratios = np.empty(draws)
-        for i in range(draws):
-            q = compress(spec, x, rng).dense_value
-            ratios[i] = float(np.sum((q - x) ** 2)) / xnorm2
+        ratios = distortions(RandGossip(0.25), stream(2, tag="mc"), draws)
         se = float(np.std(ratios) / math.sqrt(draws))
         assert np.mean(ratios) <= 0.75 + 4 * se
         # deterministic top-k contracts on every sample
-        rng = stream(3, tag="mc")
-        spec = TopK(20)
-        for _ in range(500):
-            sample = rng.standard_normal(d)
-            q = compress(spec, sample).dense_value
-            assert np.sum((q - sample) ** 2) <= (1.0 - 0.01) * np.dot(sample, sample) + 1e-12
+        samples = stream(3, tag="mc").standard_normal((500, d))
+        q, _ = compress_columns(TopK(20), samples.T)
+        for qi, sample in zip(q.T, samples):
+            assert np.sum((qi - sample) ** 2) <= (1.0 - 0.01) * np.dot(sample, sample) + 1e-12
 
 
 def test_criterion_07_mixing_matrix_contraction():
@@ -272,11 +271,10 @@ def test_criterion_09_fully_connected_equals_minibatch():
         result = run_optimization(config, objective, x0)
         w = x0[:, 0].copy()
         for t in range(rounds):
-            grads = [
-                objective.stochastic_gradient(i, w, stream(seed, node=i, round_=t, tag="grad"))
-                for i in range(n)
-            ]
-            w = w - sched.eta(t) * np.mean(grads, axis=0)
+            grads = objective.stochastic_gradients(
+                np.tile(w[:, None], (1, n)), lambda i: stream(seed, node=i, round_=t, tag="grad")
+            )
+            w = w - sched.eta(t) * np.mean(grads, axis=1)
         assert np.max(np.abs(result.final_x - w[:, None])) <= 1e-12
 
 

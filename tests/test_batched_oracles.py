@@ -10,7 +10,6 @@ needs.
 import math
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,19 +112,3 @@ def logistic_cases(draw):
 def test_logistic_matches_per_node_reference(case):
     objective, X, seed = case
     check_columns(objective, X, reference_logistic, seed)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: QuadraticObjective(stream(1).standard_normal((7, 3)), noise_sigma=0.5),
-    lambda: LogisticObjective(
-        Dataset(sp.csr_matrix(stream(2).standard_normal((9, 7))), np.resize([1.0, -1.0], 9)),
-        [Shard(0, np.arange(2)), Shard(1, np.arange(2, 7)), Shard(2, np.arange(7, 9))],
-    ),
-])
-def test_one_node_oracle_is_the_one_column_case(make):
-    objective = make()
-    X = stream(3).standard_normal((7, 3))
-    G = objective.stochastic_gradients(X, lambda i: stream(4, node=i))
-    for i in range(3):
-        g = objective.stochastic_gradient(i, X[:, i], stream(4, node=i))
-        assert g.tobytes() == G[:, i].tobytes()

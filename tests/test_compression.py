@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gossipsim.compression import (
-    CompressedMessage,
     Identity,
     Qsgd,
     RandGossip,
     RandK,
     RescaledUnbiased,
     TopK,
-    compress,
     compress_columns,
     omega,
-    payload_bits,
     qsgd_tau,
     resolve_k,
 )
@@ -26,13 +23,26 @@ from gossipsim.streams import stream
 MC_DRAWS = 10_000
 
 
-def mc_distortion(spec, x, rng, draws=MC_DRAWS):
-    """Monte-Carlo oracle for E||Q(x) - x||^2 / ||x||^2."""
-    xnorm2 = float(np.dot(x, x))
-    ratios = np.empty(draws)
-    for i in range(draws):
-        q = compress(spec, x, rng).dense_value
-        ratios[i] = float(np.sum((q - x) ** 2)) / xnorm2
+def copies(x, count):
+    """A ``d x count`` matrix whose every column is ``x``."""
+    return np.tile(x, (count, 1)).T
+
+
+def one_column(spec, x, rng=None):
+    """``Q(x)`` and its bits for one node's vector ``x``."""
+    q, bits = compress_columns(spec, x[:, None], lambda i: rng)
+    return q[:, 0], bits[0]
+
+
+def mc_distortion(spec, x, rng, draws=MC_DRAWS, chunk=500):
+    """Monte-Carlo oracle for E||Q(x) - x||^2 / ||x||^2, ``chunk`` draws per
+    kernel call."""
+    X = copies(x, chunk)
+    errors = [
+        np.sum((compress_columns(spec, X, lambda i: rng)[0].T - x) ** 2, axis=1)
+        for _ in range(draws // chunk)
+    ]
+    ratios = np.concatenate(errors) / np.dot(x, x)
     return float(np.mean(ratios)), float(np.std(ratios) / math.sqrt(draws))
 
 
@@ -80,55 +90,49 @@ class TestOmega:
 
 class TestCompress:
     def test_top_k_magnitude_selection(self):
-        out = compress(TopK(2), np.array([3.0, -5.0, 1.0, 0.0]))
-        assert np.array_equal(out.dense_value, [3.0, -5.0, 0.0, 0.0])
+        q, _ = one_column(TopK(2), np.array([3.0, -5.0, 1.0, 0.0]))
+        assert np.array_equal(q, [3.0, -5.0, 0.0, 0.0])
 
     def test_qsgd_zero_vector_maps_to_zero(self):
         for s in (1, 4, 256):
-            out = compress(Qsgd(s), np.zeros(6), stream(0))
-            assert np.array_equal(out.dense_value, np.zeros(6))
+            q, _ = one_column(Qsgd(s), np.zeros(6), stream(0))
+            assert np.array_equal(q, np.zeros(6))
 
     def test_identity_roundtrip(self):
         x = stream(3).standard_normal(40)
-        out = compress(Identity(), x)
-        assert np.array_equal(out.dense_value, x)
-        assert out.payload_bits == 40 * 32
+        q, bits = one_column(Identity(), x)
+        assert np.array_equal(q, x)
+        assert bits == 40 * 32
 
     def test_rand_k_keeps_exactly_k(self):
         x = stream(4).standard_normal(100) + 0.5
-        out = compress(RandK(7), x, stream(5))
-        assert int(np.count_nonzero(out.dense_value)) == 7
-        kept = out.dense_value != 0
-        assert np.array_equal(out.dense_value[kept], x[kept])
+        q, _ = one_column(RandK(7), x, stream(5))
+        assert int(np.count_nonzero(q)) == 7
+        kept = q != 0
+        assert np.array_equal(q[kept], x[kept])
 
     def test_rand_k_without_replacement_uniform_mean(self):
         # sampling without replacement makes E Q(x) = (k/d) x
         x = np.arange(1.0, 9.0)
         rng = stream(6)
-        acc = np.zeros(8)
-        for _ in range(MC_DRAWS):
-            acc += compress(RandK(2), x, rng).dense_value
-        np.testing.assert_allclose(acc / MC_DRAWS, x * 0.25, atol=0.05)
+        q, _ = compress_columns(RandK(2), copies(x, MC_DRAWS), lambda i: rng)
+        np.testing.assert_allclose(q.mean(axis=1), x * 0.25, atol=0.05)
 
     def test_rand_gossip_all_or_nothing(self):
         x = stream(7).standard_normal(12)
         rng = stream(8)
-        saw = {True: 0, False: 0}
-        for _ in range(200):
-            out = compress(RandGossip(0.5), x, rng)
-            if out.transmitted:
-                assert np.array_equal(out.dense_value, x)
-            else:
-                assert np.array_equal(out.dense_value, np.zeros(12))
-            saw[out.transmitted] += 1
-        assert saw[True] > 0 and saw[False] > 0
+        q, bits = compress_columns(RandGossip(0.5), copies(x, 200), lambda i: rng)
+        sent = bits > 0
+        assert np.array_equal(q[:, sent], copies(x, np.count_nonzero(sent)))
+        assert np.array_equal(q[:, ~sent], np.zeros((12, np.count_nonzero(~sent))))
+        assert sent.any() and not sent.all()
 
     def test_qsgd_matches_elementwise_formula(self):
         x = np.array([1.0, -2.0, 0.0, 0.5])
         s, d = 4, 4
         rng = stream(9)
         xi = stream(9).random(d)  # replay the dither draw
-        out = compress(Qsgd(s), x, rng).dense_value
+        out, _ = one_column(Qsgd(s), x, rng)
         norm = np.linalg.norm(x)
         tau = qsgd_tau(s, d)
         want = np.sign(x) * (norm / (s * tau)) * np.floor(s * np.abs(x) / norm + xi)
@@ -137,63 +141,62 @@ class TestCompress:
 
     def test_rescaled_unbiased_scales_inner(self):
         x = stream(10).standard_normal(20)
-        raw = compress(RandK(4), x, stream(11)).dense_value
-        lifted = compress(RescaledUnbiased(RandK(4)), x, stream(11)).dense_value
+        raw, _ = one_column(RandK(4), x, stream(11))
+        lifted, _ = one_column(RescaledUnbiased(RandK(4)), x, stream(11))
         np.testing.assert_allclose(lifted, raw * 5.0)
 
     def test_determinism_bit_for_bit(self):
         x = stream(12).standard_normal(64)
         for spec in (RandK(5), Qsgd(8), RandGossip(0.3), RescaledUnbiased(RandK(5))):
-            a = compress(spec, x, stream(13, tag="q"))
-            b = compress(spec, x, stream(13, tag="q"))
-            assert np.array_equal(a.dense_value, b.dense_value)
-            assert a.payload_bits == b.payload_bits
+            a, a_bits = one_column(spec, x, stream(13, tag="q"))
+            b, b_bits = one_column(spec, x, stream(13, tag="q"))
+            assert np.array_equal(a, b)
+            assert a_bits == b_bits
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(ValueError, match="x"):
-            compress(Identity(), np.array([1.0, np.nan]))
+            one_column(Identity(), np.array([1.0, np.nan]))
 
     def test_k_exceeding_dimension_rejected(self):
         with pytest.raises(ValueError, match="k"):
-            compress(TopK(5), np.ones(3))
+            one_column(TopK(5), np.ones(3))
 
     def test_random_spec_requires_rng(self):
         with pytest.raises(ValueError, match="rng"):
-            compress(RandK(1), np.ones(3), None)
+            one_column(RandK(1), np.ones(3), None)
 
 
 class TestPayloadBits:
     def test_identity_cost(self):
-        assert payload_bits(Identity(), 100) == 3200
+        assert Identity().message_bits(100) == 3200
 
     def test_qsgd_cost(self):
         # sign + level bits per coordinate plus one norm scalar
-        assert payload_bits(Qsgd(16), 2000) == 2000 * (1 + 4) + 32 == 10032
+        assert Qsgd(16).message_bits(2000) == 2000 * (1 + 4) + 32 == 10032
 
     def test_top_k_cost(self):
-        assert payload_bits(TopK(20), 2000) == 20 * (32 + 11) == 860
+        assert TopK(20).message_bits(2000) == 20 * (32 + 11) == 860
 
     def test_value_bits_configurable(self):
-        assert payload_bits(Identity(value_bits=64), 10) == 640
-        assert payload_bits(TopK(2, value_bits=64), 16) == 2 * (64 + 4)
+        assert Identity(value_bits=64).message_bits(10) == 640
+        assert TopK(2, value_bits=64).message_bits(16) == 2 * (64 + 4)
 
     def test_rand_gossip_depends_on_transmission(self):
-        spec = RandGossip(0.5)
-        sent = CompressedMessage(np.ones(8), 0, transmitted=True)
-        skipped = CompressedMessage(np.zeros(8), 0, transmitted=False)
-        assert payload_bits(spec, 8, sent) == 8 * 32
-        assert payload_bits(spec, 8, skipped) == 0
-        with pytest.raises(ValueError):
-            payload_bits(spec, 8, None)
+        # a column that sent nothing costs 0 bits and arrives as zeros
+        rng = stream(16)
+        q, bits = compress_columns(RandGossip(0.5), np.ones((8, 50)), lambda i: rng)
+        sent = q.any(axis=0)
+        assert sent.any() and not sent.all()
+        assert np.array_equal(bits, np.where(sent, 8 * 32, 0))
 
     def test_rescaled_costs_like_inner(self):
-        assert payload_bits(RescaledUnbiased(RandK(4)), 64) == payload_bits(RandK(4), 64)
+        assert RescaledUnbiased(RandK(4)).message_bits(64) == RandK(4).message_bits(64)
 
     def test_message_field_agrees_with_function(self):
-        x = stream(14).standard_normal(50)
-        for spec in (Identity(), RandK(3), TopK(3), Qsgd(4), RandGossip(0.4)):
-            msg = compress(spec, x, stream(15))
-            assert msg.payload_bits == payload_bits(spec, 50, msg)
+        X = stream(14).standard_normal((50, 3))
+        for spec in (Identity(), RandK(3), TopK(3), Qsgd(4), RescaledUnbiased(RandGossip(1.0))):
+            _, bits = compress_columns(spec, X, lambda i: stream(15, node=i))
+            assert np.array_equal(bits, np.full(3, spec.message_bits(50)))
 
 
 @pytest.fixture(scope="module")
@@ -220,20 +223,17 @@ class TestContraction:
         assert mean <= (1.0 - om) + 4 * se
 
     def test_top_k_contracts_per_sample(self):
-        spec = TopK(20)
-        rng = stream(3, tag="mc")
-        for _ in range(200):
-            x = rng.standard_normal(2000)
-            q = compress(spec, x).dense_value
-            assert np.sum((q - x) ** 2) <= (1.0 - 0.01) * np.dot(x, x) + 1e-12
+        X = stream(3, tag="mc").standard_normal((200, 2000)).T
+        q, _ = compress_columns(TopK(20), X)
+        for qi, xi in zip(q.T, X.T):
+            assert np.sum((qi - xi) ** 2) <= (1.0 - 0.01) * np.dot(xi, xi) + 1e-12
 
     def test_rescaled_unbiased_mean_recovers_input(self):
         # E Q'(x) = x coordinate-wise within 4 standard errors
         x = stream(4, tag="mc").standard_normal(50)
         rng = stream(5, tag="mc")
-        draws = np.empty((MC_DRAWS, 50))
-        for i in range(MC_DRAWS):
-            draws[i] = compress(RescaledUnbiased(RandK(5)), x, rng).dense_value
+        q, _ = compress_columns(RescaledUnbiased(RandK(5)), copies(x, MC_DRAWS), lambda i: rng)
+        draws = q.T
         se = draws.std(axis=0) / math.sqrt(MC_DRAWS)
         assert np.all(np.abs(draws.mean(axis=0) - x) <= 4 * se + 1e-12)
 
@@ -243,9 +243,8 @@ class TestContraction:
         rng = stream(7, tag="mc")
         spec = RescaledUnbiased(RandK(5))
         tau = RandK(5).natural_tau(50)
-        norms = np.array(
-            [np.sum(compress(spec, x, rng).dense_value ** 2) for _ in range(MC_DRAWS)]
-        )
+        q, _ = compress_columns(spec, copies(x, MC_DRAWS), lambda i: rng)
+        norms = np.sum(q**2, axis=0)
         se = norms.std() / math.sqrt(MC_DRAWS)
         assert norms.mean() <= tau * np.dot(x, x) + 4 * se
 
@@ -272,7 +271,7 @@ class TestContractionProperties:
     @given(VECTORS, st.data())
     def test_top_k_contracts_every_sample(self, x, data):
         k = data.draw(st.integers(1, x.size))
-        q = compress(TopK(k), x).dense_value
+        q, _ = one_column(TopK(k), x)
         bound = (1.0 - k / x.size) * np.dot(x, x)
         assert np.sum((q - x) ** 2) <= bound + self.ROUNDING * np.dot(x, x)
 
@@ -293,8 +292,8 @@ class TestContractionProperties:
 
     def check_mean_contraction(self, x, spec, seed):
         rng = stream(seed, tag="omega")  # one generator, consumed column by column
-        X = np.tile(x[:, None], (1, self.PROPERTY_DRAWS))
-        q, _, _ = compress_columns(spec, X, lambda i: rng)
+        X = copies(x, self.PROPERTY_DRAWS)
+        q, _ = compress_columns(spec, X, lambda i: rng)
         # relative to ||x||^2, so tiny vectors keep a nonzero standard error
         ratios = np.sum((q - X) ** 2, axis=0) / np.dot(x, x)
         se = ratios.std() / math.sqrt(self.PROPERTY_DRAWS)
@@ -322,5 +321,3 @@ class TestSpecValidation:
         assert resolve_k(0.001, 50) == 1
         assert Identity().unbiased and RescaledUnbiased(RandK(2)).unbiased
         assert not RandK(2).unbiased
-        assert RandK(2).random and RescaledUnbiased(Qsgd(4)).random
-        assert not TopK(2).random and not Identity().random

@@ -2,8 +2,10 @@
 
 Each workload runs once at the pinned seed through its set-up and ``go``,
 and its records go through ``records.write_records_csv`` as ``bench/run.py``
-writes them.  The test reads ``bench/`` and writes nothing there: the
-workload module is loaded without a bytecode cache.
+writes them.  The benchmark's modules must also import against the package
+as it is, since its tracer names gossipsim's classes at import.  The tests
+read ``bench/`` and write nothing there: its modules are loaded without a
+bytecode cache.
 """
 
 import hashlib
@@ -20,8 +22,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     dont_write = sys.dont_write_bytecode
@@ -33,7 +35,11 @@ def load_workloads():
     return module
 
 
-workloads = load_workloads()
+workloads = load_bench("workloads")
+
+
+def test_tracer_imports():
+    assert load_bench("tracing").TRACED
 
 
 def test_golden_file_pins_the_default_seed_and_every_workload():

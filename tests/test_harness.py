@@ -276,18 +276,6 @@ class TestSummarize:
 
 
 class TestCsvFormat:
-    def test_schema_constants_match_record_fields(self):
-        from dataclasses import fields
-
-        from gossipsim.records import (
-            CONSENSUS_COLUMNS,
-            OPTIMIZE_COLUMNS,
-            ConsensusRecord,
-        )
-
-        assert [f.name for f in fields(ConsensusRecord)] == CONSENSUS_COLUMNS
-        assert [f.name for f in fields(OptimizeRecord)] == OPTIMIZE_COLUMNS
-
     def test_seventeen_significant_digits(self):
         assert format_value(1.0 / 3.0) == "0.33333333333333331"
         assert format_value(123) == "123"
@@ -397,6 +385,15 @@ class TestTheoryCheck:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             theory_check("nonsense")
+
+    def test_omega_contract_lines_are_pinned(self, capsys):
+        assert cli.main(["check", "--kind", "omega_contract"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS omega_contract rand_k observed=0.99005491237509269 bound=0.99027570757786132",
+            "PASS omega_contract qsgd16 observed=0.36158575346621336 bound=0.55607108744524125",
+            "PASS omega_contract rand_gossip observed=0.75019999999999998 bound=0.7673158868095169",
+            "PASS omega_contract top_k_per_sample observed=-0.05312945478022435 bound=0",
+        ]
 
 
 class TestCli:
@@ -614,7 +611,6 @@ SAME_RUN = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:schedule parameter a")
 @pytest.mark.parametrize("name", sorted(SAME_RUN))
 def test_cli_run_equals_one_section_suite(name, tmp_path, capsys):
     init = tmp_path / "init.txt"

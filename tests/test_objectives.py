@@ -52,6 +52,25 @@ def small_logistic(n_nodes=2, mode="shuffled", seed=0):
     return LogisticObjective(ds, shards)
 
 
+class Pick:
+    """Stands in for a node's generator: its sample draw returns ``pos``."""
+
+    def __init__(self, pos):
+        self.pos = pos
+
+    def integers(self, high):
+        return self.pos
+
+
+def shard_gradients(obj, node, x):
+    """The oracle's gradient at ``x`` for every sample of ``node``'s shard."""
+    X = np.tile(x[:, None], (1, obj.n_nodes))
+    return [
+        obj.stochastic_gradients(X, lambda i: Pick(pos if i == node else 0))[:, node]
+        for pos in range(len(obj.shards[node].indices))
+    ]
+
+
 class TestParseLibsvm:
     def test_basic_line(self):
         ds = parse_libsvm(io.StringIO("+1 1:0.5 3:2.0\n"))
@@ -189,9 +208,8 @@ class TestQuadratic:
     def test_gradient_zero_at_target(self):
         targets = stream(1, tag="targets").standard_normal((6, 4))
         obj = QuadraticObjective(targets)
-        node = 2
-        g = obj.stochastic_gradient(node, targets[:, node])
-        np.testing.assert_array_equal(g, np.zeros(6))
+        G = obj.stochastic_gradients(targets.copy(), lambda i: None)
+        np.testing.assert_array_equal(G, np.zeros((6, 4)))
 
     def test_minimized_at_target_mean(self):
         targets = stream(2, tag="targets").standard_normal((5, 3))
@@ -206,12 +224,9 @@ class TestQuadratic:
         assert obj.constants() == (1.0, 1.0)
 
     def test_noise_has_configured_scale(self):
-        obj = QuadraticObjective(np.zeros((50, 1)), noise_sigma=2.0)
+        obj = QuadraticObjective(np.zeros((50, 4000)), noise_sigma=2.0)
         rng = stream(4)
-        norms = [
-            float(np.sum(obj.stochastic_gradient(0, np.zeros(50), rng) ** 2))
-            for _ in range(4000)
-        ]
+        norms = np.sum(obj.stochastic_gradients(np.zeros((50, 4000)), lambda i: rng) ** 2, axis=0)
         assert np.mean(norms) == pytest.approx(4.0, rel=0.1)
 
 
@@ -223,14 +238,14 @@ class TestLogistic:
     def test_gradient_at_zero_halves_sample(self):
         ds = parse_libsvm(io.StringIO("+1 1:2.0 3:-1.0\n"))
         obj = LogisticObjective(ds, partition(ds, 1, "sorted"))
-        g = obj.stochastic_gradient(0, np.zeros(3), stream(5))
+        g = obj.stochastic_gradients(np.zeros((3, 1)), lambda i: stream(5))[:, 0]
         np.testing.assert_allclose(g, np.array([-1.0, 0.0, 0.5]))
 
     def test_stochastic_gradient_unbiased_by_enumeration(self):
         obj = small_logistic(n_nodes=2, mode="sorted")
         x = stream(6).standard_normal(obj.dim)
-        for node, shard in enumerate(obj.shards):
-            mean = np.mean([obj._sample_gradient(int(j), x) for j in shard.indices], axis=0)
+        for node in range(obj.n_nodes):
+            mean = np.mean(shard_gradients(obj, node, x), axis=0)
             np.testing.assert_allclose(mean, obj.local_gradient(node, x), atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -277,7 +292,7 @@ class TestLogistic:
         x = np.array([1e4])
         assert np.isfinite(obj.value(x))
         assert np.isfinite(obj.local_gradient(0, x)).all()
-        assert np.isfinite(obj._sample_gradient(0, x)).all()
+        assert all(np.isfinite(g).all() for g in shard_gradients(obj, 0, x))
 
 
 class TestPowerIteration:
@@ -328,8 +343,8 @@ def test_sigma_bar_matches_brute_force():
     x = stream(10).standard_normal(obj.dim)
     got = sigma_bar_squared(obj, x)
     total = 0.0
-    for i, shard in enumerate(obj.shards):
-        grads = [obj._sample_gradient(int(j), x) for j in shard.indices]
+    for i in range(obj.n_nodes):
+        grads = shard_gradients(obj, i, x)
         mean = obj.local_gradient(i, x)
         total += np.mean([np.sum((g - mean) ** 2) for g in grads])
     assert got == pytest.approx(total / 2.0, rel=1e-12)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gossipsim.compression import Identity, RandK, TopK
 from gossipsim.consensus import DivergenceError, tracking_stepsize
+from gossipsim.harness import ExperimentSpec, build_optimize
 from gossipsim.objectives import QuadraticObjective
 from gossipsim.optimize import (
     ExactAveraging,
@@ -197,11 +199,10 @@ class TestReductions:
         result = run_optimization(config, objective, x0)
         w = x0[:, 0].copy()
         for t in range(rounds):
-            grads = [
-                objective.stochastic_gradient(i, w, stream(seed, node=i, round_=t, tag="grad"))
-                for i in range(9)
-            ]
-            w = w - sched.eta(t) * np.mean(grads, axis=0)
+            grads = objective.stochastic_gradients(
+                np.tile(w[:, None], (1, 9)), lambda i: stream(seed, node=i, round_=t, tag="grad")
+            )
+            w = w - sched.eta(t) * np.mean(grads, axis=1)
         assert np.max(np.abs(result.final_x - w[:, None])) <= 1e-12
 
     def test_single_node_ring_is_serial_sgd(self):
@@ -215,8 +216,10 @@ class TestReductions:
         result = run_optimization(config, objective, x0)
         w = x0[:, 0].copy()
         for t in range(rounds):
-            g = objective.stochastic_gradient(0, w, stream(seed, node=0, round_=t, tag="grad"))
-            w = w - sched.eta(t) * g
+            g = objective.stochastic_gradients(
+                w[:, None], lambda i: stream(seed, node=i, round_=t, tag="grad")
+            )
+            w = w - sched.eta(t) * g[:, 0]
         assert np.array_equal(result.final_x[:, 0], w)
 
     def test_average_recursion_closed_form(self):
@@ -318,17 +321,27 @@ class TestRunOptimization:
         with pytest.raises(ValueError, match="fstar_tol"):
             SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1), fstar_tol=tol)
 
-    def test_strict_theory_precondition(self):
+    def test_theory_precondition_warns(self):
         objective = quad_objective(4, 9)
         sched = TheoreticalSchedule(mu=1.0, a=10.0)  # far below 410/(delta^2)
         config = SgdConfig(matrix=RING9, schedule=sched, averaging="exact",
-                           iters=5, seed=0, strict_theory=True, f_star=0.0)
-        with pytest.raises(ValueError, match="theoretical requirement"):
-            run_optimization(config, objective, np.zeros((4, 9)))
-        relaxed = SgdConfig(matrix=RING9, schedule=sched, averaging="exact",
-                            iters=5, seed=0, f_star=0.0)
+                           iters=5, seed=0, f_star=0.0)
         with pytest.warns(UserWarning, match="theoretical requirement"):
-            run_optimization(relaxed, objective, np.zeros((4, 9)))
+            run_optimization(config, objective, np.zeros((4, 9)))
+
+    @pytest.mark.parametrize("averaging,compression,omega", [
+        ("exact", "top_k:1", 1.0), ("tracking", "top_k:1", 0.25), ("tracking", "identity", 1.0),
+    ])
+    def test_default_a_is_the_theoretical_requirement(self, averaging, compression, omega):
+        spec = ExperimentSpec("theory", "optimize", {
+            "topology": "ring", "n": 9, "d": 4, "schedule": "theoretical", "iters": 5,
+            "averaging": averaging, "compression": compression, "seeds": [0],
+        })
+        config, objective, x0 = build_optimize(spec, 0)
+        assert config.schedule.a == theoretical_stepsize(1.0, 1.0, RING9.delta, omega, 0)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_optimization(config, objective, x0)
 
     def test_seed_determinism(self):
         d = 8

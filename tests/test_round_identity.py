@@ -110,7 +110,7 @@ def top_k_cases(draw):
 @example((np.asfortranarray([[-2.0, 0.0], [2.0, -0.0], [-2.0, 0.0]]), 2))
 def test_top_k_threshold_equals_argpartition_selection(case):
     X, k = case
-    q, _, _ = compress_columns(TopK(k), X)
+    q, _ = compress_columns(TopK(k), X)
     assert same_bits(q, argpartition_top_k(X, k))
 
 
@@ -343,7 +343,7 @@ def test_operators_match_allocating_operators(data, seed):
         return stream(seed, node=i, round_=0, tag="compress")
 
     out, scratch = np.full_like(X, np.nan), np.full((n, d), np.nan)
-    q, bits, _ = compress_columns(spec, X, rng_for, out, scratch)
+    q, bits = compress_columns(spec, X, rng_for, out, scratch)
     want_q, want_bits = allocating_compress(spec, X, rng_for)
     assert same_bits(q, want_q) and same_bits(bits, want_bits)
 
@@ -354,7 +354,7 @@ class AllocatingGossip:
         self.compression, self.seed = compression, seed
         self.x_hat = self.s = None
 
-    def compress(self, v, t):
+    def messages(self, v, t):
         return allocating_compress(
             self.compression, v, lambda i: stream(self.seed, node=i, round_=t, tag="compress")
         )
@@ -367,10 +367,10 @@ class AllocatingGossip:
         if self.scheme is GossipScheme.TRACKING:
             if self.x_hat is None:
                 self.x_hat, self.s = np.zeros_like(x), np.zeros_like(x)
-            q, bits = self.compress(x - self.x_hat, t)
+            q, bits = self.messages(x - self.x_hat, t)
             self.x_hat, self.s = self.x_hat + q, self.s + q @ weights
             return self.s, self.x_hat, bits
-        q, bits = self.compress(x, t)
+        q, bits = self.messages(x, t)
         return q @ weights, x if self.scheme is GossipScheme.DIRECT else q, bits
 
     def apply(self, x, t):
@@ -409,7 +409,7 @@ def allocating_run_consensus(config, initial_x):
             lyap = error
         if final:
             if tracking:
-                q, _ = gossip.compress(x - gossip.x_hat, t)
+                q, _ = gossip.messages(x - gossip.x_hat, t)
                 lyap = error + float(np.sum((x - (gossip.x_hat + q)) ** 2))
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
             break
