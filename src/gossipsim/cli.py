@@ -38,7 +38,8 @@ EXIT_CONFIG = 2
 
 
 def _add_gossip_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", default="ring", help="ring | torus | full | custom")
+    p.add_argument("--topology", default="ring", type=str.lower,
+                   choices=harness.CHOICES["topology"])
     p.add_argument("--n", type=int, help="node count")
     p.add_argument("--d", type=int, help="vector dimension")
     p.add_argument("--torus-rows", type=int)

@@ -5,8 +5,8 @@ contracts the error in expectation::
 
     E ||Q(x) - x||^2  <=  (1 - omega) ||x||^2,      0 < omega <= 1,
 
-where ``omega`` is the quality factor returned by :func:`omega`
-(``omega = 1`` means lossless).  Implemented operators:
+where ``omega`` is the quality factor ``spec.omega(d)`` (``omega = 1``
+means lossless).  Implemented operators:
 
 * ``Identity`` -- no compression.
 * ``RandK(k)`` -- keep k coordinates chosen uniformly without replacement
@@ -61,7 +61,6 @@ __all__ = [
     "RandGossip",
     "RescaledUnbiased",
     "compress_columns",
-    "omega",
     "qsgd_tau",
     "resolve_k",
 ]
@@ -126,7 +125,9 @@ class Identity(CompressionSpec):
 
 
 @dataclass(frozen=True)
-class RandK(CompressionSpec):
+class _Sparsifier(CompressionSpec):
+    """Sends ``k`` of the ``d`` coordinates with their indices; ``omega = k/d``."""
+
     k: int = 1
 
     def __post_init__(self):
@@ -135,20 +136,23 @@ class RandK(CompressionSpec):
             raise ValueError(f"k must be a positive count, got {self.k}")
 
     def omega(self, d):
-        _check_k(self.k, d)
-        return self.k / d
+        return self._k_at(d) / d
 
     def message_bits(self, d):
-        _check_k(self.k, d)
-        return self.k * (self.value_bits + _index_bits(d))
+        return self._k_at(d) * (self.value_bits + _index_bits(d))
 
+    def _k_at(self, d: int) -> int:
+        if self.k > d:
+            raise ValueError(f"k = {self.k} exceeds the dimension d = {d}")
+        return self.k
+
+
+class RandK(_Sparsifier):
     def natural_tau(self, d):
-        _check_k(self.k, d)
-        return d / self.k
+        return d / self._k_at(d)
 
     def apply(self, X, rng_for, out, scratch):
         d, n = X.shape
-        _check_k(self.k, d)
         rows = np.stack(
             [_rng(rng_for, i, self).choice(d, size=self.k, replace=False) for i in range(n)]
         ).ravel()
@@ -158,28 +162,12 @@ class RandK(CompressionSpec):
         return out, _all_sent(X)
 
 
-@dataclass(frozen=True)
-class TopK(CompressionSpec):
-    k: int = 1
+class TopK(_Sparsifier):
     node_major: ClassVar[bool] = True
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.k < 1:
-            raise ValueError(f"k must be a positive count, got {self.k}")
-
-    def omega(self, d):
-        _check_k(self.k, d)
-        return self.k / d
-
-    def message_bits(self, d):
-        _check_k(self.k, d)
-        return self.k * (self.value_bits + _index_bits(d))
 
     def apply(self, X, rng_for, out, scratch):
         d, n = X.shape
         k = self.k
-        _check_k(k, d)
         mag = np.abs(X.T, out=scratch)  # one row per node
         # each node's k-th largest magnitude, partitioned in out's memory;
         # keep everything at or above it
@@ -306,20 +294,8 @@ def resolve_k(fraction: float, d: int) -> int:
     return max(1, math.ceil(fraction * d))
 
 
-def _check_k(k: int, d: int):
-    if k > d:
-        raise ValueError(f"k = {k} exceeds the dimension d = {d}")
-
-
 def _index_bits(d: int) -> int:
     return (d - 1).bit_length() if d > 1 else 0
-
-
-def omega(spec: CompressionSpec, d: int) -> float:
-    """Contraction quality of ``spec`` at dimension ``d``; always in (0, 1]."""
-    if d < 1:
-        raise ValueError(f"dimension d must be >= 1, got {d}")
-    return spec.omega(d)
 
 
 def compress_columns(

@@ -43,7 +43,6 @@ from .topology import GossipMatrix
 
 __all__ = [
     "GossipScheme",
-    "NodeStates",
     "ConsensusConfig",
     "ConsensusResult",
     "DivergenceError",
@@ -68,17 +67,6 @@ class DivergenceError(RuntimeError):
         super().__init__(f"run diverged at iteration {iteration} (error {value:.3e})")
         self.iteration = iteration
         self.value = value
-
-
-@dataclass(frozen=True)
-class NodeStates:
-    """Per-node vectors stored column-wise: iterates ``x``, public estimates
-    ``x_hat``, and the weighted neighbor aggregates ``s = x_hat @ W``
-    (``None`` for the schemes without estimates)."""
-
-    x: np.ndarray
-    x_hat: np.ndarray | None
-    s: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -112,8 +100,7 @@ def _check_gossip(scheme: GossipScheme, gamma: float, compression: CompressionSp
 @dataclass(frozen=True)
 class ConsensusResult:
     records: list[ConsensusRecord]
-    final: NodeStates
-    initial_error: float
+    final_x: np.ndarray
     target_mean: np.ndarray
 
 
@@ -242,8 +229,8 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     error for schemes without estimates), cumulative transmitted bits of
     the rounds already completed, and the drift of the iterate mean.
 
-    The iterates are updated in place in a copy of ``initial_x``;
-    ``final`` holds that copy and the kernel's last ``x_hat`` and ``s``.
+    The iterates are updated in place in a copy of ``initial_x``, which
+    ``final_x`` holds.
     """
     matrix = config.matrix
     if matrix.delta <= 0.0:
@@ -257,8 +244,7 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     gossip = Gossip(config.scheme, matrix, config.gamma, config.compression, config.seed)
     work = gossip.work_like(x)  # every evaluation runs in it
     target = x.mean(axis=1)
-    initial_error = _squared_error(x, target[:, None], work)
-    limit = DIVERGENCE_FACTOR * max(initial_error, 1.0)
+    limit = DIVERGENCE_FACTOR * max(_squared_error(x, target[:, None], work), 1.0)
     degrees = np.asarray(matrix.degrees)
     tracking = config.scheme == GossipScheme.TRACKING
 
@@ -300,7 +286,4 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
         if not np.isfinite(x).all():
             raise DivergenceError(t, float("inf"))
 
-    return ConsensusResult(
-        records=records, final=NodeStates(x, gossip.x_hat, gossip.s),
-        initial_error=initial_error, target_mean=target,
-    )
+    return ConsensusResult(records=records, final_x=x, target_mean=target)

@@ -53,7 +53,7 @@ from .optimize import (
     SgdConfig,
     TheoreticalSchedule,
     run_optimization,
-    theoretical_stepsize,
+    theoretical_a,
 )
 from .records import write_records_csv, write_rows_csv
 from .streams import stream
@@ -127,7 +127,7 @@ def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.Compressi
             spec = comp.RandGossip(float(arg), value_bits=value_bits)
         else:
             raise ConfigError(f"unknown compression kind {text!r}")
-        comp.omega(spec, d)  # rejects a spec invalid at this d, such as k > d
+        spec.omega(d)  # rejects a spec invalid at this d, such as k > d
     except ConfigError:
         raise
     except ValueError as exc:
@@ -137,24 +137,33 @@ def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.Compressi
 
 def build_topology(name: str, n: int | None, rows: int | None = None,
                    cols: int | None = None, edges_file: str | None = None) -> GossipMatrix:
+    """Mixing matrix of one of ``CHOICES["topology"]``, in any letter case;
+    the names other than ring, torus and custom are the complete graph."""
     name = name.lower()
+    if name not in CHOICES["topology"]:
+        raise ConfigError(f"unknown topology {name!r}")
     if name == "ring":
         return build_gossip_matrix(Ring(_require(n, "n")))
     if name == "torus":
         return build_gossip_matrix(Torus(_require(rows, "torus_rows"), _require(cols, "torus_cols")))
-    if name in ("full", "fully_connected", "complete"):
-        return build_gossip_matrix(FullyConnected(_require(n, "n")))
     if name == "custom":
         if edges_file is None:
             raise ConfigError("custom topology needs an edge list file")
         return build_gossip_matrix(read_edge_list(edges_file, n))
-    raise ConfigError(f"unknown topology {name!r}")
+    return build_gossip_matrix(FullyConnected(_require(n, "n")))
 
 
 def _require(value, key):
     if value is None:
         raise ConfigError(f"missing required key {key!r}")
     return value
+
+
+def _dimension(o: dict) -> int:
+    d = _require(o.get("d"), "d")
+    if d < 1:
+        raise ConfigError(f"d must be >= 1, got {d}")
+    return d
 
 
 def gaussian_init(d: int, n: int, seed: int) -> np.ndarray:
@@ -175,7 +184,7 @@ def load_init_file(path, d: int, n: int) -> np.ndarray:
 
 def resolve_gamma(gamma_text: str, matrix: GossipMatrix, spec: comp.CompressionSpec, d: int) -> float:
     if gamma_text.strip().lower() == "auto":
-        return tracking_stepsize(matrix.delta, comp.omega(spec, d), matrix.beta)
+        return tracking_stepsize(matrix.delta, spec.omega(d), matrix.beta)
     return float(gamma_text)
 
 
@@ -196,6 +205,7 @@ SUITE_KEYS = {
 }
 # The values each choice key may take, in suite files and as CLI flags.
 CHOICES = {
+    "topology": ("ring", "torus", "full", "fully_connected", "complete", "custom"),
     "scheme": tuple(s.value for s in GossipScheme),
     "averaging": ("exact", "tracking"),
     "objective": ("quadratic", "logistic"),
@@ -209,10 +219,6 @@ class ExperimentSpec:
     label: str
     kind: str  # consensus | optimize
     options: dict
-
-    @property
-    def seeds(self) -> list[int]:
-        return self.options["seeds"]
 
 
 def parse_suite_file(path: str | Path) -> list[ExperimentSpec]:
@@ -243,6 +249,8 @@ def _coerce_options(label: str, raw: dict) -> dict:
     Range checks are left to the config dataclasses.
     """
     opts = dict(raw)
+    if "topology" in opts:  # build_topology takes any letter case
+        opts["topology"] = opts["topology"].lower()
     for key, choices in CHOICES.items():
         if key in opts and opts[key] not in choices:
             raise ConfigError(
@@ -255,7 +263,8 @@ def _coerce_options(label: str, raw: dict) -> dict:
         except ValueError:
             raise ConfigError(f"[{label}]: {key} must be {expected}, got {opts[key]!r}") from None
 
-    for key in ("n", "d", "torus_rows", "torus_cols", "iters", "eval_every", "value_bits"):
+    for key in ("n", "d", "torus_rows", "torus_cols", "iters", "eval_every", "value_bits",
+                "targets_seed"):
         if key in opts:
             opts[key] = coerce(key, int, "an integer")
     for key in ("a", "b", "mu", "noise_sigma", "fstar_tol"):
@@ -300,7 +309,7 @@ def _gossip_options(o: dict, matrix: GossipMatrix, d: int, seed: int) -> dict:
 def build_consensus(spec: ExperimentSpec, seed: int):
     """Config and initial matrix of one consensus run; every default lives here."""
     o = spec.options
-    d = _require(o.get("d"), "d")
+    d = _dimension(o)
     matrix = _build_matrix(o)
     config = ConsensusConfig(
         scheme=GossipScheme(o.get("scheme", "exact")), **_gossip_options(o, matrix, d, seed)
@@ -312,11 +321,11 @@ def build_consensus(spec: ExperimentSpec, seed: int):
     return config, x0
 
 
-def build_objective(o: dict, matrix: GossipMatrix, d: int | None, seed: int) -> Objective:
+def build_objective(o: dict, matrix: GossipMatrix, seed: int) -> Objective:
     name = o.get("objective", "quadratic")
     if name == "quadratic":
-        targets_seed = int(o.get("targets_seed", seed))
-        targets = stream(targets_seed, tag="targets").standard_normal((_require(d, "d"), matrix.n))
+        targets = stream(o.get("targets_seed", seed), tag="targets").standard_normal(
+            (_dimension(o), matrix.n))
         return QuadraticObjective(targets, noise_sigma=o.get("noise_sigma", 0.0))
     if name == "logistic":
         path = _require(o.get("data_path"), "data_path")
@@ -331,19 +340,17 @@ def build_optimize(spec: ExperimentSpec, seed: int):
     """Config, objective and initial matrix of one SGD run; every default lives here."""
     o = spec.options
     matrix = _build_matrix(o)
-    objective = build_objective(o, matrix, o.get("d"), seed)
+    objective = build_objective(o, matrix, seed)
     d = objective.dim
     gossip = _gossip_options(o, matrix, d, seed)
     averaging = o.get("averaging", "exact")
     schedule_name = o.get("schedule", "practical")
     if schedule_name == "theoretical":
-        mu, big_l = objective.constants()
         if "a" in o:
             a = o["a"]
         else:  # the requirement run_optimization checks a against
-            om = comp.omega(gossip["compression"], d) if averaging == "tracking" else 1.0
-            _, a = theoretical_stepsize(mu, big_l, matrix.delta, om, 0)
-        schedule = TheoreticalSchedule(mu=o.get("mu", mu), a=a)
+            a = theoretical_a(objective, matrix, averaging, gossip["compression"])
+        schedule = TheoreticalSchedule(mu=o.get("mu", objective.constants()[0]), a=a)
     elif schedule_name == "practical":
         m = objective.samples_per_node * matrix.n if isinstance(objective, LogisticObjective) else 1
         schedule = PracticalSchedule(a=o.get("a", 0.1), b=o.get("b", float(d)), m=m)
@@ -409,7 +416,7 @@ def run_suite(
     failures: list[tuple[str, int, str]] = []
     for spec in specs:
         per_seed = []
-        for seed in spec.seeds:
+        for seed in spec.options["seeds"]:
             try:
                 records = run_experiment(spec, seed).records
             # ConfigError is a ValueError; DivergenceError is a RuntimeError,
@@ -523,7 +530,7 @@ def _check_exact_rate(gamma: float) -> CheckOutcome:
         scheme=GossipScheme.EXACT, matrix=matrix, gamma=gamma, iters=500, seed=7, eval_every=1
     )
     result = run_consensus(config, x0)
-    e0 = result.initial_error
+    e0 = result.records[0].error
     worst = -math.inf
     for rec in result.records:
         bound = (1.0 - gamma * matrix.delta) ** (2 * rec.iter) * e0 + 1e-9
@@ -535,7 +542,7 @@ def _check_tracking_rate() -> CheckOutcome:
     matrix = build_gossip_matrix(Ring(8))
     d = 16
     spec = comp.TopK(2)
-    om = comp.omega(spec, d)
+    om = spec.omega(d)
     gamma = tracking_stepsize(matrix.delta, om, matrix.beta)
     config = ConsensusConfig(
         scheme=GossipScheme.TRACKING, matrix=matrix, gamma=gamma, compression=spec,
@@ -580,7 +587,7 @@ def _omega_contract_outcomes() -> list[CheckOutcome]:
         ("rand_gossip", comp.RandGossip(0.25)),
     ]
     for name, spec in cases:
-        om = comp.omega(spec, d)
+        om = spec.omega(d)
         rng = stream(2024, tag=f"omega-{name}")
         ratios = np.empty(draws)
         for lo in range(0, draws, chunk):
@@ -592,7 +599,7 @@ def _omega_contract_outcomes() -> list[CheckOutcome]:
         outcomes.append(CheckOutcome("omega_contract", name, observed <= bound, observed, bound))
     # deterministic top_k holds per sample
     spec = comp.TopK(max(1, d // 100))
-    om = comp.omega(spec, d)
+    om = spec.omega(d)
     samples = stream(2024, tag="omega-topk-samples").standard_normal((100, d))
     q, _ = comp.compress_columns(spec, samples.T)
     errors = np.sum((q.T - samples) ** 2, axis=1)

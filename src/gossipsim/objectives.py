@@ -57,7 +57,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Dataset",
-    "Shard",
     "parse_libsvm",
     "serialize_libsvm",
     "partition",
@@ -92,12 +91,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class Shard:
-    node_id: int
-    indices: np.ndarray
 
 
 def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None) -> Dataset:
@@ -178,8 +171,9 @@ def serialize_libsvm(dataset: Dataset) -> str:
     return "\n".join(rows) + "\n"
 
 
-def partition(dataset: Dataset, n: int, mode: str, seed: int = 0) -> list[Shard]:
-    """Split sample indices into n shards whose sizes differ by at most one.
+def partition(dataset: Dataset, n: int, mode: str, seed: int = 0) -> list[np.ndarray]:
+    """Split sample indices into n shards whose sizes differ by at most one;
+    shard i, the sample indices of node i, is the i-th array.
 
     ``shuffled`` applies a seeded uniform permutation before contiguous
     splitting.  ``sorted`` orders samples +1 block first, then -1, so that
@@ -196,8 +190,7 @@ def partition(dataset: Dataset, n: int, mode: str, seed: int = 0) -> list[Shard]
         order = np.argsort(-dataset.labels, kind="stable")
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
-    chunks = np.array_split(order, n)
-    return [Shard(node_id=i, indices=np.asarray(c)) for i, c in enumerate(chunks)]
+    return np.array_split(order, n)
 
 
 class QuadraticObjective:
@@ -263,15 +256,15 @@ class QuadraticObjective:
 class LogisticObjective:
     """Sharded l2-regularized logistic regression (see module docstring)."""
 
-    def __init__(self, dataset: Dataset, shards: list[Shard]):
+    def __init__(self, dataset: Dataset, shards: list[np.ndarray]):
         from scipy.special import expit  # see the module docstring on SciPy
 
         if not shards:
             raise ValueError("at least one shard is required")
-        covered = np.sort(np.concatenate([s.indices for s in shards]))
+        covered = np.sort(np.concatenate(shards))
         if len(covered) != dataset.m or not np.array_equal(covered, np.arange(dataset.m)):
             raise ValueError("shards must partition the sample indices")
-        if any(len(s.indices) == 0 for s in shards):
+        if any(len(s) == 0 for s in shards):
             raise ValueError("empty shard")
         self.dataset = dataset
         self.shards = shards
@@ -295,7 +288,7 @@ class LogisticObjective:
 
     @property
     def samples_per_node(self) -> int:
-        return max(len(s.indices) for s in self.shards)
+        return max(len(s) for s in self.shards)
 
     def _losses(self, rows: sp.csr_matrix, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
         margins = labels * (rows @ x)
@@ -306,7 +299,7 @@ class LogisticObjective:
         return float(np.mean(losses) + self.l2 * np.dot(x, x))
 
     def local_value(self, node: int, x: np.ndarray) -> float:
-        idx = self.shards[node].indices
+        idx = self.shards[node]
         losses = self._losses(self.dataset.features[idx], self.dataset.labels[idx], x)
         return float(np.mean(losses) + self.l2 * np.dot(x, x))
 
@@ -317,7 +310,7 @@ class LogisticObjective:
         )
 
     def local_gradient(self, node: int, x: np.ndarray) -> np.ndarray:
-        idx = self.shards[node].indices
+        idx = self.shards[node]
         rows = self.dataset.features[idx]
         return self._subset_gradient(rows, rows.T, self.dataset.labels[idx], x)
 
@@ -332,7 +325,7 @@ class LogisticObjective:
         return self._sample_gradients(X, [self._draw(i, rng_for(i)) for i in range(X.shape[1])])
 
     def _draw(self, node: int, rng: np.random.Generator) -> int:
-        idx = self.shards[node].indices
+        idx = self.shards[node]
         return int(idx[rng.integers(len(idx))])
 
     def _sample_gradients(self, X: np.ndarray, samples: list[int]) -> np.ndarray:
@@ -437,7 +430,7 @@ def sigma_bar_squared(objective: Objective, x: np.ndarray) -> float:
     total = 0.0
     for i, shard in enumerate(objective.shards):
         mean_grad = objective.local_gradient(i, x)
-        samples = shard.indices.tolist()
+        samples = shard.tolist()
         grads = objective._sample_gradients(np.tile(x[:, None], (1, len(samples))), samples)
         acc = 0.0
         for g in grads.T:

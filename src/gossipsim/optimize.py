@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressionSpec, Identity, omega as omega_of
-from .consensus import DivergenceError, Gossip, GossipScheme
+from .compression import CompressionSpec, Identity
+from .consensus import DIVERGENCE_FACTOR, DivergenceError, Gossip, GossipScheme
 from .objectives import Objective
 from .records import OptimizeRecord
 from .streams import StreamPool, tag_code
@@ -42,6 +42,7 @@ __all__ = [
     "TheoreticalSchedule",
     "PracticalSchedule",
     "theoretical_stepsize",
+    "theoretical_a",
     "blackbox_stepsize_requirement",
     "ExactAveraging",
     "TrackingAveraging",
@@ -96,6 +97,15 @@ def theoretical_stepsize(
     return 4.0 / (mu * (a + t)), a
 
 
+def theoretical_a(objective: Objective, matrix: GossipMatrix, averaging: str,
+                  compression: CompressionSpec) -> float:
+    """The requirement ``a`` of :func:`theoretical_stepsize` for one run,
+    with ``omega = 1`` for exact averaging."""
+    mu, big_l = objective.constants()
+    omega = compression.omega(objective.dim) if averaging == "tracking" else 1.0
+    return theoretical_stepsize(mu, big_l, matrix.delta, omega, 0)[1]
+
+
 def blackbox_stepsize_requirement(p: float, mu: float, big_l: float) -> float:
     """Smallest schedule parameter ``a = max(5/p, 16 L/mu)`` valid for any
     average-preserving scheme that contracts the Lyapunov function at rate p."""
@@ -109,8 +119,6 @@ class ExactAveraging(Gossip):
 
     ``compression`` only sets ``value_bits`` for the bit count.
     """
-
-    omega = 1.0
 
     def __init__(self, matrix: GossipMatrix, gamma: float = 1.0,
                  compression: CompressionSpec = Identity(), seed: int = 0):
@@ -128,7 +136,7 @@ class TrackingAveraging(Gossip):
     def __init__(self, matrix: GossipMatrix, gamma: float, compression: CompressionSpec,
                  d: int, seed: int = 0):
         super().__init__(GossipScheme.TRACKING, matrix, gamma, compression, seed)
-        self.omega = omega_of(compression, d)
+        self.omega = compression.omega(d)
 
     @property
     def p(self) -> float:
@@ -215,11 +223,10 @@ def build_averaging(config: SgdConfig, d: int) -> AveragingScheme:
     return TrackingAveraging(config.matrix, config.gamma, config.compression, d, config.seed)
 
 
-def _check_theory_precondition(config: SgdConfig, objective: Objective, scheme) -> None:
+def _check_theory_precondition(config: SgdConfig, objective: Objective) -> None:
     if not isinstance(config.schedule, TheoreticalSchedule):
         return
-    mu, big_l = objective.constants()
-    _, needed = theoretical_stepsize(mu, big_l, config.matrix.delta, scheme.omega, 0)
+    needed = theoretical_a(objective, config.matrix, config.averaging, config.compression)
     if config.schedule.a < needed * (1.0 - 1e-9):
         warnings.warn(
             f"schedule parameter a = {config.schedule.a} is below the theoretical "
@@ -251,7 +258,7 @@ def run_optimization(
         )
 
     scheme = build_averaging(config, d)
-    _check_theory_precondition(config, objective, scheme)
+    _check_theory_precondition(config, objective)
     f_star = config.f_star
     if f_star is None:
         from .objectives import solve_reference
@@ -280,7 +287,7 @@ def run_optimization(
             records.append(OptimizeRecord(t, subopt, dispersion, bits, eta))
             if initial_subopt is None:
                 initial_subopt = abs(subopt)
-            elif abs(subopt) > 1e6 * max(initial_subopt, 1.0):
+            elif abs(subopt) > DIVERGENCE_FACTOR * max(initial_subopt, 1.0):
                 raise DivergenceError(t, subopt)
         if final:
             break

@@ -5,7 +5,6 @@ edges of a connected graph (self-loops included).  The quantities that
 govern gossip convergence are
 
 * ``delta = 1 - |lambda_2(W)|`` -- the spectral gap,
-* ``rho = 1 - delta``,
 * ``beta = ||I - W||_2``, which lies in ``[0, 2]``.
 
 Matrices are built with uniform neighbor averaging: ``w_ij = 1/(deg(i)+1)``
@@ -90,7 +89,6 @@ class GossipMatrix:
     n: int
     weights: np.ndarray
     delta: float
-    rho: float
     beta: float
     edges: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...]
@@ -173,7 +171,7 @@ def build_gossip_matrix(kind: TopologyKind) -> GossipMatrix:
     for i in range(n):
         weights[i, i] = 1.0 / (degrees[i] + 1)
 
-    delta, rho, beta = spectral_quantities(weights)
+    delta, beta = spectral_quantities(weights)
     if delta <= 0.0:
         raise ValueError("built matrix has zero spectral gap")
     weights.setflags(write=False)
@@ -181,18 +179,19 @@ def build_gossip_matrix(kind: TopologyKind) -> GossipMatrix:
         n=n,
         weights=weights,
         delta=delta,
-        rho=rho,
         beta=beta,
         edges=edges,
         degrees=tuple(int(x) for x in degrees),
     )
 
 
-def spectral_quantities(weights: np.ndarray) -> tuple[float, float, float]:
-    """``(delta, rho, beta)`` of a symmetric doubly stochastic matrix.
+def spectral_quantities(weights: np.ndarray) -> tuple[float, float]:
+    """``(delta, beta)`` of a symmetric doubly stochastic matrix.
 
     ``delta = 1 - |lambda_2|`` with the principal eigenvalue pinned to 1;
-    ``beta = max_i |1 - lambda_i|``.  Input is validated to tolerance 1e-10.
+    ``beta = max_i |1 - lambda_i|``.  Eigenvalues within ``EIG_TOL`` of 0
+    count as 0, so the averaging matrix ``11^T/n`` of a complete graph has
+    ``delta = beta = 1`` exactly.  Input is validated to tolerance 1e-10.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -207,15 +206,16 @@ def spectral_quantities(weights: np.ndarray) -> tuple[float, float, float]:
         raise ValueError("columns do not sum to 1")
 
     if n == 1:
-        return 1.0, 0.0, 0.0
+        return 1.0, 0.0
 
     eigs = np.linalg.eigvalsh(w)
+    eigs[np.abs(eigs) < EIG_TOL] = 0.0
     mags = np.sort(np.abs(eigs))[::-1]
     if abs(mags[0] - 1.0) > EIG_TOL:
         raise ValueError(f"principal eigenvalue is {mags[0]}, expected 1")
     delta = float(np.clip(1.0 - mags[1], 0.0, 1.0))
     beta = float(np.max(np.abs(1.0 - eigs)))
-    return delta, 1.0 - delta, beta
+    return delta, beta
 
 
 def mixing_contraction(weights: np.ndarray, k: int) -> float:

@@ -19,7 +19,6 @@ from gossipsim.compression import (
     RescaledUnbiased,
     TopK,
     compress_columns,
-    omega,
 )
 from gossipsim.consensus import (
     ConsensusConfig,
@@ -90,7 +89,7 @@ def test_criterion_01_exact_gossip_rate_bound():
                 scheme=GossipScheme.EXACT, matrix=matrix, gamma=gamma, iters=500, seed=7
             )
             result = run_consensus(config, x0)
-            e0 = result.initial_error
+            e0 = result.records[0].error
             for rec in result.records:
                 bound = (1.0 - gamma * matrix.delta) ** (2 * rec.iter) * e0 + 1e-9
                 assert rec.error <= bound, (gamma, rec.iter)
@@ -101,7 +100,7 @@ def test_criterion_02_tracking_gossip_rate_bound_deterministic():
         matrix = build_gossip_matrix(Ring(8))
         d = 16
         spec = TopK(2)  # omega = 0.125, the 0.1-equivalent at d=16
-        om = omega(spec, d)
+        om = spec.omega(d)
         gamma = tracking_stepsize(matrix.delta, om, matrix.beta)
         config = ConsensusConfig(
             scheme=GossipScheme.TRACKING, matrix=matrix, gamma=gamma, compression=spec,
@@ -178,7 +177,7 @@ def test_criterion_05_sparsified_replica_iteration_and_bit_cost():
     with Budget(5, "1-in-20 sparsified averaging replica", 30.0):
         d = 200
         spec = RandK(10)
-        om = omega(spec, d)
+        om = spec.omega(d)
         assert om == pytest.approx(0.05)
         x0 = stream(3, tag="init").standard_normal((d, 9))
         exact = run_consensus(
@@ -215,7 +214,7 @@ def test_criterion_06_omega_contract_monte_carlo():
             return np.concatenate(errors) / xnorm2
 
         for spec in (RandK(20), Qsgd(256), RandK(100), Qsgd(16)):
-            om = omega(spec, d)
+            om = spec.omega(d)
             ratios = distortions(spec, stream(1, tag="mc"), draws // 4)
             se = float(np.std(ratios) / math.sqrt(ratios.size))
             assert np.mean(ratios) <= (1.0 - om) + 4 * se, spec

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
-from gossipsim.objectives import Dataset, LogisticObjective, QuadraticObjective, Shard
+from gossipsim.objectives import Dataset, LogisticObjective, QuadraticObjective
 from gossipsim.streams import stream
 
 FLOATS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -31,7 +31,7 @@ def reference_quadratic(objective, i, x, rng):
 
 
 def reference_logistic(objective, i, x, rng):
-    shard = objective.shards[i].indices
+    shard = objective.shards[i]
     j = int(shard[rng.integers(len(shard))])
     csr = objective.dataset.features
     cols = csr.indices[csr.indptr[j]:csr.indptr[j + 1]]
@@ -102,7 +102,7 @@ def logistic_cases(draw):
     cuts = []
     if n > 1:
         cuts = sorted(draw(st.sets(st.integers(1, m - 1), min_size=n - 1, max_size=n - 1)))
-    shards = [Shard(i, part) for i, part in enumerate(np.split(order, cuts))]
+    shards = np.split(order, cuts)
     X = draw(arrays(np.float64, (d, n), elements=st.floats(-5, 5)))
     return LogisticObjective(dataset, shards), X, draw(st.integers(0, 2**32))
 

@@ -14,7 +14,6 @@ from gossipsim.compression import (
     RescaledUnbiased,
     TopK,
     compress_columns,
-    omega,
     qsgd_tau,
     resolve_k,
 )
@@ -48,24 +47,24 @@ def mc_distortion(spec, x, rng, draws=MC_DRAWS, chunk=500):
 
 class TestOmega:
     def test_rand_k_one_percent(self):
-        assert omega(RandK(20), 2000) == pytest.approx(0.01)
+        assert RandK(20).omega(2000) == pytest.approx(0.01)
 
     def test_rand_gossip_is_p(self):
-        assert omega(RandGossip(0.25), 2000) == 0.25
+        assert RandGossip(0.25).omega(2000) == 0.25
 
     def test_qsgd_256_high_dim(self):
         # direct evaluation of tau = 1 + min(d/s^2, sqrt(d)/s)
-        assert omega(Qsgd(256), 2000) == pytest.approx(0.97038616441601522, abs=1e-15)
+        assert Qsgd(256).omega(2000) == pytest.approx(0.97038616441601522, abs=1e-15)
 
     def test_identity_is_one(self):
-        assert omega(Identity(), 17) == 1.0
+        assert Identity().omega(17) == 1.0
 
     def test_top_k_fraction(self):
-        assert omega(TopK(5), 50) == pytest.approx(0.1)
+        assert TopK(5).omega(50) == pytest.approx(0.1)
 
     def test_rescaled_unbiased_reports_inverse_tau(self):
-        assert omega(RescaledUnbiased(RandK(20)), 2000) == pytest.approx(0.01)
-        assert omega(RescaledUnbiased(Qsgd(256)), 2000) == pytest.approx(
+        assert RescaledUnbiased(RandK(20)).omega(2000) == pytest.approx(0.01)
+        assert RescaledUnbiased(Qsgd(256)).omega(2000) == pytest.approx(
             0.97038616441601522, abs=1e-15
         )
 
@@ -81,11 +80,11 @@ class TestOmega:
         ],
     )
     def test_always_in_unit_interval(self, spec, d):
-        assert 0.0 < omega(spec, d) <= 1.0
+        assert 0.0 < spec.omega(d) <= 1.0
 
     def test_k_larger_than_d_rejected(self):
         with pytest.raises(ValueError, match="k"):
-            omega(RandK(31), 30)
+            RandK(31).omega(30)
 
 
 class TestCompress:
@@ -218,7 +217,7 @@ class TestContraction:
         ids=["rand_k_10pct", "qsgd16", "qsgd256", "rand_gossip"],
     )
     def test_random_operators_contract(self, spec, x):
-        om = omega(spec, x.size)
+        om = spec.omega(x.size)
         mean, se = mc_distortion(spec, x, stream(2, tag="mc"), draws=2000)
         assert mean <= (1.0 - om) + 4 * se
 
@@ -297,7 +296,7 @@ class TestContractionProperties:
         # relative to ||x||^2, so tiny vectors keep a nonzero standard error
         ratios = np.sum((q - X) ** 2, axis=0) / np.dot(x, x)
         se = ratios.std() / math.sqrt(self.PROPERTY_DRAWS)
-        bound = 1.0 - omega(spec, x.size)
+        bound = 1.0 - spec.omega(x.size)
         assert ratios.mean() <= bound + self.STANDARD_ERRORS * se + self.ROUNDING
 
 

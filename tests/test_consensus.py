@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gossipsim.compression import Identity, Qsgd, RandGossip, RandK, RescaledUnbiased, TopK, omega
+from gossipsim.compression import Identity, Qsgd, RandGossip, RandK, RescaledUnbiased, TopK
 from gossipsim.consensus import (
     ConsensusConfig,
     DivergenceError,
@@ -183,14 +183,14 @@ class TestRunConsensus:
         for gamma in (0.5, 1.0):
             config = ConsensusConfig(scheme=GossipScheme.EXACT, matrix=m, gamma=gamma, iters=300)
             result = run_consensus(config, x0)
-            e0 = result.initial_error
+            e0 = result.records[0].error
             for rec in result.records:
                 assert rec.error <= (1.0 - gamma * m.delta) ** (2 * rec.iter) * e0 + 1e-9
 
     def test_tracking_rate_bound_deterministic_topk(self):
         m = build_gossip_matrix(Ring(8))
         spec = TopK(2)
-        om = omega(spec, 16)
+        om = spec.omega(16)
         gamma = tracking_stepsize(m.delta, om, m.beta)
         config = ConsensusConfig(
             scheme=GossipScheme.TRACKING, matrix=m, gamma=gamma, compression=spec,
@@ -208,7 +208,7 @@ class TestRunConsensus:
         m = build_gossip_matrix(Ring(8))
         d, iters = 16, 400
         spec = RandK(2)
-        om = omega(spec, d)
+        om = spec.omega(d)
         gamma = tracking_stepsize(m.delta, om, m.beta)
         rate = 1.0 - m.delta**2 * om / 82.0
         x0 = stream(21, tag="init").standard_normal((d, 8))
@@ -303,7 +303,7 @@ class TestRunConsensus:
         a = run_consensus(config, x0)
         b = run_consensus(config, x0)
         assert a.records == b.records
-        assert np.array_equal(a.final.x, b.final.x)
+        assert np.array_equal(a.final_x, b.final_x)
 
     def test_bits_accounting_per_directed_edge(self):
         spec = TopK(2)

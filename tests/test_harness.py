@@ -85,7 +85,7 @@ class TestSuiteFile:
         path.write_text(SUITE)
         specs = parse_suite_file(path)
         assert [s.label for s in specs] == ["avg-exact", "sgd-quad"]
-        assert specs[0].seeds == [1, 2, 3]
+        assert specs[0].options["seeds"] == [1, 2, 3]
         assert specs[1].options["a"] == 0.05
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -124,6 +124,7 @@ class TestSuiteFile:
         ("noise_sigma", "high", "a number"),
         ("seeds", "1 x", "integers"),
         ("gamma", "fast", "a number or auto"),
+        ("targets_seed", "1.5", "an integer"),
     ])
     def test_coercion_error_names_section_and_key(self, tmp_path, key, text, expected):
         path = tmp_path / "suite.ini"
@@ -132,6 +133,7 @@ class TestSuiteFile:
             parse_suite_file(path)
 
     @pytest.mark.parametrize("kind, key", [
+        ("consensus", "topology"),
         ("consensus", "scheme"),
         ("optimize", "averaging"),
         ("optimize", "objective"),
@@ -149,6 +151,12 @@ class TestSuiteFile:
         assert exc.value.code == 2
         path.write_text(f"[x]\nkind = {kind}\n{key} = {CHOICES[key][-1]}\n")
         assert parse_suite_file(path)[0].options[key] == CHOICES[key][-1]
+
+    def test_topology_in_any_letter_case(self, tmp_path):
+        path = tmp_path / "suite.ini"
+        path.write_text("[x]\nkind = consensus\ntopology = Fully_Connected\n")
+        assert parse_suite_file(path)[0].options["topology"] == "fully_connected"
+        assert cli.build_parser().parse_args(["consensus", "--topology", "Ring"]).topology == "ring"
 
     def test_gamma_text_is_kept_for_the_builders(self, tmp_path):
         path = tmp_path / "suite.ini"
@@ -573,6 +581,11 @@ class TestCli:
     def test_missing_dimension_is_config_error(self, capsys):
         assert cli.main(["consensus", "--n", "4"]) == 2
         assert "missing required key 'd'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["consensus", "optimize"])
+    def test_dimension_below_one_is_config_error(self, kind, capsys):
+        assert cli.main([kind, "--n", "4", "--d", "0", "--compression", "top_k:1"]) == 2
+        assert capsys.readouterr().err == "error: d must be >= 1, got 0\n"
 
 
 # The same experiment as CLI flags and as a suite section: (flags, section).

@@ -11,7 +11,6 @@ from gossipsim.objectives import (
     Dataset,
     LogisticObjective,
     QuadraticObjective,
-    Shard,
     parse_libsvm,
     partition,
     power_iteration,
@@ -67,7 +66,7 @@ def shard_gradients(obj, node, x):
     X = np.tile(x[:, None], (1, obj.n_nodes))
     return [
         obj.stochastic_gradients(X, lambda i: Pick(pos if i == node else 0))[:, node]
-        for pos in range(len(obj.shards[node].indices))
+        for pos in range(len(obj.shards[node]))
     ]
 
 
@@ -161,17 +160,17 @@ class TestPartition:
         for mode in ("shuffled", "sorted"):
             shards = partition(dataset, 1, mode, seed=0)
             assert len(shards) == 1
-            assert sorted(shards[0].indices.tolist()) == list(range(12))
+            assert sorted(shards[0].tolist()) == list(range(12))
 
     def test_sorted_two_nodes_split_by_label(self, dataset):
         shards = partition(dataset, 2, "sorted", seed=0)
-        assert np.all(dataset.labels[shards[0].indices] == 1.0)
-        assert np.all(dataset.labels[shards[1].indices] == -1.0)
+        assert np.all(dataset.labels[shards[0]] == 1.0)
+        assert np.all(dataset.labels[shards[1]] == -1.0)
 
     def test_shuffled_golden_assignment(self, dataset):
         # frozen output of the seeded permutation stream (seed 7)
         shards = partition(dataset, 3, "shuffled", seed=7)
-        assert [s.indices.tolist() for s in shards] == [
+        assert [s.tolist() for s in shards] == [
             [8, 5, 3, 7],
             [11, 1, 9, 0],
             [2, 4, 10, 6],
@@ -181,16 +180,16 @@ class TestPartition:
         for mode in ("shuffled", "sorted"):
             for n in (2, 3, 5, 7):
                 shards = partition(dataset, n, mode, seed=1)
-                all_idx = np.concatenate([s.indices for s in shards])
+                all_idx = np.concatenate(shards)
                 assert sorted(all_idx.tolist()) == list(range(12))
-                sizes = [len(s.indices) for s in shards]
+                sizes = [len(s) for s in shards]
                 assert max(sizes) - min(sizes) <= 1
 
     def test_sorted_keeps_labels_contiguous(self, dataset):
         shards = partition(dataset, 4, "sorted", seed=0)
         signs = []
         for s in shards:
-            labels = dataset.labels[s.indices]
+            labels = dataset.labels[s]
             # each shard holds at most one sign change
             flips = int(np.sum(labels[1:] != labels[:-1]))
             assert flips <= 1
@@ -279,10 +278,7 @@ class TestLogistic:
     def test_empty_shard_rejected(self):
         ds = parse_libsvm(io.StringIO(TEN_LINE_FIXTURE))
         shards = partition(ds, 2, "shuffled", seed=0)
-        broken = [
-            Shard(0, np.concatenate([shards[0].indices, shards[1].indices])),
-            Shard(1, np.array([], dtype=int)),
-        ]
+        broken = [np.concatenate(shards), np.array([], dtype=int)]
         with pytest.raises(ValueError, match="empty shard"):
             LogisticObjective(ds, broken)
 

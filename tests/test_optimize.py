@@ -343,6 +343,13 @@ class TestRunOptimization:
             warnings.simplefilter("error")
             run_optimization(config, objective, x0)
 
+    def test_complete_graph_default_a_is_round(self):
+        # the averaging matrix has delta = 1 exactly, so a = 410 / (1^2 * 1)
+        spec = ExperimentSpec("theory", "optimize", {
+            "topology": "full", "n": 4, "d": 6, "schedule": "theoretical", "seeds": [0],
+        })
+        assert build_optimize(spec, 0)[0].schedule.a == 410.0
+
     def test_seed_determinism(self):
         d = 8
         objective = quad_objective(d, 9, noise=0.5)

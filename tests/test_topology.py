@@ -114,7 +114,6 @@ class TestInvariants:
         np.testing.assert_allclose(m.weights.sum(axis=1), np.ones(m.n), atol=1e-12)
         np.testing.assert_allclose(m.weights.sum(axis=0), np.ones(m.n), atol=1e-12)
         assert 0.0 < m.delta <= 1.0
-        assert m.rho == pytest.approx(1.0 - m.delta)
         assert 0.0 <= m.beta <= 2.0
 
     @pytest.mark.parametrize(
@@ -133,14 +132,20 @@ class TestInvariants:
 class TestSpectralQuantities:
     def test_averaging_matrix(self):
         n = 6
-        delta, rho, beta = spectral_quantities(np.full((n, n), 1.0 / n))
-        assert delta == pytest.approx(1.0, abs=1e-12)
-        assert rho == pytest.approx(0.0, abs=1e-12)
-        assert beta == pytest.approx(1.0, abs=1e-12)
+        delta, beta = spectral_quantities(np.full((n, n), 1.0 / n))
+        assert delta == 1.0 and beta == 1.0
+
+    @pytest.mark.parametrize(
+        "kind", [FullyConnected(4), FullyConnected(9), FullyConnected(16), Ring(2), Ring(3)],
+        ids=str,
+    )
+    def test_complete_graph_gap_is_exactly_one(self, kind):
+        m = build_gossip_matrix(kind)  # W is the averaging matrix
+        assert m.delta == 1.0 and m.beta == 1.0
 
     def test_identity_has_zero_gap(self):
-        delta, rho, beta = spectral_quantities(np.eye(5))
-        assert delta == 0.0 and rho == 1.0 and beta == 0.0
+        delta, beta = spectral_quantities(np.eye(5))
+        assert delta == 0.0 and beta == 0.0
 
     def test_rejects_asymmetric(self):
         w = np.array([[0.5, 0.5], [0.4, 0.6]])
@@ -173,7 +178,7 @@ class TestMixingContraction:
     def test_bounded_by_contraction_rate(self, kind):
         m = build_gossip_matrix(kind)
         for k in range(0, 51, 5):
-            assert mixing_contraction(m.weights, k) <= m.rho**k + 1e-9
+            assert mixing_contraction(m.weights, k) <= (1.0 - m.delta) ** k + 1e-9
 
 
 def test_read_edge_list(tmp_path):
