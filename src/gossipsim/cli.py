@@ -11,14 +11,17 @@ Subcommands::
     gossipsim sweep      ... optimize flags ... --epochs 10
     gossipsim check      --kind all [--out report.csv]
 
-A ``consensus`` or ``optimize`` run is a one-section suite: each flag sets
-the suite key of the same name (``--data`` sets ``data_path``, ``--seed``
-the one seed, ``--init-file`` the ``init_file`` to start from), and the
-suite's builders supply every default.  Both also accept ``--config
+A ``consensus`` or ``optimize`` run is a one-section suite: every suite
+key is a flag of the same name with ``-`` for ``_`` (``--data`` sets
+``data_path``, ``--seed`` is the one seed), and the flags' text is parsed by
+the suite's own coercion, so a bad value is reported as in a suite file
+(``[consensus]: gamma must be a number or auto, got 'fast'``).  Only
+``--seed`` (0) has a default of its own; the suite's builders supply every
+other, ``topology = ring`` included.  Both also accept ``--config
 suite.ini --out-dir results/`` to run every matching experiment section of
 a suite file (one CSV per seed plus a summary per experiment).  ``sweep``
-takes only the flags it reads: the graph, operator, objective and
-averaging, but no round budget, schedule or output flags.
+takes the ``optimize`` flags except those of the keys its grid sets
+(``iters``, ``eval_every``, ``schedule``, ``a``, ``b``), and writes nothing.
 
 Exit codes: 0 success, 1 failed assertion, divergence or partially failed
 suite, 2 configuration error.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import harness
 from .records import write_records_csv, write_rows_csv
@@ -37,44 +41,44 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 
-def _add_gossip_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", default="ring", type=str.lower,
-                   choices=harness.CHOICES["topology"])
-    p.add_argument("--n", type=int, help="node count")
-    p.add_argument("--d", type=int, help="vector dimension")
-    p.add_argument("--torus-rows", type=int)
-    p.add_argument("--torus-cols", type=int)
-    p.add_argument("--edges-file", help="custom topology: 'i j' pairs, 0-indexed")
-    p.add_argument("--compression",
-                   help="identity | rand_k:<k|frac> | top_k:<k|frac> | qsgd:<s> | "
-                        "rand_gossip:<p> | unbiased:<inner>")
-    p.add_argument("--value-bits", type=int)
-    p.add_argument("--gamma", help="consensus stepsize or 'auto'")
-    p.add_argument("--seed", type=int, default=0)
+# Suite keys a sweep's grid sets itself, so ``sweep`` has no flag for them.
+_GRID_KEYS = {"iters", "eval_every", "schedule", "a", "b"}
+_HELP = {
+    "n": "node count", "d": "vector dimension",
+    "compression": "identity | rand_k:<k|frac> | top_k:<k|frac> | qsgd:<s> | "
+                   "rand_gossip:<p> | unbiased:<inner>",
+    "gamma": "consensus stepsize or 'auto'",
+    "edges_file": "custom topology: 'i j' pairs, 0-indexed",
+    "init_file": "initial matrix, one node row per line (default: Gaussian)",
+    "data_path": "LIBSVM file for the logistic objective",
+}
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="suite file; runs matching sections instead of flags")
-    p.add_argument("--out-dir", default="results", help="output directory for suite runs")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--out", help="CSV output path for a single run")
+def _add_suite_flags(p: argparse.ArgumentParser, keys: set[str]) -> None:
+    """One text flag per suite key; ``_spec`` parses them as a suite file's."""
+    for key in sorted(keys - {"kind", "seeds"}):
+        p.add_argument("--data" if key == "data_path" else "--" + key.replace("_", "-"),
+                       dest=key, choices=harness.CHOICES.get(key), help=_HELP.get(key),
+                       type=str.lower if key == "topology" else None)
+    p.add_argument("--seed", default="0", help="the run's one seed")
 
 
-def _spec(args, kind: str) -> harness.ExperimentSpec:
-    """The one-section suite that a flag invocation stands for."""
-    options = {
+def _spec(args, kind: str) -> tuple[harness.ExperimentSpec, int]:
+    """The one-section suite that a flag invocation stands for, and its seed."""
+    raw = {
         key: value for key, value in vars(args).items()
         if key in harness.SUITE_KEYS[kind] and value is not None
     }
-    options["seeds"] = [args.seed]
-    return harness.ExperimentSpec(label=args.command, kind=kind, options=options)
+    options = harness._coerce_options(args.command, {**raw, "seeds": args.seed})
+    if len(options["seeds"]) != 1:
+        raise harness.ConfigError(f"--seed takes one seed, got {args.seed!r}")
+    return harness.ExperimentSpec(args.command, kind, options), options["seeds"][0]
 
 
 def _cmd_run(args) -> int:
     if args.config:
         return _run_suite(args, args.command)
-    result = harness.run_experiment(_spec(args, args.command), args.seed)
+    result = harness.run_experiment(*_spec(args, args.command))
     if args.out:
         write_records_csv(args.out, result.records)
     last = result.records[-1]
@@ -89,7 +93,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base, objective, x0 = harness.build_optimize(_spec(args, "optimize"), args.seed)
+    base, objective, x0 = harness.build_optimize(*_spec(args, "optimize"))
     grid = harness.GridSpec(
         a_exponents=tuple(range(args.a_exp_min, args.a_exp_max + 1)),
         budget_epochs=args.epochs,
@@ -125,26 +129,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gossipsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("consensus", help="run a gossip averaging experiment")
-    _add_gossip_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--scheme", choices=harness.CHOICES["scheme"])
-    p.add_argument("--init-file", help="initial matrix, one node row per line "
-                                       "(default: Gaussian)")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("optimize", help="run decentralized SGD")
-    _add_gossip_flags(p)
-    _add_run_flags(p)
-    _add_objective_flags(p)
-    p.add_argument("--schedule", choices=harness.CHOICES["schedule"])
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.set_defaults(func=_cmd_run)
+    for kind, help_text in (("consensus", "run a gossip averaging experiment"),
+                            ("optimize", "run decentralized SGD")):
+        p = sub.add_parser(kind, help=help_text)
+        _add_suite_flags(p, harness.SUITE_KEYS[kind])
+        p.add_argument("--config", help="suite file; runs matching sections instead of flags")
+        p.add_argument("--out-dir", default="results", help="output directory for suite runs")
+        p.add_argument("--out", help="CSV output path for a single run")
+        p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="grid-search the stepsize schedule")
-    _add_gossip_flags(p)
-    _add_objective_flags(p)
+    _add_suite_flags(p, harness.SUITE_KEYS["optimize"] - _GRID_KEYS)
     p.add_argument("--a-exp-min", type=int, default=-3)
     p.add_argument("--a-exp-max", type=int, default=1)
     p.add_argument("--epochs", type=int, default=10)
@@ -157,26 +152,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_objective_flags(p) -> None:
-    p.add_argument("--objective", choices=harness.CHOICES["objective"])
-    p.add_argument("--data", dest="data_path", help="LIBSVM file for the logistic objective")
-    p.add_argument("--partition", choices=harness.CHOICES["partition"])
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--targets-seed", type=int)
-    p.add_argument("--averaging", choices=harness.CHOICES["averaging"])
-    p.add_argument("--fstar-tol", type=float)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    # ConfigError is a ValueError; DivergenceError, a failed reference solve
-    # and an all-diverged sweep are RuntimeErrors.
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, (ValueError, OSError)) else EXIT_FAILURE
+    args = build_parser().parse_args(argv)
+    shown = set()
+
+    def show_warning(message, *_):  # once per distinct message, without a source line
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show_warning
+        try:
+            return args.func(args)
+        # ConfigError is a ValueError; DivergenceError, a failed reference solve
+        # and an all-diverged sweep are RuntimeErrors.
+        except (ValueError, OSError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG if isinstance(exc, (ValueError, OSError)) else EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -195,12 +195,12 @@ _COMMON_KEYS = {
     "kind", "topology", "n", "d", "torus_rows", "torus_cols", "edges_file",
     "compression", "value_bits", "gamma", "iters", "eval_every", "seeds",
 }
-# The keys a section of each kind may hold; the CLI's flags use the same names.
+# The keys a section of each kind may hold; each is also a CLI flag of that name.
 SUITE_KEYS = {
     "consensus": _COMMON_KEYS | {"scheme", "init_file"},
     "optimize": _COMMON_KEYS | {
         "averaging", "objective", "data_path", "partition", "schedule",
-        "a", "b", "mu", "noise_sigma", "fstar_tol", "targets_seed",
+        "a", "b", "noise_sigma", "fstar_tol", "targets_seed",
     },
 }
 # The values each choice key may take, in suite files and as CLI flags.
@@ -246,7 +246,8 @@ def _coerce_options(label: str, raw: dict) -> dict:
     """Typed options; a value of the wrong syntax or outside the key's
     ``CHOICES`` is a ConfigError naming its key.
 
-    Range checks are left to the config dataclasses.
+    Range checks are left to the config dataclasses; only the seeds' is
+    made here, so a bad seed aborts the whole suite before any run.
     """
     opts = dict(raw)
     if "topology" in opts:  # build_topology takes any letter case
@@ -267,7 +268,7 @@ def _coerce_options(label: str, raw: dict) -> dict:
                 "targets_seed"):
         if key in opts:
             opts[key] = coerce(key, int, "an integer")
-    for key in ("a", "b", "mu", "noise_sigma", "fstar_tol"):
+    for key in ("a", "b", "noise_sigma", "fstar_tol"):
         if key in opts:
             opts[key] = coerce(key, float, "a number")
     if "gamma" in opts and opts["gamma"].strip().lower() != "auto":
@@ -280,6 +281,9 @@ def _coerce_options(label: str, raw: dict) -> dict:
             raise ConfigError(f"[{label}]: empty seeds list")
         if len(set(seeds)) != len(seeds):
             raise ConfigError(f"[{label}]: seeds must be distinct")
+        if not all(0 <= seed < 2**64 for seed in seeds):  # streams.stream's key range
+            raise ConfigError(
+                f"[{label}]: seeds must be non-negative 64-bit integers, got {opts['seeds']!r}")
         opts["seeds"] = seeds
     else:
         opts["seeds"] = [0]
@@ -288,7 +292,7 @@ def _coerce_options(label: str, raw: dict) -> dict:
 
 def _build_matrix(o: dict) -> GossipMatrix:
     return build_topology(
-        _require(o.get("topology"), "topology"), o.get("n"),
+        o.get("topology", "ring"), o.get("n"),
         o.get("torus_rows"), o.get("torus_cols"), o.get("edges_file"),
     )
 
@@ -350,7 +354,7 @@ def build_optimize(spec: ExperimentSpec, seed: int):
             a = o["a"]
         else:  # the requirement run_optimization checks a against
             a = theoretical_a(objective, matrix, averaging, gossip["compression"])
-        schedule = TheoreticalSchedule(mu=o.get("mu", objective.constants()[0]), a=a)
+        schedule = TheoreticalSchedule(mu=objective.constants()[0], a=a)
     elif schedule_name == "practical":
         m = objective.samples_per_node * matrix.n if isinstance(objective, LogisticObjective) else 1
         schedule = PracticalSchedule(a=o.get("a", 0.1), b=o.get("b", float(d)), m=m)

@@ -125,12 +125,21 @@ class TestSuiteFile:
         ("seeds", "1 x", "integers"),
         ("gamma", "fast", "a number or auto"),
         ("targets_seed", "1.5", "an integer"),
+        ("seeds", "-1", "non-negative 64-bit integers"),
     ])
-    def test_coercion_error_names_section_and_key(self, tmp_path, key, text, expected):
+    def test_coercion_error_names_section_and_key(self, tmp_path, capsys, key, text, expected):
         path = tmp_path / "suite.ini"
         path.write_text(f"[x]\nkind = optimize\n{key} = {text}\n")
         with pytest.raises(ConfigError, match=rf"^\[x\]: {key} must be {expected}, got '{text}'$"):
             parse_suite_file(path)
+        # the flag's text goes through the same coercion; both exit 2 before any run
+        flag = "--seed" if key == "seeds" else "--" + key.replace("_", "-")
+        for label, argv in [("x", ["--config", str(path), "--out-dir", str(tmp_path / "res")]),
+                            ("optimize", [flag, text])]:
+            assert cli.main(["optimize", *argv]) == 2
+            message = f"[{label}]: {key} must be {expected}, got '{text}'"
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("kind, key", [
         ("consensus", "topology"),
@@ -578,9 +587,25 @@ class TestCli:
         assert code == 1
         assert "error: all grid points diverged" in capsys.readouterr().err
 
+    def test_seed_flag_takes_one_seed(self, capsys):
+        assert cli.main(["consensus", "--n", "4", "--d", "3", "--seed", "1,2"]) == 2
+        assert capsys.readouterr().err == "error: --seed takes one seed, got '1,2'\n"
+
     def test_missing_dimension_is_config_error(self, capsys):
         assert cli.main(["consensus", "--n", "4"]) == 2
         assert "missing required key 'd'" in capsys.readouterr().err
+
+    def test_below_requirement_warning_is_one_stable_line(self, tmp_path, capsys):
+        argv = "optimize --topology full --n 4 --d 6 --schedule theoretical --a 5 --iters 3"
+        assert cli.main(argv.split()) == 0
+        warning = "warning: schedule parameter a = 5.0 is below the theoretical requirement 410\n"
+        assert capsys.readouterr().err == warning
+        # two seeds warn twice; the message is printed once
+        config = tmp_path / "suite.ini"
+        config.write_text("[x]\nkind = optimize\ntopology = full\nn = 4\nd = 6\n"
+                          "schedule = theoretical\na = 5\niters = 3\nseeds = 1 2\n")
+        assert cli.main(["optimize", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == warning
 
     @pytest.mark.parametrize("kind", ["consensus", "optimize"])
     def test_dimension_below_one_is_config_error(self, kind, capsys):
@@ -621,6 +646,10 @@ SAME_RUN = {
         "data_path = {data}\npartition = sorted\nschedule = practical\na = 0.2\n"
         "b = 8\nfstar_tol = 1e-9\niters = 20\nseeds = 4\n",
     ),
+    "consensus-default-topology": (  # both paths default to a ring
+        "consensus --n 5 --d 4 --iters 6 --seed 1",
+        "kind = consensus\nn = 5\nd = 4\niters = 6\nseeds = 1\n",
+    ),
 }
 
 
@@ -641,10 +670,15 @@ def test_cli_run_equals_one_section_suite(name, tmp_path, capsys):
     assert (tmp_path / "cli.csv").read_bytes() == suite_csv.read_bytes()
 
 
-@pytest.mark.parametrize("kind", ["consensus", "optimize"])
+@pytest.mark.parametrize("kind", ["consensus", "optimize", "sweep"])
 def test_flags_are_suite_keys_without_defaults(kind):
     args = vars(cli.build_parser().parse_args([kind]))
     dests = set(args) - {"command", "func"}
-    assert dests - SUITE_KEYS[kind] <= {"config", "out_dir", "out", "seed"}
+    if kind == "sweep":  # the grid sets the round budget and the schedule
+        keys = SUITE_KEYS["optimize"] - {"iters", "eval_every", "schedule", "a", "b"}
+        own = {"seed", "a_exp_min", "a_exp_max", "epochs"}
+    else:
+        keys, own = SUITE_KEYS[kind], {"config", "out_dir", "out", "seed"}
+    assert dests == keys - {"kind", "seeds"} | own
     # every default of a suite key lives in the suite's builders
-    assert {key for key in dests & SUITE_KEYS[kind] if args[key] is not None} == {"topology"}
+    assert {key for key in dests & keys if args[key] is not None} == set()
