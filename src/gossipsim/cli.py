@@ -19,7 +19,9 @@ the suite's own coercion, so a bad value is reported as in a suite file
 ``--seed`` (0) has a default of its own; the suite's builders supply every
 other, ``topology = ring`` included.  Both also accept ``--config
 suite.ini --out-dir results/`` to run every matching experiment section of
-a suite file (one CSV per seed plus a summary per experiment).  ``sweep``
+a suite file (one CSV per seed plus a summary per experiment); the sections
+set everything else, so a suite-key flag, ``--out`` or ``--seed`` next to
+``--config`` is a configuration error.  ``sweep``
 takes the ``optimize`` flags except those of the keys its grid sets
 (``iters``, ``eval_every``, ``schedule``, ``a``, ``b``), and writes nothing.
 
@@ -54,13 +56,16 @@ _HELP = {
 }
 
 
+def _flag(key: str) -> str:
+    return "--data" if key == "data_path" else "--" + key.replace("_", "-")
+
+
 def _add_suite_flags(p: argparse.ArgumentParser, keys: set[str]) -> None:
     """One text flag per suite key; ``_spec`` parses them as a suite file's."""
     for key in sorted(keys - {"kind", "seeds"}):
-        p.add_argument("--data" if key == "data_path" else "--" + key.replace("_", "-"),
-                       dest=key, choices=harness.CHOICES.get(key), help=_HELP.get(key),
-                       type=str.lower if key == "topology" else None)
-    p.add_argument("--seed", default="0", help="the run's one seed")
+        p.add_argument(_flag(key), dest=key, choices=harness.CHOICES.get(key),
+                       help=_HELP.get(key), type=str.lower if key == "topology" else None)
+    p.add_argument("--seed", help="the run's one seed (default 0)")
 
 
 def _spec(args, kind: str) -> tuple[harness.ExperimentSpec, int]:
@@ -69,7 +74,8 @@ def _spec(args, kind: str) -> tuple[harness.ExperimentSpec, int]:
         key: value for key, value in vars(args).items()
         if key in harness.SUITE_KEYS[kind] and value is not None
     }
-    options = harness._coerce_options(args.command, {**raw, "seeds": args.seed})
+    seed = "0" if args.seed is None else args.seed
+    options = harness._coerce_options(args.command, {**raw, "seeds": seed})
     if len(options["seeds"]) != 1:
         raise harness.ConfigError(f"--seed takes one seed, got {args.seed!r}")
     return harness.ExperimentSpec(args.command, kind, options), options["seeds"][0]
@@ -77,6 +83,10 @@ def _spec(args, kind: str) -> tuple[harness.ExperimentSpec, int]:
 
 def _cmd_run(args) -> int:
     if args.config:
+        ignored = [_flag(key) for key, value in vars(args).items() if value is not None
+                   and key in {*harness.SUITE_KEYS[args.command], "out", "seed"}]
+        if ignored:
+            raise harness.ConfigError(f"--config takes no {', '.join(ignored)}")
         return _run_suite(args, args.command)
     result = harness.run_experiment(*_spec(args, args.command))
     if args.out:

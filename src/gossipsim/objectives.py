@@ -65,7 +65,6 @@ __all__ = [
     "Objective",
     "solve_reference",
     "power_iteration",
-    "sigma_bar_squared",
 ]
 
 
@@ -224,21 +223,13 @@ class QuadraticObjective:
         diffs = x[:, None] - self.targets
         return 0.5 * float(np.sum(diffs**2)) / self.n_nodes
 
-    def local_value(self, node: int, x: np.ndarray) -> float:
-        return 0.5 * float(np.sum((x - self.targets[:, node]) ** 2))
-
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return x - self.targets.mean(axis=1)
 
-    def local_gradient(self, node: int, x: np.ndarray) -> np.ndarray:
-        return x - self.targets[:, node]
-
     def stochastic_gradients(self, X: np.ndarray, rng_for: RngFor) -> np.ndarray:
-        """Column i is node i's stochastic gradient at ``X[:, i]``."""
-        return self._noisy_gradients(X - self.targets, rng_for)
-
-    def _noisy_gradients(self, G: np.ndarray, rng_for: RngFor) -> np.ndarray:
-        """Adds column i's noise, drawn from ``rng_for(i)``, to ``G`` in place."""
+        """Column i is node i's stochastic gradient at ``X[:, i]``; its noise
+        is drawn from ``rng_for(i)``."""
+        G = X - self.targets
         if self.noise_sigma > 0.0:
             Z = np.empty(G.shape[::-1])  # one row of draws per column of G
             for i in range(G.shape[1]):
@@ -290,34 +281,17 @@ class LogisticObjective:
     def samples_per_node(self) -> int:
         return max(len(s) for s in self.shards)
 
-    def _losses(self, rows: sp.csr_matrix, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
-        margins = labels * (rows @ x)
-        return np.logaddexp(0.0, -margins)
-
     def value(self, x: np.ndarray) -> float:
-        losses = self._losses(self.dataset.features, self.dataset.labels, x)
-        return float(np.mean(losses) + self.l2 * np.dot(x, x))
-
-    def local_value(self, node: int, x: np.ndarray) -> float:
-        idx = self.shards[node]
-        losses = self._losses(self.dataset.features[idx], self.dataset.labels[idx], x)
+        margins = self.dataset.labels * (self.dataset.features @ x)
+        losses = np.logaddexp(0.0, -margins)
         return float(np.mean(losses) + self.l2 * np.dot(x, x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Exact gradient of the full objective over all m samples."""
-        return self._subset_gradient(
-            self.dataset.features, self._features_t, self.dataset.labels, x
-        )
-
-    def local_gradient(self, node: int, x: np.ndarray) -> np.ndarray:
-        idx = self.shards[node]
-        rows = self.dataset.features[idx]
-        return self._subset_gradient(rows, rows.T, self.dataset.labels[idx], x)
-
-    def _subset_gradient(self, rows, rows_t, labels, x):
-        margins = labels * (rows @ x)
+        labels = self.dataset.labels
+        margins = labels * (self.dataset.features @ x)
         coef = -labels * self._expit(-margins)  # -b * sigma(-b a.x)
-        grad = np.asarray(rows_t @ coef).ravel() / rows.shape[0]
+        grad = np.asarray(self._features_t @ coef).ravel() / self.dataset.m
         return grad + 2.0 * self.l2 * x
 
     def stochastic_gradients(self, X: np.ndarray, rng_for: RngFor) -> np.ndarray:
@@ -418,22 +392,3 @@ def synthetic_classification(m: int, d: int, seed: int = 0, flip: float = 0.05) 
 
     return Dataset(features=sp.csr_matrix(features), labels=labels)
 
-
-def sigma_bar_squared(objective: Objective, x: np.ndarray) -> float:
-    """Empirical ``(1/n) sum_i E_j ||grad_j - grad_i||^2`` at a point.
-
-    Exhaustive over shard samples, so intended for desk-scale shards only.
-    Quadratic objectives report their configured artificial variance.
-    """
-    if isinstance(objective, QuadraticObjective):
-        return objective.noise_sigma**2
-    total = 0.0
-    for i, shard in enumerate(objective.shards):
-        mean_grad = objective.local_gradient(i, x)
-        samples = shard.tolist()
-        grads = objective._sample_gradients(np.tile(x[:, None], (1, len(samples))), samples)
-        acc = 0.0
-        for g in grads.T:
-            acc += float(np.sum((g - mean_grad) ** 2))
-        total += acc / len(samples)
-    return total / objective.n_nodes

@@ -23,14 +23,13 @@ maintained alongside.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compression import CompressionSpec, Identity
-from .consensus import DIVERGENCE_FACTOR, DivergenceError, Gossip, GossipScheme
+from .consensus import DIVERGENCE_FACTOR, DivergenceError, Gossip, GossipScheme, _check_gossip
 from .objectives import Objective
 from .records import OptimizeRecord
 from .streams import StreamPool, tag_code
@@ -41,9 +40,7 @@ _GRAD_TAG = tag_code("grad")
 __all__ = [
     "TheoreticalSchedule",
     "PracticalSchedule",
-    "theoretical_stepsize",
     "theoretical_a",
-    "blackbox_stepsize_requirement",
     "ExactAveraging",
     "TrackingAveraging",
     "SgdConfig",
@@ -51,9 +48,6 @@ __all__ = [
     "sgd_round",
     "run_optimization",
 ]
-
-THEORY_STEPSIZE_NUMERATOR = 410.0
-THEORY_KAPPA_FACTOR = 16.0
 
 
 @dataclass(frozen=True)
@@ -82,36 +76,17 @@ class PracticalSchedule:
 Schedule = TheoreticalSchedule | PracticalSchedule
 
 
-def theoretical_stepsize(
-    mu: float, big_l: float, delta: float, omega: float, t: int
-) -> tuple[float, float]:
-    """``(eta_t, a)`` with ``a = max(410/(delta^2 omega), 16 L/mu)``.
-
-    This is the specialization of :func:`blackbox_stepsize_requirement` to
-    the tracking averaging scheme, whose contraction parameter is
-    ``p = delta^2 omega / 82`` (so ``5/p = 410/(delta^2 omega)``).
-    """
-    if min(mu, big_l, delta, omega) <= 0:
-        raise ValueError("mu, L, delta and omega must be positive")
-    a = max(THEORY_STEPSIZE_NUMERATOR / (delta**2 * omega), THEORY_KAPPA_FACTOR * big_l / mu)
-    return 4.0 / (mu * (a + t)), a
-
-
 def theoretical_a(objective: Objective, matrix: GossipMatrix, averaging: str,
                   compression: CompressionSpec) -> float:
-    """The requirement ``a`` of :func:`theoretical_stepsize` for one run,
-    with ``omega = 1`` for exact averaging."""
+    """The schedule parameter ``a = max(5/p, 16 L/mu)`` the theory asks of one
+    run, at the tracking rate ``p = delta^2 omega / 82`` (so ``5/p =
+    410/(delta^2 omega)``), with ``omega = 1`` for exact averaging."""
     mu, big_l = objective.constants()
+    delta = matrix.delta
     omega = compression.omega(objective.dim) if averaging == "tracking" else 1.0
-    return theoretical_stepsize(mu, big_l, matrix.delta, omega, 0)[1]
-
-
-def blackbox_stepsize_requirement(p: float, mu: float, big_l: float) -> float:
-    """Smallest schedule parameter ``a = max(5/p, 16 L/mu)`` valid for any
-    average-preserving scheme that contracts the Lyapunov function at rate p."""
-    if min(p, mu, big_l) <= 0:
-        raise ValueError("p, mu and L must be positive")
-    return max(5.0 / p, THEORY_KAPPA_FACTOR * big_l / mu)
+    if min(mu, big_l, delta, omega) <= 0:
+        raise ValueError("mu, L, delta and omega must be positive")
+    return max(410.0 / (delta**2 * omega), 16.0 * big_l / mu)
 
 
 class ExactAveraging(Gossip):
@@ -124,23 +99,14 @@ class ExactAveraging(Gossip):
                  compression: CompressionSpec = Identity(), seed: int = 0):
         super().__init__(GossipScheme.EXACT, matrix, gamma, compression, seed)
 
-    @property
-    def p(self) -> float:
-        return self.gamma * self.matrix.delta
-
 
 class TrackingAveraging(Gossip):
     """Compressed-correction averaging with public estimates ``Y = x_hat``
     and running aggregates ``S = Y @ W`` (kept incrementally)."""
 
     def __init__(self, matrix: GossipMatrix, gamma: float, compression: CompressionSpec,
-                 d: int, seed: int = 0):
+                 seed: int = 0):
         super().__init__(GossipScheme.TRACKING, matrix, gamma, compression, seed)
-        self.omega = compression.omega(d)
-
-    @property
-    def p(self) -> float:
-        return self.matrix.delta**2 * self.omega / 82.0
 
     def apply(self, x_half, t):
         received, own, bits = self.exchange(x_half, t)
@@ -152,9 +118,6 @@ class TrackingAveraging(Gossip):
         x_new = np.multiply(received, self.gamma, order="C")
         x_new += work
         return x_new, bits
-
-
-AveragingScheme = ExactAveraging | TrackingAveraging
 
 
 @dataclass(frozen=True)
@@ -173,6 +136,7 @@ class SgdConfig:
     def __post_init__(self):
         if self.averaging not in ("exact", "tracking"):
             raise ValueError(f"unknown averaging {self.averaging!r}")
+        _check_gossip(GossipScheme(self.averaging), self.gamma, self.compression)
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.eval_every < 1:
@@ -189,38 +153,28 @@ class OptimizationResult:
     avg_subopt: float
     s_total: float
     f_star: float
-    empirical_g: float
 
 
 def sgd_round(
     x: np.ndarray,
     objective: Objective,
     eta: float,
-    averaging: AveragingScheme,
+    averaging: Gossip,
     t: int,
     pool: StreamPool,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One decentralized SGD round: gradient half-step, then one gossip
     round.  Node i's gradient draws come from the ``(averaging.seed, i, t,
-    "grad")`` stream.  Returns the new iterates, payload bits per node and
-    the largest gradient norm seen."""
+    "grad")`` stream.  Returns the new iterates and payload bits per node."""
     def rng_for(i):
         return pool.get(averaging.seed, node=i, round_=t, tag=_GRAD_TAG)
 
     grads = objective.stochastic_gradients(x, rng_for)
-    # a correctly rounded square root is monotone, so it commutes with max
-    max_grad = math.sqrt((grads * grads).sum(axis=0).max())
     x_half = x - eta * grads
     x_new, payloads = averaging.apply(x_half, t)
     if not np.isfinite(x_new).all():
         raise DivergenceError(t, float("inf"))
-    return x_new, payloads, max_grad
-
-
-def build_averaging(config: SgdConfig, d: int) -> AveragingScheme:
-    if config.averaging == "exact":
-        return ExactAveraging(config.matrix, config.gamma, config.compression, config.seed)
-    return TrackingAveraging(config.matrix, config.gamma, config.compression, d, config.seed)
+    return x_new, payloads
 
 
 def _check_theory_precondition(config: SgdConfig, objective: Objective) -> None:
@@ -257,7 +211,8 @@ def run_optimization(
             f"but the gossip matrix has {matrix.n} nodes and initial X dimension {d}"
         )
 
-    scheme = build_averaging(config, d)
+    averaging = TrackingAveraging if config.averaging == "tracking" else ExactAveraging
+    scheme = averaging(config.matrix, config.gamma, config.compression, config.seed)
     _check_theory_precondition(config, objective)
     f_star = config.f_star
     if f_star is None:
@@ -273,7 +228,6 @@ def run_optimization(
 
     records: list[OptimizeRecord] = []
     bits = 0
-    empirical_g = 0.0
     initial_subopt = None
     pool = StreamPool()
 
@@ -295,8 +249,7 @@ def run_optimization(
         weighted_sum += w * xbar
         total += w
         eta = config.schedule.eta(t)
-        x, payloads, g = sgd_round(x, objective, eta, scheme, t, pool)
-        empirical_g = max(empirical_g, g)
+        x, payloads = sgd_round(x, objective, eta, scheme, t, pool)
         bits += int(np.dot(degrees, payloads))
 
     if total <= 0:
@@ -309,5 +262,4 @@ def run_optimization(
         avg_subopt=objective.value(x_avg) - f_star,
         s_total=total,
         f_star=f_star,
-        empirical_g=empirical_g,
     )

@@ -31,28 +31,20 @@ def tag_code(tag: str) -> int:
     return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
 
 
-def _check(seed: int, node: int, round_: int) -> None:
-    if not (0 <= seed < _U64 and 0 <= node < _U64 and 0 <= round_ < _U64):
-        raise ValueError("seed, node and round_ must be in [0, 2**64)")
-
-
 def stream(seed: int, *, node: int = 0, round_: int = 0, tag: str = "") -> np.random.Generator:
     """Fresh generator for ``(seed, node, round_, tag)``.
 
     Distinct keys give statistically independent streams; equal keys give
     identical draws regardless of what else has been consumed.
     """
-    _check(seed, node, round_)
-    counter = np.array([0, 0, round_, tag_code(tag)], dtype=np.uint64)
-    key = np.array([seed, node], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return StreamPool().get(seed, node=node, round_=round_, tag=tag)
 
 
 class StreamPool:
     """Re-keyable generator for hot loops.
 
     ``get`` returns the same ``Generator`` object re-seeded to the requested
-    address, producing draws bit-identical to :func:`stream`.  The handle is
+    address; :func:`stream` is a fresh pool's one handle.  The handle is
     invalidated by the next ``get`` call, so consume it immediately.  One
     pool belongs to one single-threaded loop.
     """
@@ -77,7 +69,8 @@ class StreamPool:
         }
 
     def get(self, seed: int, *, node: int = 0, round_: int = 0, tag: str | int = "") -> np.random.Generator:
-        _check(seed, node, round_)
+        if not (0 <= seed < _U64 and 0 <= node < _U64 and 0 <= round_ < _U64):
+            raise ValueError("seed, node and round_ must be in [0, 2**64)")
         self._counter[2] = round_
         self._counter[3] = tag if isinstance(tag, int) else tag_code(tag)
         self._key[0] = seed

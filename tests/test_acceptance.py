@@ -247,13 +247,13 @@ def test_criterion_08_identity_tracking_reduces_to_plain():
         x0 = stream(seed, tag="init").standard_normal((d, 9))
         sched = PracticalSchedule(a=0.05, b=float(d), m=1)
         plain = ExactAveraging(RING9, gamma=1.0, seed=seed)
-        tracked = TrackingAveraging(RING9, 1.0, Identity(), d, seed)
+        tracked = TrackingAveraging(RING9, 1.0, Identity(), seed)
         xp = xt = x0
         pool_a, pool_b = StreamPool(), StreamPool()
         for t in range(rounds):
             eta = sched.eta(t)
-            xp, _, _ = sgd_round(xp, objective, eta, plain, t, pool_a)
-            xt, _, _ = sgd_round(xt, objective, eta, tracked, t, pool_b)
+            xp, _ = sgd_round(xp, objective, eta, plain, t, pool_a)
+            xt, _ = sgd_round(xt, objective, eta, tracked, t, pool_b)
             assert np.max(np.abs(xp - xt)) <= 1e-12, t
 
 

@@ -187,7 +187,7 @@ class TestNonfiniteInputRejected:
             gossip.apply(poisoned(bad, column), 0)
 
     def test_tracking_averaging(self, bad, column):
-        scheme = TrackingAveraging(RING5, 0.5, Qsgd(4), 6, seed=1)
+        scheme = TrackingAveraging(RING5, 0.5, Qsgd(4), seed=1)
         with pytest.raises(ValueError, match="nonfinite"):
             scheme.apply(poisoned(bad, column), 0)
 

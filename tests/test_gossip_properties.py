@@ -105,9 +105,7 @@ def test_identity_tracking_equals_exact_every_round(graph, gamma, rounds, d, dat
 @given(data=st.data())
 def test_tracking_averaging_is_tracking_gossip(data):
     gossip, x, rounds = data.draw(runs(TRACKING))
-    averaging = TrackingAveraging(
-        gossip.matrix, gossip.gamma, gossip.compression, x.shape[0], gossip.seed
-    )
+    averaging = TrackingAveraging(gossip.matrix, gossip.gamma, gossip.compression, gossip.seed)
     for t in range(rounds):
         got, got_bits = averaging.apply(x, t)
         want, want_bits = gossip.apply(x, t)

@@ -464,6 +464,25 @@ class TestCli:
         # only consensus sections ran under the consensus subcommand
         assert not (tmp_path / "res" / "sgd-quad_summary.csv").exists()
 
+    @pytest.mark.parametrize("kind,flags", [
+        ("consensus", ["--n", "50", "--seed", "5", "--out", "o.csv"]),
+        ("consensus", ["--scheme", "tracking"]),
+        ("consensus", ["--seed", "0"]),
+        ("optimize", ["--data", "train.svm", "--noise-sigma", "0.5"]),
+        ("optimize", ["--out", "o.csv"]),
+    ])
+    def test_config_rejects_flags_it_ignores(self, kind, flags, tmp_path, capsys):
+        # the suite file's sections set everything; a flag beside --config
+        # would otherwise be dropped without a word
+        config = tmp_path / "suite.ini"
+        config.write_text(SUITE)
+        code = cli.main([kind, "--config", str(config), "--out-dir", str(tmp_path / "res"),
+                         *flags])
+        assert code == 2
+        named = ", ".join(f for f in flags if f.startswith("--"))
+        assert capsys.readouterr().err == f"error: --config takes no {named}\n"
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_suite_kind_mismatch_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "suite.ini"
         config.write_text("[only-avg]\nkind = consensus\ntopology = ring\nn = 4\nd = 4\niters = 2\n")

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from gossipsim.objectives import (
     Dataset,
@@ -15,7 +16,6 @@ from gossipsim.objectives import (
     partition,
     power_iteration,
     serialize_libsvm,
-    sigma_bar_squared,
     solve_reference,
     synthetic_classification,
 )
@@ -68,6 +68,24 @@ def shard_gradients(obj, node, x):
         obj.stochastic_gradients(X, lambda i: Pick(pos if i == node else 0))[:, node]
         for pos in range(len(obj.shards[node]))
     ]
+
+
+def shard_rows(obj, node):
+    idx = obj.shards[node]
+    return obj.dataset.features[idx].toarray(), obj.dataset.labels[idx]
+
+
+def shard_value(obj, node, x):
+    """``node``'s shard-local objective: mean logistic loss over its shard
+    plus the full regularizer."""
+    a, b = shard_rows(obj, node)
+    return float(np.mean(np.logaddexp(0.0, -b * (a @ x))) + obj.l2 * np.dot(x, x))
+
+
+def shard_gradient(obj, node, x):
+    """Gradient of :func:`shard_value`: ``mean_j -b_j sigma(-b_j <a_j, x>) a_j + 2 l2 x``."""
+    a, b = shard_rows(obj, node)
+    return a.T @ (-b * expit(-b * (a @ x))) / len(b) + 2.0 * obj.l2 * x
 
 
 class TestParseLibsvm:
@@ -245,7 +263,7 @@ class TestLogistic:
         x = stream(6).standard_normal(obj.dim)
         for node in range(obj.n_nodes):
             mean = np.mean(shard_gradients(obj, node, x), axis=0)
-            np.testing.assert_allclose(mean, obj.local_gradient(node, x), atol=1e-12)
+            np.testing.assert_allclose(mean, shard_gradient(obj, node, x), atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         obj = small_logistic(n_nodes=3)
@@ -254,8 +272,8 @@ class TestLogistic:
             x = rng.standard_normal(obj.dim)
             fd = finite_difference_gradient(lambda z: obj.value(z), x)
             np.testing.assert_allclose(obj.gradient(x), fd, atol=1e-6)
-            fd_local = finite_difference_gradient(lambda z: obj.local_value(1, z), x)
-            np.testing.assert_allclose(obj.local_gradient(1, x), fd_local, atol=1e-6)
+            fd_local = finite_difference_gradient(lambda z: shard_value(obj, 1, z), x)
+            np.testing.assert_allclose(shard_gradient(obj, 1, x), fd_local, atol=1e-6)
 
     def test_constants_single_sample(self):
         ds = parse_libsvm(io.StringIO("+1 1:2.0\n"), n_features=2)
@@ -287,7 +305,7 @@ class TestLogistic:
         obj = LogisticObjective(ds, partition(ds, 1, "sorted"))
         x = np.array([1e4])
         assert np.isfinite(obj.value(x))
-        assert np.isfinite(obj.local_gradient(0, x)).all()
+        assert np.isfinite(obj.gradient(x)).all()
         assert all(np.isfinite(g).all() for g in shard_gradients(obj, 0, x))
 
 
@@ -332,19 +350,6 @@ class TestSolveReference:
         assert np.linalg.norm(obj.gradient(x_star)) <= 1e-10
         fd = finite_difference_gradient(lambda z: obj.value(z), x_star)
         assert np.max(np.abs(fd)) <= 1e-6
-
-
-def test_sigma_bar_matches_brute_force():
-    obj = small_logistic(n_nodes=2)
-    x = stream(10).standard_normal(obj.dim)
-    got = sigma_bar_squared(obj, x)
-    total = 0.0
-    for i in range(obj.n_nodes):
-        grads = shard_gradients(obj, i, x)
-        mean = obj.local_gradient(i, x)
-        total += np.mean([np.sum((g - mean) ** 2) for g in grads])
-    assert got == pytest.approx(total / 2.0, rel=1e-12)
-    assert sigma_bar_squared(QuadraticObjective(np.zeros((2, 2)), noise_sigma=3.0), x[:2]) == 9.0
 
 
 def test_synthetic_classification_properties():

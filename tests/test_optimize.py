@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,16 +15,22 @@ from gossipsim.optimize import (
     SgdConfig,
     TheoreticalSchedule,
     TrackingAveraging,
-    blackbox_stepsize_requirement,
     run_optimization,
     sgd_round,
-    theoretical_stepsize,
+    theoretical_a,
 )
 from gossipsim.streams import StreamPool, stream
 from gossipsim.topology import FullyConnected, Ring, build_gossip_matrix
 
 RING9 = build_gossip_matrix(Ring(9))
 FC9 = build_gossip_matrix(FullyConnected(9))
+
+
+def requirement(mu, big_l, delta, omega):
+    """``theoretical_a`` of a tracking run with these constants."""
+    objective = SimpleNamespace(constants=lambda: (mu, big_l), dim=1)
+    return theoretical_a(objective, SimpleNamespace(delta=delta), "tracking",
+                         SimpleNamespace(omega=lambda d: omega))
 
 
 def quad_objective(d, n, seed=31, noise=0.0):
@@ -55,31 +62,42 @@ class TestSchedules:
 
 class TestTheoreticalStepsize:
     def test_perfect_network_floor(self):
-        eta0, a = theoretical_stepsize(1.0, 1.0, 1.0, 1.0, 0)
+        a = requirement(1.0, 1.0, 1.0, 1.0)
         assert a == 410.0
-        assert eta0 == pytest.approx(4.0 / 410.0)
+        assert TheoreticalSchedule(mu=1.0, a=a).eta(0) == pytest.approx(4.0 / 410.0)
 
     def test_condition_number_dominates(self):
-        _, a = theoretical_stepsize(1.0, 100.0, 1.0, 1.0, 0)
-        assert a == 1600.0
+        assert requirement(1.0, 100.0, 1.0, 1.0) == 1600.0
 
     def test_compression_raises_requirement(self):
-        _, a = theoretical_stepsize(1.0, 1.0, 0.5, 0.1, 0)
-        assert a == pytest.approx(410.0 / (0.25 * 0.1))
+        assert requirement(1.0, 1.0, 0.5, 0.1) == pytest.approx(410.0 / (0.25 * 0.1))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            theoretical_stepsize(0.0, 1.0, 1.0, 1.0, 0)
+        for constants in ((0.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, 1.0), (1.0, 1.0, 0.0, 1.0),
+                          (1.0, 1.0, 1.0, 0.0)):
+            with pytest.raises(ValueError, match="must be positive"):
+                requirement(*constants)
 
     def test_blackbox_form_agrees_with_tracking_form(self):
         # with the tracking contraction p = delta^2 omega / 82 the generic
-        # requirement 5/p equals 410/(delta^2 omega)
+        # requirement max(5/p, 16 L/mu) equals max(410/(delta^2 omega), 16 L/mu)
         for delta, om in ((1.0, 1.0), (0.2, 0.05), (0.6, 0.3)):
             p = delta**2 * om / 82.0
-            generic = blackbox_stepsize_requirement(p, mu=1.0, big_l=1.0)
-            _, specialized = theoretical_stepsize(1.0, 1.0, delta, om, 0)
-            assert generic == pytest.approx(specialized, rel=1e-12)
-        assert blackbox_stepsize_requirement(0.9, mu=1.0, big_l=100.0) == 1600.0
+            assert requirement(1.0, 1.0, delta, om) == pytest.approx(5.0 / p, rel=1e-12)
+
+    @pytest.mark.parametrize("objective,matrix,averaging,compression,bits", [
+        (QuadraticObjective(np.zeros((6, 4))), build_gossip_matrix(FullyConnected(4)),
+         "exact", Identity(), "0x1.9a00000000000p+8"),
+        (QuadraticObjective(np.zeros((4, 9))), RING9, "tracking", TopK(1),
+         "0x1.07577b161d28bp+16"),
+        (QuadraticObjective(np.zeros((5, 7))), build_gossip_matrix(Ring(7)), "tracking",
+         TopK(1), "0x1.fc659d0a4a3cep+14"),
+    ])
+    def test_pinned_values(self, objective, matrix, averaging, compression, bits):
+        # the theoretical schedule's a reaches every theoretical CSV through
+        # eta_t; on ring7 at omega = 1/5, 5/(delta^2 omega/82) and
+        # 410/delta^2/omega round differently from 410/(delta^2 omega)
+        assert theoretical_a(objective, matrix, averaging, compression).hex() == bits
 
 
 class TestAveragedIterate:
@@ -118,19 +136,19 @@ class TestAveragedIterate:
 class TestAveragingSchemes:
     def test_exact_preserves_average_and_contracts(self):
         scheme = ExactAveraging(RING9, gamma=0.7)
-        assert scheme.p == pytest.approx(0.7 * RING9.delta)
+        p = 0.7 * RING9.delta  # p = gamma delta
         x = stream(5, tag="psi").standard_normal((24, 9))
         y = np.zeros_like(x)
         for t in range(50):
             x2, payloads = scheme.apply(x, t)
             y2 = x2  # exact gossip publishes the iterates themselves
             np.testing.assert_allclose(x2.mean(axis=1), x.mean(axis=1), atol=1e-12)
-            assert psi(x2, y2) <= (1.0 - scheme.p) * psi(x, y)
+            assert psi(x2, y2) <= (1.0 - p) * psi(x, y)
             np.testing.assert_array_equal(payloads, np.full(9, 24 * 32))
             x, y = x2, y2
 
     def test_tracking_preserves_average(self):
-        scheme = TrackingAveraging(RING9, 0.4, TopK(3), d=24)
+        scheme = TrackingAveraging(RING9, 0.4, TopK(3))
         x = stream(6, tag="psi").standard_normal((24, 9))
         for t in range(50):
             x, payloads = scheme.apply(x, t)
@@ -142,16 +160,14 @@ class TestAveragingSchemes:
     def test_tracking_lyapunov_contraction_deterministic(self):
         d = 24
         spec = TopK(3)
-        scheme = TrackingAveraging(
-            RING9, tracking_stepsize(RING9.delta, 3 / 24, RING9.beta), spec, d
-        )
-        assert scheme.p == pytest.approx(RING9.delta**2 * (3 / 24) / 82.0)
+        scheme = TrackingAveraging(RING9, tracking_stepsize(RING9.delta, 3 / 24, RING9.beta), spec)
+        p = RING9.delta**2 * (3 / 24) / 82.0  # p = delta^2 omega / 82
         x = stream(7, tag="psi").standard_normal((d, 9))
         y = np.zeros_like(x)
         for t in range(200):
             x2, _ = scheme.apply(x, t)
             y2 = scheme.x_hat
-            assert psi(x2, y2) <= (1.0 - scheme.p) * psi(x, y) + 1e-12
+            assert psi(x2, y2) <= (1.0 - p) * psi(x, y) + 1e-12
             x, y = x2, y2
 
     def test_tracking_lyapunov_contraction_random_mean(self):
@@ -161,7 +177,7 @@ class TestAveragingSchemes:
         gamma = tracking_stepsize(RING9.delta, 3 / 24, RING9.beta)
         ratios = np.zeros(rounds)
         for seed in range(20):
-            scheme = TrackingAveraging(RING9, gamma, spec, d, seed)
+            scheme = TrackingAveraging(RING9, gamma, spec, seed)
             x = stream(seed, tag="psi").standard_normal((d, 9))
             y = np.zeros_like(x)
             for t in range(rounds):
@@ -170,7 +186,8 @@ class TestAveragingSchemes:
                 ratios[t] += psi(x2, y2) / psi(x, y)
                 x, y = x2, y2
         ratios /= 20.0
-        assert np.max(ratios) <= 1.0 - 0.8 * scheme.p
+        p = RING9.delta**2 * (3 / 24) / 82.0  # p = delta^2 omega / 82
+        assert np.max(ratios) <= 1.0 - 0.8 * p
 
 
 class TestReductions:
@@ -179,14 +196,14 @@ class TestReductions:
         objective = quad_objective(d, 9, noise=0.5)
         x0 = stream(seed, tag="init").standard_normal((d, 9))
         plain = ExactAveraging(RING9, gamma=1.0, seed=seed)
-        tracked = TrackingAveraging(RING9, 1.0, Identity(), d, seed)
+        tracked = TrackingAveraging(RING9, 1.0, Identity(), seed)
         xp = xt = x0
         sched = PracticalSchedule(a=0.05, b=float(d), m=1)
         pool_a, pool_b = StreamPool(), StreamPool()
         for t in range(rounds):
             eta = sched.eta(t)
-            xp, _, _ = sgd_round(xp, objective, eta, plain, t, pool_a)
-            xt, _, _ = sgd_round(xt, objective, eta, tracked, t, pool_b)
+            xp, _ = sgd_round(xp, objective, eta, plain, t, pool_a)
+            xt, _ = sgd_round(xt, objective, eta, tracked, t, pool_b)
             assert np.max(np.abs(xp - xt)) <= 1e-12
 
     def test_fully_connected_plain_equals_minibatch_oracle(self):
@@ -297,7 +314,6 @@ class TestRunOptimization:
         for rec in result.records:
             assert rec.bits == rec.iter * per_round
         assert all(b.bits >= a.bits for a, b in zip(result.records, result.records[1:]))
-        assert result.empirical_g > 0 and math.isfinite(result.empirical_g)
 
     def test_full_payload_bits_for_exact_averaging(self):
         d = 16
@@ -321,6 +337,13 @@ class TestRunOptimization:
         with pytest.raises(ValueError, match="fstar_tol"):
             SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1), fstar_tol=tol)
 
+    @pytest.mark.parametrize("averaging", ["exact", "tracking"])
+    @pytest.mark.parametrize("gamma", [0.0, 2.0, math.nan])
+    def test_gamma_checked_at_construction(self, averaging, gamma):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1),
+                      averaging=averaging, gamma=gamma)
+
     def test_theory_precondition_warns(self):
         objective = quad_objective(4, 9)
         sched = TheoreticalSchedule(mu=1.0, a=10.0)  # far below 410/(delta^2)
@@ -338,7 +361,8 @@ class TestRunOptimization:
             "averaging": averaging, "compression": compression, "seeds": [0],
         })
         config, objective, x0 = build_optimize(spec, 0)
-        assert config.schedule.a == theoretical_stepsize(1.0, 1.0, RING9.delta, omega, 0)[1]
+        # a = max(410/(delta^2 omega), 16 L/mu) with mu = L = 1
+        assert config.schedule.a == max(410.0 / (RING9.delta**2 * omega), 16.0 * 1.0 / 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_optimization(config, objective, x0)

@@ -3,9 +3,8 @@
 ``argpartition_top_k`` is the index-based selection that ``TopK.apply``
 replaced with a threshold; ``per_column_logistic`` is the logistic oracle
 with one scatter per column; ``reference_sgd_round`` and ``reference_run``
-spell the round and the loop with the ``mean``, ``np.max``/``np.sqrt``/
-``np.sum`` and ``np.all`` calls and the ``AveragedIterate`` class they used
-before.  ``AllocatingGossip`` and ``allocating_run_consensus`` are the gossip
+spell the round and the loop with the ``mean`` and ``np.all`` calls and the
+``AveragedIterate`` class they used before.  ``AllocatingGossip`` and ``allocating_run_consensus`` are the gossip
 kernel and the consensus loop from before the kernel owned its round
 buffers: every operator and every expression allocates its result.  The
 current code must match each byte for byte, memory order included, so no
@@ -41,10 +40,10 @@ from gossipsim.consensus import (
 )
 from gossipsim.objectives import Dataset, LogisticObjective, QuadraticObjective
 from gossipsim.optimize import (
+    ExactAveraging,
     PracticalSchedule,
     SgdConfig,
     TrackingAveraging,
-    build_averaging,
     run_optimization,
     sgd_round,
 )
@@ -134,12 +133,17 @@ def reference_sgd_round(x, objective, eta, averaging, t):
         grads = per_column_logistic(objective, x, rng_for)
     else:
         grads = objective.stochastic_gradients(x, rng_for)
-    max_grad = float(np.max(np.sqrt(np.sum(grads**2, axis=0))))
     x_half = x - eta * grads
     x_new, payloads = averaging.apply(x_half, t)
     if not np.all(np.isfinite(x_new)):
         raise DivergenceError(t, float("inf"))
-    return x_new, payloads, max_grad
+    return x_new, payloads
+
+
+def averaging_for(config):
+    """The averaging scheme ``run_optimization`` builds for ``config``."""
+    scheme = TrackingAveraging if config.averaging == "tracking" else ExactAveraging
+    return scheme(config.matrix, config.gamma, config.compression, config.seed)
 
 
 class AveragedIterate:
@@ -159,10 +163,10 @@ class AveragedIterate:
 
 def reference_run(config, objective, x0):
     x = x0.copy()
-    scheme = build_averaging(config, x.shape[0])
+    scheme = averaging_for(config)
     averaged = AveragedIterate(config.schedule.a, x.shape[0])
     degrees = np.asarray(config.matrix.degrees)
-    records, bits, empirical_g = [], 0, 0.0
+    records, bits = [], 0
     for t in range(config.iters + 1):
         xbar = x.mean(axis=1)
         if t == config.iters or t % config.eval_every == 0:
@@ -173,12 +177,10 @@ def reference_run(config, objective, x0):
         if t == config.iters:
             break
         averaged.update(t, xbar)
-        x, payloads, g = reference_sgd_round(x, objective, config.schedule.eta(t), scheme, t)
-        empirical_g = max(empirical_g, g)
+        x, payloads = reference_sgd_round(x, objective, config.schedule.eta(t), scheme, t)
         bits += int(np.dot(degrees, payloads))
     x_avg = averaged.value()
-    return records, x, x_avg, objective.value(x_avg) - config.f_star, averaged.weight_total, \
-        empirical_g
+    return records, x, x_avg, objective.value(x_avg) - config.f_star, averaged.weight_total
 
 
 @st.composite
@@ -240,17 +242,15 @@ def with_argpartition_top_k(config):
 @given(sgd_cases())
 def test_sgd_round_matches_earlier_expressions(case):
     config, objective, x = case
-    d = x.shape[0]
-    scheme = build_averaging(config, d)
-    reference = build_averaging(with_argpartition_top_k(config), d)
+    scheme = averaging_for(config)
+    reference = averaging_for(with_argpartition_top_k(config))
     want_x, pool = x, StreamPool()
     for t in range(config.iters):
         eta = config.schedule.eta(t)
-        x, bits, max_grad = sgd_round(x, objective, eta, scheme, t, pool)
-        want_x, want_bits, want_max = reference_sgd_round(want_x, objective, eta, reference, t)
+        x, bits = sgd_round(x, objective, eta, scheme, t, pool)
+        want_x, want_bits = reference_sgd_round(want_x, objective, eta, reference, t)
         assert same_bits(x, want_x)
         assert same_bits(bits, want_bits)
-        assert type(max_grad) is float and max_grad.hex() == want_max.hex()
 
 
 @settings(max_examples=100, deadline=None)
@@ -258,15 +258,13 @@ def test_sgd_round_matches_earlier_expressions(case):
 def test_run_optimization_matches_earlier_loop(case):
     config, objective, x0 = case
     result = run_optimization(config, objective, x0)
-    records, final_x, x_avg, avg_subopt, s_total, empirical_g = reference_run(
+    records, final_x, x_avg, avg_subopt, s_total = reference_run(
         with_argpartition_top_k(config), objective, x0
     )
     assert repr(result.records) == repr(records)
     assert same_bits(result.final_x, final_x)
     assert same_bits(result.x_avg, x_avg)
-    assert repr((result.avg_subopt, result.s_total, result.empirical_g)) == repr(
-        (avg_subopt, s_total, empirical_g)
-    )
+    assert repr((result.avg_subopt, result.s_total)) == repr((avg_subopt, s_total))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +477,7 @@ def test_gossip_and_tracking_averaging_rounds_match_allocating_kernel(case):
         config.scheme, *args, config.seed)
     tracking = config.scheme is GossipScheme.TRACKING
     if tracking:
-        averaging = TrackingAveraging(*args, x.shape[0], config.seed)
+        averaging = TrackingAveraging(*args, config.seed)
         want_averaging = AllocatingGossip(config.scheme, *args, config.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.iters):

@@ -119,3 +119,15 @@ def test_pool_draws_do_not_depend_on_prior_consumption(
     got = DRAWS[draw](pool.get(seed, node=node, round_=round_, tag=key))
     want = DRAWS[draw](stream(seed, node=node, round_=round_, tag=tag))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(address=ADDRESSES, draw=st.sampled_from(sorted(DRAWS)))
+def test_stream_is_the_documented_philox_address(address, draw):
+    # key (seed, node), starting counter (0, 0, round, tag), as the module says
+    seed, node, round_, tag = address
+    philox = np.random.Philox(counter=np.array([0, 0, round_, tag_code(tag)], dtype=np.uint64),
+                              key=np.array([seed, node], dtype=np.uint64))
+    got = DRAWS[draw](stream(seed, node=node, round_=round_, tag=tag))
+    want = DRAWS[draw](np.random.Generator(philox))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
