@@ -261,7 +261,7 @@ class RescaledUnbiased(CompressionSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if isinstance(self.inner, (TopK, RescaledUnbiased)):
+        if type(self.inner).natural_tau is CompressionSpec.natural_tau:
             raise ValueError(
                 f"inner operator {type(self.inner).__name__} has no unbiased rescaling"
             )

@@ -228,6 +228,9 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     ``sum_i (||x_i - xbar||^2 + ||x_i - xhat_i^(t+1)||^2)`` (equal to the
     error for schemes without estimates), cumulative transmitted bits of
     the rounds already completed, and the drift of the iterate mean.
+    Every round, round ``T`` included, runs its exchange; round ``T``'s
+    serves only the final Lyapunov value, and the loop stops before its
+    move, so its bits are not counted.
 
     The iterates are updated in place in a copy of ``initial_x``, which
     ``final_x`` holds.
@@ -251,31 +254,18 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     records: list[ConsensusRecord] = []
     bits = 0
     for t in range(config.iters + 1):
-        final = t == config.iters
-        evaluate = final or t % config.eval_every == 0
-        error = lyap = drift = None
+        evaluate = t == config.iters or t % config.eval_every == 0
         if evaluate:
             error = _squared_error(x, target[:, None], work)
             drift = float(np.linalg.norm(x.mean(axis=1) - target))
             if not np.isfinite(error) or error > limit:
                 raise DivergenceError(t, error)
-            lyap = error
-        if final:
-            if tracking:
-                # Lyapunov pairs x^(T) with the estimate the round-T
-                # correction would produce; nothing downstream is advanced.
-                q, _ = gossip.messages(np.subtract(x, gossip.x_hat, out=work), t)
-                lyap = error + _squared_error(x, np.add(gossip.x_hat, q, out=work), work)
-            records.append(ConsensusRecord(t, error, lyap, bits, drift))
-            break
-
         received, own, payloads = gossip.exchange(x, t)
-
         if evaluate:
-            if tracking:
-                lyap = error + _squared_error(x, gossip.x_hat, work)
+            lyap = error + _squared_error(x, gossip.x_hat, work) if tracking else error
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
-
+        if t == config.iters:
+            break
         x += gossip.move(received, own)
         if t == 0 and not x.flags.c_contiguous:
             # from round 1 on the iterates are C-ordered like x @ W, whatever

@@ -470,17 +470,19 @@ def grid_search(
 ) -> tuple[float, float, float]:
     """Pick ``(a, b)`` minimizing final suboptimality after a fixed budget.
 
-    Every grid point runs for ``budget_epochs`` epochs (one epoch covers the
-    dataset once: ``ceil(m / n)`` rounds).  Diverged points are skipped; if
-    everything diverged the search aborts listing them.  Ties break toward
-    smaller ``a`` then smaller ``b``.
+    Every grid point is ``base`` with only its practical schedule's ``a``
+    and ``b`` replaced, run for ``budget_epochs`` epochs of
+    ``samples_per_node`` rounds, so a run of ``base`` at the chosen point
+    repeats its result.  Diverged points are skipped; if everything
+    diverged the search aborts listing them.  Ties break toward smaller
+    ``a`` then smaller ``b``.
     """
     if grid.budget_epochs < 1:
         raise ValueError("budget_epochs must be >= 1")
+    if not isinstance(base.schedule, PracticalSchedule):
+        raise ValueError("grid search varies a practical schedule")
     d = initial_x.shape[0]
-    n = base.matrix.n
-    m_total = objective.samples_per_node * n
-    iters = max(1, grid.budget_epochs * math.ceil(m_total / n))
+    iters = grid.budget_epochs * objective.samples_per_node
     _, f_star = solve_reference(objective, base.fstar_tol)
 
     best = None
@@ -488,7 +490,7 @@ def grid_search(
     for a in grid.a_values():
         for b in grid.b_values(d):
             config = replace(
-                base, schedule=PracticalSchedule(a=a, b=b, m=m_total),
+                base, schedule=replace(base.schedule, a=a, b=b),
                 iters=iters, eval_every=iters, f_star=f_star,
             )
             try:
@@ -563,14 +565,14 @@ def _check_tracking_rate() -> CheckOutcome:
 
 def _check_mixing() -> list[CheckOutcome]:
     outcomes = []
-    topologies = [Ring(4), Ring(8), Ring(16), Torus(3, 3), Torus(4, 4), FullyConnected(9)]
-    for kind in topologies:
-        matrix = build_gossip_matrix(kind)
+    graphs = [(Ring, 4), (Ring, 8), (Ring, 16), (Torus, 3, 3), (Torus, 4, 4), (FullyConnected, 9)]
+    for kind, *args in graphs:
+        matrix = build_gossip_matrix(kind(*args))
         worst = -math.inf
         for k in range(51):
             bound = (1.0 - matrix.delta) ** k + 1e-9
             worst = max(worst, mixing_contraction(matrix.weights, k) - bound)
-        name = type(kind).__name__.lower() + str(matrix.n)
+        name = kind.__name__.lower() + str(matrix.n)
         outcomes.append(CheckOutcome("mixing", name, worst <= 0.0, worst, 0.0))
     return outcomes
 

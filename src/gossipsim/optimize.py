@@ -171,10 +171,9 @@ def sgd_round(
 
     grads = objective.stochastic_gradients(x, rng_for)
     x_half = x - eta * grads
-    x_new, payloads = averaging.apply(x_half, t)
-    if not np.isfinite(x_new).all():
+    if not np.isfinite(x_half).all():  # before it reaches a compressor, which rejects it
         raise DivergenceError(t, float("inf"))
-    return x_new, payloads
+    return averaging.apply(x_half, t)
 
 
 def _check_theory_precondition(config: SgdConfig, objective: Objective) -> None:
@@ -241,7 +240,8 @@ def run_optimization(
             records.append(OptimizeRecord(t, subopt, dispersion, bits, eta))
             if initial_subopt is None:
                 initial_subopt = abs(subopt)
-            elif abs(subopt) > DIVERGENCE_FACTOR * max(initial_subopt, 1.0):
+            limit = DIVERGENCE_FACTOR * max(initial_subopt, 1.0)
+            if not np.isfinite(subopt) or abs(subopt) > limit:
                 raise DivergenceError(t, subopt)
         if final:
             break

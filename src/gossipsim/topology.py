@@ -1,5 +1,11 @@
 """Communication graphs and their mixing matrices.
 
+A graph is a :class:`Graph`: a node count and a list of undirected edges.
+``Ring``, ``Torus`` and ``FullyConnected`` build the standard ones and
+:func:`read_edge_list` loads any other; they differ only in their edges,
+which :func:`build_gossip_matrix` normalizes the same way for every graph
+(self-loops dropped, each pair stored once as ``(min, max)``, sorted).
+
 A mixing matrix ``W`` is symmetric, doubly stochastic, and supported on the
 edges of a connected graph (self-loops included).  The quantities that
 govern gossip convergence are
@@ -12,7 +18,7 @@ for every neighbor j and for ``i`` itself, where ``deg`` counts non-self
 neighbors.  The self-loop keeps the smallest eigenvalue away from ``-1``
 (plain ``1/deg`` weights have ``delta = 0`` on even rings), which the
 simulator requires.  Uniform weights stay doubly stochastic only on regular
-graphs, so irregular custom graphs are rejected.
+graphs, so irregular graphs are rejected.
 """
 
 from __future__ import annotations
@@ -23,11 +29,10 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "Graph",
     "Ring",
     "Torus",
     "FullyConnected",
-    "Custom",
-    "TopologyKind",
     "GossipMatrix",
     "build_gossip_matrix",
     "spectral_quantities",
@@ -40,43 +45,37 @@ STOCHASTIC_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class Ring:
-    n: int
+class Graph:
+    """Nodes ``0 .. n-1`` and undirected edges ``(i, j)``, in any order and
+    orientation; repeats and self-loops are allowed."""
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"ring needs n >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Torus:
-    rows: int
-    cols: int
-
-    def __post_init__(self):
-        if self.rows < 3 or self.cols < 3:
-            raise ValueError(
-                f"torus needs rows, cols >= 3 so wrap edges are distinct, "
-                f"got {self.rows}x{self.cols}"
-            )
-
-
-@dataclass(frozen=True)
-class FullyConnected:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"fully connected graph needs n >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Custom:
     n: int
     edges: tuple[tuple[int, int], ...]
 
 
-TopologyKind = Ring | Torus | FullyConnected | Custom
+def Ring(n: int) -> Graph:
+    if n < 1:
+        raise ValueError(f"ring needs n >= 1, got {n}")
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def Torus(rows: int, cols: int) -> Graph:
+    if rows < 3 or cols < 3:
+        raise ValueError(
+            f"torus needs rows, cols >= 3 so wrap edges are distinct, got {rows}x{cols}"
+        )
+    edges = []
+    for a in range(rows):
+        for b in range(cols):
+            i = a * cols + b
+            edges += [(i, a * cols + (b + 1) % cols), (i, ((a + 1) % rows) * cols + b)]
+    return Graph(rows * cols, tuple(edges))
+
+
+def FullyConnected(n: int) -> Graph:
+    if n < 1:
+        raise ValueError(f"fully connected graph needs n >= 1, got {n}")
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 @dataclass(frozen=True)
@@ -92,38 +91,6 @@ class GossipMatrix:
     beta: float
     edges: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...]
-
-
-def _edge_set(kind: TopologyKind) -> tuple[int, tuple[tuple[int, int], ...]]:
-    if isinstance(kind, Ring):
-        n = kind.n
-        edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n) if i != (i + 1) % n}
-        return n, tuple(sorted(edges))
-    if isinstance(kind, Torus):
-        r, c = kind.rows, kind.cols
-        n = r * c
-        edges = set()
-        for a in range(r):
-            for b in range(c):
-                i = a * c + b
-                for j in (a * c + (b + 1) % c, ((a + 1) % r) * c + b):
-                    if i != j:
-                        edges.add(tuple(sorted((i, j))))
-        return n, tuple(sorted(edges))
-    if isinstance(kind, FullyConnected):
-        n = kind.n
-        return n, tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    if isinstance(kind, Custom):
-        n = kind.n
-        seen = set()
-        for i, j in kind.edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n = {n}")
-            if i == j:
-                continue  # self-loops are implied at every node
-            seen.add(tuple(sorted((i, j))))
-        return n, tuple(sorted(seen))
-    raise TypeError(f"unknown topology kind {kind!r}")
 
 
 def _check_connected(n: int, edges) -> None:
@@ -145,31 +112,34 @@ def _check_connected(n: int, edges) -> None:
         raise ValueError(f"graph is disconnected: reached {len(seen)} of {n} nodes")
 
 
-def build_gossip_matrix(kind: TopologyKind) -> GossipMatrix:
-    """Uniform-averaging mixing matrix for the given topology.
+def build_gossip_matrix(graph: Graph) -> GossipMatrix:
+    """Uniform-averaging mixing matrix of ``graph``.
 
-    Raises if the graph is disconnected or (for ``Custom``) irregular, in
-    which case symmetric doubly stochastic uniform weights do not exist.
+    Raises if an edge leaves ``range(n)`` or the graph is disconnected or
+    irregular, in which case symmetric doubly stochastic uniform weights do
+    not exist.
     """
-    n, edges = _edge_set(kind)
+    n = graph.n
+    pairs = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    if pairs.size and (lo.min() < 0 or hi.max() >= n):
+        i, j = next((i, j) for i, j in graph.edges if not (0 <= i < n and 0 <= j < n))
+        raise ValueError(f"edge ({i}, {j}) out of range for n = {n}")
+    adjacent = np.zeros((n, n), dtype=bool)  # upper triangle: each pair once as (min, max)
+    adjacent[lo, hi] = True
+    np.fill_diagonal(adjacent, False)  # self-loops are implied at every node
+    lo, hi = np.nonzero(adjacent)  # row-major, so the pairs come sorted
+    edges = tuple(zip(lo.tolist(), hi.tolist()))
     _check_connected(n, edges)
 
-    degrees = np.zeros(n, dtype=int)
-    for i, j in edges:
-        degrees[i] += 1
-        degrees[j] += 1
-    if n > 1 and isinstance(kind, Custom) and len(set(degrees.tolist())) != 1:
-        raise ValueError(
-            "custom graph is not regular; uniform weights would not be doubly stochastic"
-        )
+    degrees = np.bincount(np.concatenate([lo, hi]), minlength=n)
+    if degrees.min() != degrees.max():
+        raise ValueError("graph is not regular; uniform weights would not be doubly stochastic")
 
+    w = 1.0 / (degrees + 1.0)
     weights = np.zeros((n, n))
-    for i, j in edges:
-        w = 1.0 / (degrees[i] + 1)
-        weights[i, j] = w
-        weights[j, i] = w
-    for i in range(n):
-        weights[i, i] = 1.0 / (degrees[i] + 1)
+    weights[lo, hi] = weights[hi, lo] = w[lo]
+    np.fill_diagonal(weights, w)
 
     delta, beta = spectral_quantities(weights)
     if delta <= 0.0:
@@ -181,7 +151,7 @@ def build_gossip_matrix(kind: TopologyKind) -> GossipMatrix:
         delta=delta,
         beta=beta,
         edges=edges,
-        degrees=tuple(int(x) for x in degrees),
+        degrees=tuple(degrees.tolist()),
     )
 
 
@@ -228,8 +198,9 @@ def mixing_contraction(weights: np.ndarray, k: int) -> float:
     return float(np.linalg.norm(wk - np.ones((n, n)) / n, 2))
 
 
-def read_edge_list(path: str | Path, n: int | None = None) -> Custom:
-    """Load a custom topology from a text file of ``i j`` pairs, 0-indexed."""
+def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
+    """Load a graph from a text file of ``i j`` pairs, 0-indexed; ``n``
+    defaults to one more than the largest node id."""
     edges = []
     max_node = -1
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -249,4 +220,4 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Custom:
         max_node = max(max_node, i, j)
     if not edges:
         raise ValueError(f"{path}: no edges found")
-    return Custom(n=n if n is not None else max_node + 1, edges=tuple(edges))
+    return Graph(n if n is not None else max_node + 1, tuple(edges))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gossipsim.compression import (
+    CompressionSpec,
     Identity,
     Qsgd,
     RandGossip,
@@ -314,6 +315,17 @@ class TestSpecValidation:
             RescaledUnbiased(TopK(3))
         with pytest.raises(ValueError):
             Identity(value_bits=0)
+
+    def test_rescaling_needs_the_inner_natural_tau(self):
+        class Halve(CompressionSpec):  # a contraction with no unbiased rescaling
+            def omega(self, d):
+                return 0.75
+
+        for inner in (TopK(3), Halve(), RescaledUnbiased(RandK(2))):
+            with pytest.raises(ValueError,
+                               match=f"inner operator {type(inner).__name__} has no unbiased"):
+                RescaledUnbiased(inner)
+        assert RescaledUnbiased(Qsgd(4)).omega(16) == 1.0 / qsgd_tau(4, 16)
 
     def test_helpers(self):
         assert resolve_k(0.01, 2000) == 20

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gossipsim.harness import (
     theory_check,
 )
 from gossipsim.objectives import QuadraticObjective, serialize_libsvm, synthetic_classification
-from gossipsim.optimize import PracticalSchedule, SgdConfig, run_optimization
+from gossipsim.optimize import PracticalSchedule, SgdConfig, TheoreticalSchedule, run_optimization
 from gossipsim.records import OptimizeRecord, format_value, write_rows_csv
 from gossipsim.streams import stream
 from gossipsim.topology import Ring, build_gossip_matrix
@@ -358,6 +359,11 @@ class TestGridSearch:
         with pytest.raises(RuntimeError, match="diverged"):
             grid_search(base, grid, objective, np.zeros((6, 9)))
 
+    def test_needs_a_practical_schedule(self):
+        base = replace(self.make_base(), schedule=TheoreticalSchedule(mu=1.0, a=100.0))
+        with pytest.raises(ValueError, match="practical schedule"):
+            grid_search(base, GridSpec(), self.quad(6, 9), np.zeros((6, 9)))
+
     def test_selected_a_within_one_notch_of_fine_grid(self):
         # oracle: a 10x finer logarithmic grid evaluated the same way
         base = self.make_base()
@@ -584,6 +590,25 @@ class TestCli:
         ])
         assert code == 0
         assert "best a=" in capsys.readouterr().out
+
+    def test_sweep_result_is_reproduced_by_optimize(self, capsys):
+        flags = ["--topology", "ring", "--n", "9", "--d", "6", "--noise-sigma", "0.5"]
+        assert cli.main(["sweep", *flags, "--epochs", "20"]) == 0
+        best = dict(field.split("=") for field in capsys.readouterr().out.split()[1:])
+        # a quadratic epoch is one round: each node holds one sample
+        assert cli.main(["optimize", *flags, "--a", best["a"], "--b", best["b"],
+                         "--iters", "20", "--eval-every", "20"]) == 0
+        run = dict(field.split("=") for field in capsys.readouterr().out.split())
+        assert run["subopt"] == best["final_subopt"]
+
+    def test_diverging_choco_sgd_is_a_divergence(self, capsys):
+        code = cli.main([
+            "optimize", "--topology", "ring", "--n", "9", "--d", "6", "--averaging", "tracking",
+            "--compression", "top_k:2", "--gamma", "0.1", "--schedule", "practical",
+            "--a", "1e6", "--b", "1", "--iters", "2000", "--eval-every", "5000",
+        ])
+        assert code == 1
+        assert "error: run diverged" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [
         "--config=suite.ini", "--out-dir=res", "--out=run.csv", "--iters=5",

@@ -331,6 +331,18 @@ class TestRunOptimization:
             run_optimization(config, objective, np.zeros((4, 9)))
         assert err.value.iteration >= 0
 
+    def test_nonfinite_subopt_is_a_divergence(self):
+        class NanOffOrigin(QuadraticObjective):  # NaN wherever the iterates have moved
+            def value(self, x):
+                return math.nan if x.any() else super().value(x)
+
+        objective = NanOffOrigin(stream(31, tag="targets").standard_normal((4, 9)))
+        config = SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.05, 4.0, 1),
+                           averaging="exact", iters=20, seed=0, eval_every=5, f_star=0.0)
+        with pytest.raises(DivergenceError) as err:
+            run_optimization(config, objective, np.zeros((4, 9)))
+        assert err.value.iteration == 5
+
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_nonpositive_fstar_tol_rejected(self, tol):
         # a tolerance that can never be met would spin the reference solve

@@ -1,12 +1,16 @@
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipsim.topology import (
-    Custom,
     FullyConnected,
     GossipMatrix,
+    Graph,
     Ring,
     Torus,
     build_gossip_matrix,
@@ -14,6 +18,19 @@ from gossipsim.topology import (
     read_edge_list,
     spectral_quantities,
 )
+
+
+def graphs(*calls):
+    """One param per ``(constructor, *args)``, named by the call, e.g. ``Ring(n=4)``."""
+    def name(ctor, args):
+        params = inspect.signature(ctor).parameters
+        return f"{ctor.__name__}({', '.join(f'{p}={a}' for p, a in zip(params, args))})"
+
+    return [pytest.param(ctor(*args), id=name(ctor, args)) for ctor, *args in calls]
+
+
+STANDARD = graphs((Ring, 4), (Ring, 9), (Ring, 16), (Torus, 3, 3), (Torus, 4, 4),
+                  (FullyConnected, 9))
 
 
 def ring_circulant_eigs(n):
@@ -84,17 +101,23 @@ class TestBuild:
 
     def test_custom_regular_graph(self):
         # 4-cycle given as an explicit edge list
-        m = build_gossip_matrix(Custom(4, ((0, 1), (1, 2), (2, 3), (3, 0))))
+        m = build_gossip_matrix(Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0))))
         ring = build_gossip_matrix(Ring(4))
         np.testing.assert_allclose(m.weights, ring.weights)
 
     def test_custom_irregular_rejected(self):
         with pytest.raises(ValueError, match="regular"):
-            build_gossip_matrix(Custom(3, ((0, 1), (1, 2))))
+            build_gossip_matrix(Graph(3, ((0, 1), (1, 2))))
 
     def test_custom_disconnected_rejected(self):
         with pytest.raises(ValueError, match="disconnected"):
-            build_gossip_matrix(Custom(4, ((0, 1), (2, 3))))
+            build_gossip_matrix(Graph(4, ((0, 1), (2, 3))))
+
+    @pytest.mark.parametrize("edge", [(0, 4), (-1, 2)])
+    def test_edge_out_of_range_rejected(self, edge):
+        # numpy would wrap the negative index, so the range is checked first
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge} out of range for n = 4")):
+            build_gossip_matrix(Graph(4, ((0, 1), edge, (2, 3))))
 
     def test_weights_are_read_only(self):
         m = build_gossip_matrix(Ring(5))
@@ -103,11 +126,7 @@ class TestBuild:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize(
-        "kind",
-        [Ring(4), Ring(9), Ring(16), Torus(3, 3), Torus(4, 4), FullyConnected(9)],
-        ids=str,
-    )
+    @pytest.mark.parametrize("kind", STANDARD)
     def test_symmetric_doubly_stochastic(self, kind):
         m = build_gossip_matrix(kind)
         assert np.array_equal(m.weights, m.weights.T)
@@ -116,11 +135,7 @@ class TestInvariants:
         assert 0.0 < m.delta <= 1.0
         assert 0.0 <= m.beta <= 2.0
 
-    @pytest.mark.parametrize(
-        "kind",
-        [Ring(4), Ring(9), Ring(16), Torus(3, 3), Torus(4, 4), FullyConnected(9)],
-        ids=str,
-    )
+    @pytest.mark.parametrize("kind", STANDARD)
     def test_cached_spectrum_matches_eigensolve(self, kind):
         m = build_gossip_matrix(kind)
         eigs = np.linalg.eigvalsh(m.weights)
@@ -135,10 +150,8 @@ class TestSpectralQuantities:
         delta, beta = spectral_quantities(np.full((n, n), 1.0 / n))
         assert delta == 1.0 and beta == 1.0
 
-    @pytest.mark.parametrize(
-        "kind", [FullyConnected(4), FullyConnected(9), FullyConnected(16), Ring(2), Ring(3)],
-        ids=str,
-    )
+    @pytest.mark.parametrize("kind", graphs((FullyConnected, 4), (FullyConnected, 9),
+                                            (FullyConnected, 16), (Ring, 2), (Ring, 3)))
     def test_complete_graph_gap_is_exactly_one(self, kind):
         m = build_gossip_matrix(kind)  # W is the averaging matrix
         assert m.delta == 1.0 and m.beta == 1.0
@@ -170,22 +183,64 @@ class TestMixingContraction:
         m = build_gossip_matrix(Ring(4))
         assert mixing_contraction(m.weights, 3) <= (1.0 / 3.0) ** 3 + 1e-9
 
-    @pytest.mark.parametrize(
-        "kind",
-        [Ring(4), Ring(8), Ring(16), Torus(3, 3), Torus(4, 4), FullyConnected(9)],
-        ids=str,
-    )
+    @pytest.mark.parametrize("kind", graphs((Ring, 4), (Ring, 8), (Ring, 16), (Torus, 3, 3),
+                                            (Torus, 4, 4), (FullyConnected, 9)))
     def test_bounded_by_contraction_rate(self, kind):
         m = build_gossip_matrix(kind)
         for k in range(0, 51, 5):
             assert mixing_contraction(m.weights, k) <= (1.0 - m.delta) ** k + 1e-9
 
 
+@st.composite
+def scrambled(draw):
+    """A standard graph and the same graph with its edges shuffled, flipped,
+    repeated and mixed with self-loops."""
+    graph = draw(st.one_of(
+        st.integers(1, 12).map(Ring),
+        st.tuples(st.integers(3, 5), st.integers(3, 5)).map(lambda rc: Torus(*rc)),
+        st.integers(1, 8).map(FullyConnected),
+    ))
+    edges = list(graph.edges)
+    if edges:
+        edges += draw(st.lists(st.sampled_from(graph.edges), max_size=6))
+    edges += [(i, i) for i in draw(st.lists(st.integers(0, graph.n - 1), max_size=3))]
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(j, i) if flip else (i, j) for (i, j), flip in zip(edges, flips)]
+    return graph, Graph(graph.n, tuple(draw(st.permutations(edges))))
+
+
+def loop_reference(graph):
+    """Normalized edges and uniform weights of ``graph``, one edge at a time."""
+    edges = sorted({(min(i, j), max(i, j)) for i, j in graph.edges if i != j})
+    degrees = [0] * graph.n
+    for i, j in edges:
+        degrees[i] += 1
+        degrees[j] += 1
+    weights = np.zeros((graph.n, graph.n))
+    for i, j in edges:
+        weights[i, j] = weights[j, i] = 1.0 / (degrees[i] + 1)
+    for i in range(graph.n):
+        weights[i, i] = 1.0 / (degrees[i] + 1)
+    return tuple(edges), tuple(degrees), weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(scrambled())
+def test_edge_list_normalization(pair):
+    graph, variant = pair
+    m, v = build_gossip_matrix(graph), build_gossip_matrix(variant)
+    assert v.weights.tobytes() == m.weights.tobytes()
+    assert (v.delta, v.beta, v.edges, v.degrees) == (m.delta, m.beta, m.edges, m.degrees)
+    edges, degrees, weights = loop_reference(variant)
+    assert (v.edges, v.degrees) == (edges, degrees)
+    assert v.weights.tobytes() == weights.tobytes()
+
+
 def test_read_edge_list(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("# square\n0 1\n1 2\n2 3\n3 0\n")
     kind = read_edge_list(path)
-    assert kind == Custom(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+    assert kind == Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
     m = build_gossip_matrix(kind)
     assert isinstance(m, GossipMatrix) and m.n == 4
 
