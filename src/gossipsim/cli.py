@@ -109,7 +109,7 @@ def _cmd_sweep(args) -> int:
         budget_epochs=args.epochs,
     )
     a, b, final = harness.grid_search(base, grid, objective, x0)
-    print(f"best a={a:g} b={b:g} final_subopt={final:.6e}")
+    print(f"best a={a!r} b={b!r} final_subopt={final:.6e}")  # a and b rerun exactly
     return EXIT_OK
 
 

@@ -34,17 +34,25 @@ logistic oracle gathers the features of every node's sampled row from
 gather (so each margin keeps its summation order) and adds every row's
 loss gradient to ``G`` in one scatter.
 
+The logistic oracles take ``sigma(-t) = 1 / (1 + exp(t))`` from the C
+library's ``exp`` through ``math.exp``, the ``exp`` SciPy's float64
+``expit`` calls, so their bits are ``expit``'s without loading
+``scipy.special``.  ``parse_libsvm`` streams its lines into typed buffers,
+8 bytes per value and per index, and converts each line's tokens in bulk.
+
 SciPy serves only the logistic objective, so it loads on first use there:
-``scipy.sparse`` where ``parse_libsvm`` and ``synthetic_classification``
-build their CSR matrix, and ``scipy.special.expit`` when a
-``LogisticObjective`` is built, which binds it for its oracles.  Importing
-the package, running consensus and the quadratic objective never load it.
+``scipy.sparse``, where ``parse_libsvm`` and ``synthetic_classification``
+build their CSR matrix.  Importing the package, running consensus and the
+quadratic objective never load it, and nothing loads ``scipy.special``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import lt
 from typing import IO, TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -92,41 +100,38 @@ class Dataset:
         return self.features.shape[1]
 
 
+_MAX_INDEX = 2**63 - 1  # the int64 buffer holds indices 1-based
+_ONE_COLON = frozenset({1})  # the colon count of every well-formed token
+
+
 def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None) -> Dataset:
     """Parse LIBSVM text: one ``label idx:val ...`` line per sample.
 
     Labels must parse to +/-1 (0/1 files are remapped to -1/+1); feature
-    indices are 1-based and strictly increasing within a line, and are
-    stored 0-based.  The dimension is the largest index seen unless
-    ``n_features`` overrides it.  Malformed input raises with the offending
-    line number.
+    indices are 1-based, strictly increasing within a line and at most
+    ``2**63 - 1``, and are stored 0-based.  The dimension is the largest
+    index seen unless ``n_features`` overrides it.  Malformed input raises
+    with the offending line number.
+
+    Lines stream into typed buffers (8 bytes per value and per index), and
+    each line's tokens are converted in bulk; see :func:`_parse_features`.
     """
-    data, indices, indptr, labels = [], [], [0], []
+    data, labels = array("d"), array("d")
+    indices, indptr = array("q"), array("q", [0])  # 1-based until the end
     max_index = 0
-    lineno = 0
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        label = _parse_label(parts[0], lineno)
-        prev = 0
-        for token in parts[1:]:
-            try:
-                idx_s, val_s = token.split(":", 1)
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: malformed feature {token!r}") from exc
-            if idx < 1:
-                raise ValueError(f"line {lineno}: indices are 1-based, got {idx}")
-            if idx <= prev:
-                raise ValueError(f"line {lineno}: indices must be strictly increasing")
-            prev = idx
-            indices.append(idx - 1)
-            data.append(val)
-        max_index = max(max_index, prev)
-        labels.append(label)
+        label, *tokens = line.split()
+        labels.append(_parse_label(label, lineno))
+        if tokens:
+            idx, vals = _parse_features(tokens, lineno)
+            if idx[-1] > _MAX_INDEX:
+                raise ValueError(f"line {lineno}: index {idx[-1]} is above {_MAX_INDEX}")
+            max_index = max(max_index, idx[-1])
+            indices.extend(idx)
+            data.extend(vals)
         indptr.append(len(data))
     if not labels:
         raise ValueError("empty LIBSVM stream")
@@ -137,11 +142,48 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
         raise ValueError("dataset has no features; pass n_features")
     import scipy.sparse as sp  # see the module docstring on SciPy
 
+    zero_based = np.frombuffer(indices, dtype=np.int64)
+    zero_based -= 1
     features = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        (np.frombuffer(data), zero_based, np.frombuffer(indptr, dtype=np.int64)),
         shape=(len(labels), d),
     )
-    return Dataset(features=features, labels=np.array(labels, dtype=float))
+    return Dataset(features=features, labels=np.frombuffer(labels))
+
+
+def _parse_features(tokens: list[str], lineno: int) -> tuple[list[int], list[float]]:
+    """Indices and values of one line's ``idx:val`` tokens.
+
+    The line is converted in bulk: a shape check that every token holds
+    exactly one ``:``, one ``int`` and one ``float`` map over the halves,
+    and one ``<`` map for the order.  Only a line that fails there is
+    walked token by token, so its error names the first bad token.
+    """
+    if _ONE_COLON.issuperset(map(str.count, tokens, repeat(":"))):
+        halves = ":".join(tokens).split(":")
+        try:
+            idx = list(map(int, halves[::2]))
+            vals = list(map(float, halves[1::2]))
+        except ValueError:
+            pass
+        else:
+            if all(map(lt, chain((0,), idx), idx)):
+                return idx, vals
+    idx, vals, prev = [], [], 0
+    for token in tokens:
+        try:
+            idx_s, val_s = token.split(":", 1)
+            i = int(idx_s)
+            vals.append(float(val_s))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: malformed feature {token!r}") from exc
+        if i < 1:
+            raise ValueError(f"line {lineno}: indices are 1-based, got {i}")
+        if i <= prev:
+            raise ValueError(f"line {lineno}: indices must be strictly increasing")
+        idx.append(i)
+        prev = i
+    return idx, vals
 
 
 def _parse_label(token: str, lineno: int) -> float:
@@ -248,8 +290,6 @@ class LogisticObjective:
     """Sharded l2-regularized logistic regression (see module docstring)."""
 
     def __init__(self, dataset: Dataset, shards: list[np.ndarray]):
-        from scipy.special import expit  # see the module docstring on SciPy
-
         if not shards:
             raise ValueError("at least one shard is required")
         covered = np.sort(np.concatenate(shards))
@@ -261,13 +301,13 @@ class LogisticObjective:
         self.shards = shards
         self.l2 = 1.0 / (2 * dataset.m)
         self._constants: tuple[float, float] | None = None
-        self._expit = expit  # bound here, not imported by the per-round oracles
         csr = dataset.features
         self._features_t = csr.T  # a CSC view sharing the CSR arrays
         self._rows = [
             (csr.indices[csr.indptr[j]:csr.indptr[j + 1]], csr.data[csr.indptr[j]:csr.indptr[j + 1]])
             for j in range(dataset.m)
         ]
+        self._labels = dataset.labels.tolist()
 
     @property
     def dim(self) -> int:
@@ -290,7 +330,7 @@ class LogisticObjective:
         """Exact gradient of the full objective over all m samples."""
         labels = self.dataset.labels
         margins = labels * (self.dataset.features @ x)
-        coef = -labels * self._expit(-margins)  # -b * sigma(-b a.x)
+        coef = -labels * np.fromiter(map(_sigmoid_neg, margins.tolist()), float, len(margins))
         grad = np.asarray(self._features_t @ coef).ravel() / self.dataset.m
         return grad + 2.0 * self.l2 * x
 
@@ -314,13 +354,12 @@ class LogisticObjective:
         feats = X[idx_all, cols_all]  # every sample's features, one gather
         # one BLAS dot per sample on its contiguous slice keeps each
         # margin's summation order
-        dots, lo = np.empty(len(rows)), 0
-        for c, (_, vals) in enumerate(rows):
+        coef, lo = np.empty(len(rows)), 0
+        labels = [self._labels[j] for j in samples]
+        for c, ((_, vals), b) in enumerate(zip(rows, labels)):
             hi = lo + vals.size
-            dots[c] = vals @ feats[lo:hi]
+            coef[c] = -b * _sigmoid_neg(b * (vals @ feats[lo:hi]))  # -b * sigma(-b a.x)
             lo = hi
-        b = self.dataset.labels[samples]
-        coef = -b * self._expit(-b * dots)
         # (row, column) pairs are distinct, so one scatter adds each once
         G[idx_all, cols_all] += np.repeat(coef, sizes) * vals_all
         return G
@@ -336,6 +375,16 @@ class LogisticObjective:
         return self._constants
 
 
+def _sigmoid_neg(margin: float) -> float:
+    """``sigma(-margin) = 1 / (1 + exp(margin))``, bit for bit SciPy's float64
+    ``expit(-margin)``: both call the C library's ``exp``.  Where it
+    overflows to ``inf``, ``math.exp`` raises instead, and the result is 0."""
+    try:
+        return 1.0 / (1.0 + math.exp(margin))
+    except OverflowError:
+        return 0.0
+
+
 Objective = QuadraticObjective | LogisticObjective
 
 
@@ -344,16 +393,17 @@ def power_iteration(matvec, dim: int, tol: float = 1e-6, max_iters: int = 10_000
     v = np.random.Generator(np.random.Philox(np.random.SeedSequence(0))).standard_normal(dim)
     v /= np.linalg.norm(v)
     lam = 0.0
+    w = matvec(v)
     for _ in range(max_iters):
-        w = matvec(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
-        v_new = w / norm
-        lam_new = float(v_new @ matvec(v_new))
+        v = w / norm
+        w = matvec(v)  # gives this step's estimate and the next step's product
+        lam_new = float(v @ w)
         if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
             return lam_new
-        v, lam = v_new, lam_new
+        lam = lam_new
     raise RuntimeError(f"power iteration did not converge in {max_iters} steps")
 
 

@@ -52,6 +52,10 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"graph needs n >= 1, got {self.n}")
+
 
 def Ring(n: int) -> Graph:
     if n < 1:

@@ -13,7 +13,9 @@ from gossipsim.harness import (
     SUITE_KEYS,
     CheckOutcome,
     ConfigError,
+    ExperimentSpec,
     GridSpec,
+    build_optimize,
     grid_search,
     parse_compression,
     parse_suite_file,
@@ -23,7 +25,7 @@ from gossipsim.harness import (
 )
 from gossipsim.objectives import QuadraticObjective, serialize_libsvm, synthetic_classification
 from gossipsim.optimize import PracticalSchedule, SgdConfig, TheoreticalSchedule, run_optimization
-from gossipsim.records import OptimizeRecord, format_value, write_rows_csv
+from gossipsim.records import OptimizeRecord, format_value, write_records_csv, write_rows_csv
 from gossipsim.streams import stream
 from gossipsim.topology import Ring, build_gossip_matrix
 
@@ -591,15 +593,34 @@ class TestCli:
         assert code == 0
         assert "best a=" in capsys.readouterr().out
 
-    def test_sweep_result_is_reproduced_by_optimize(self, capsys):
-        flags = ["--topology", "ring", "--n", "9", "--d", "6", "--noise-sigma", "0.5"]
-        assert cli.main(["sweep", *flags, "--epochs", "20"]) == 0
-        best = dict(field.split("=") for field in capsys.readouterr().out.split()[1:])
-        # a quadratic epoch is one round: each node holds one sample
-        assert cli.main(["optimize", *flags, "--a", best["a"], "--b", best["b"],
-                         "--iters", "20", "--eval-every", "20"]) == 0
-        run = dict(field.split("=") for field in capsys.readouterr().out.split())
-        assert run["subopt"] == best["final_subopt"]
+    def test_sweep_result_is_reproduced_by_optimize(self, capsys, tmp_path):
+        cases = [
+            (9, 0.5, (-3, 1), 20),
+            # the grid's b = 0.1 * 6 is 0.6000000000000001, which once printed as 0.6
+            (4, 1.0, (-3, -1), 4),
+        ]
+        for n, noise, (a_min, a_max), epochs in cases:
+            flags = ["--topology", "ring", "--n", str(n), "--d", "6", "--noise-sigma", str(noise)]
+            assert cli.main(["sweep", *flags, "--a-exp-min", str(a_min),
+                             "--a-exp-max", str(a_max), "--epochs", str(epochs)]) == 0
+            best = dict(field.split("=") for field in capsys.readouterr().out.split()[1:])
+            # a quadratic epoch is one round: each node holds one sample
+            out = tmp_path / "optimize.csv"
+            assert cli.main(["optimize", *flags, "--a", best["a"], "--b", best["b"], "--iters",
+                             str(epochs), "--eval-every", str(epochs), "--out", str(out)]) == 0
+            run = dict(field.split("=") for field in capsys.readouterr().out.split())
+            assert run["subopt"] == best["final_subopt"]
+
+            # the grid point as the grid ran it, in the same bytes
+            base, objective, x0 = build_optimize(ExperimentSpec("sweep", "optimize", {
+                "topology": "ring", "n": n, "d": 6, "noise_sigma": noise, "seeds": [0]}), 0)
+            a, b, _ = grid_search(base, GridSpec(tuple(range(a_min, a_max + 1)),
+                                                 budget_epochs=epochs), objective, x0)
+            config = replace(base, schedule=replace(base.schedule, a=a, b=b),
+                             iters=epochs, eval_every=epochs)
+            grid_csv = tmp_path / "grid.csv"
+            write_records_csv(grid_csv, run_optimization(config, objective, x0).records)
+            assert out.read_bytes() == grid_csv.read_bytes(), (n, a, b, best)
 
     def test_diverging_choco_sgd_is_a_divergence(self, capsys):
         code = cli.main([

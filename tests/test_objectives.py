@@ -14,6 +14,7 @@ from gossipsim.objectives import (
     QuadraticObjective,
     parse_libsvm,
     partition,
+    _sigmoid_neg,
     power_iteration,
     serialize_libsvm,
     solve_reference,
@@ -88,7 +89,124 @@ def shard_gradient(obj, node, x):
     return a.T @ (-b * expit(-b * (a @ x))) / len(b) + 2.0 * obj.l2 * x
 
 
+def parse_libsvm_per_token(source, n_features=None):
+    """``parse_libsvm`` as it was before typed buffers: every token is split,
+    converted and checked on its own, and the nonzeros are Python lists."""
+
+    def parse_label(token, lineno):
+        try:
+            value = float(token)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad label {token!r}") from exc
+        if value in (1.0, -1.0):
+            return value
+        if value == 0.0:
+            return -1.0
+        raise ValueError(f"line {lineno}: label must be +/-1 or 0, got {token!r}")
+
+    data, indices, indptr, labels = [], [], [0], []
+    max_index = 0
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        label = parse_label(parts[0], lineno)
+        prev = 0
+        for token in parts[1:]:
+            try:
+                idx_s, val_s = token.split(":", 1)
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: malformed feature {token!r}") from exc
+            if idx < 1:
+                raise ValueError(f"line {lineno}: indices are 1-based, got {idx}")
+            if idx <= prev:
+                raise ValueError(f"line {lineno}: indices must be strictly increasing")
+            prev = idx
+            indices.append(idx - 1)
+            data.append(val)
+        max_index = max(max_index, prev)
+        labels.append(label)
+        indptr.append(len(data))
+    if not labels:
+        raise ValueError("empty LIBSVM stream")
+    d = n_features if n_features is not None else max_index
+    if d < max_index:
+        raise ValueError(f"n_features = {d} is below the largest index {max_index}")
+    if d < 1:
+        raise ValueError("dataset has no features; pass n_features")
+    features = sp.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(labels), d),
+    )
+    return Dataset(features=features, labels=np.array(labels, dtype=float))
+
+
+LABELS = ["+1", "-1", "1", "0", "1.0", "-1e0", "0.0"]
+BAD_LABELS = ["+2", "spam", "nan", "1:1"]
+VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["-0", ".5", "1e3", "-inf", "1_0", "+2.5E-3"]),
+)
+# each replaces or joins a well-formed token: extra or missing halves and
+# colons, a zero or negative index, an unparsable index or value
+BAD_TOKENS = ["1:2:3", "3:", ":4", ":", "5", "0:1", "-2:1", "x:1", "2:abc", "2:1:"]
+
+
+@st.composite
+def libsvm_lines(draw):
+    """One LIBSVM line: blank, a comment, or a sample with features whose
+    tokens may be corrupted, joined by spaces and tabs."""
+    kind = draw(st.sampled_from(["blank", "comment", "sample", "sample", "sample"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["#", "# a comment", " #1:1"]))
+    label = draw(st.sampled_from(LABELS * 4 + BAD_LABELS))
+    indices = sorted(draw(st.sets(st.integers(1, 12), max_size=6)))
+    tokens = [f"{i}:{draw(VALUES)}" for i in indices]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(tokens)))
+        how = draw(st.sampled_from(["insert", "repeat", "swap"]))
+        if how == "insert":
+            tokens.insert(at, draw(st.sampled_from(BAD_TOKENS)))
+        elif how == "repeat" and tokens:  # the same index twice
+            at = min(at, len(tokens) - 1)
+            tokens.insert(at, tokens[at].split(":")[0] + ":1")
+        elif how == "swap" and len(tokens) > 1:  # a decreasing pair
+            at = min(at, len(tokens) - 2)
+            tokens[at], tokens[at + 1] = tokens[at + 1], tokens[at]
+    seps = st.sampled_from([" ", "\t", "  ", " \t "])
+    line = label + "".join(draw(seps) + token for token in tokens)
+    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " ", "\t"]))
+
+
+def parsed_or_error(parse, lines, n_features):
+    try:
+        ds = parse(lines, n_features=n_features)
+    except ValueError as exc:
+        return str(exc)
+    f = ds.features
+    return [(a.dtype.str, a.tobytes()) for a in (f.data, f.indices, f.indptr, ds.labels)], f.shape
+
+
 class TestParseLibsvm:
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(libsvm_lines(), max_size=6), st.one_of(st.none(), st.integers(0, 14)))
+    def test_matches_the_per_token_parser(self, lines, n_features):
+        # the same Dataset bytes, or the same first error message
+        assert (parsed_or_error(parse_libsvm, lines, n_features)
+                == parsed_or_error(parse_libsvm_per_token, lines, n_features))
+
+    def test_index_beyond_int64_rejected(self):
+        # the per-token parser raised numpy's OverflowError once the file ended
+        big = 2**63
+        with pytest.raises(ValueError, match=f"line 2: index {big} is above {big - 1}"):
+            parse_libsvm(io.StringIO(f"+1 1:1.0\n-1 3:1.0 {big}:2.0\n+1 x\n"))
+
     def test_basic_line(self):
         ds = parse_libsvm(io.StringIO("+1 1:0.5 3:2.0\n"))
         assert ds.m == 1 and ds.d == 3
@@ -300,6 +418,35 @@ class TestLogistic:
         with pytest.raises(ValueError, match="empty shard"):
             LogisticObjective(ds, broken)
 
+    def test_oracle_coefficients_are_expit_bits(self):
+        # every coefficient -b * sigma(-b * margin) against SciPy's float64
+        # expit; the second feature reads the coefficient out exactly
+        edge = math.log(np.finfo(float).max)  # exp overflows just above it
+        near = edge + np.arange(-3, 4) * np.spacing(edge)
+        margins = [0.0, 0.5, 1.0, 10.0, 36.8, 745.2, 1e3, 1e308, 1e-300, *near.tolist()]
+        margins += [-t for t in margins]
+        for label in (1.0, -1.0):
+            for margin in margins:
+                features = sp.csr_matrix(np.array([[margin, 1.0]]))
+                ds = Dataset(features=features, labels=np.array([label]))
+                obj = LogisticObjective(ds, partition(ds, 1, "sorted"))
+                x = np.array([1.0, 0.0])
+                want = float(-label * expit(-label * np.float64(margin))) + 0.0  # 0 + -0 is 0
+                got = (obj.gradient(x)[1],
+                       obj.stochastic_gradients(x[:, None], lambda i: Pick(0))[1, 0])
+                assert [g.hex() for g in got] == [want.hex()] * 2, (label, margin)
+
+    def test_sigmoid_is_expit_bit_for_bit(self):
+        rng = stream(11)
+        t = np.concatenate([
+            rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-300, 308, 20_000),
+            rng.uniform(-750.0, 750.0, 20_000),
+            math.log(np.finfo(float).max) + np.arange(-2000, 2001) * np.spacing(709.0),
+            [0.0, -0.0, np.inf, -np.inf, np.finfo(float).max, -np.finfo(float).max],
+        ])
+        got = np.array([_sigmoid_neg(v) for v in t.tolist()])
+        assert got.tobytes() == expit(-t).tobytes()
+
     def test_stable_for_huge_margins(self):
         ds = parse_libsvm(io.StringIO("+1 1:1.0\n-1 1:1.0\n"))
         obj = LogisticObjective(ds, partition(ds, 1, "sorted"))
@@ -322,6 +469,30 @@ class TestPowerIteration:
         v = np.array([2.0, 0.0])
         mat = np.outer(v, v)
         assert power_iteration(lambda z: mat @ z, 2) == pytest.approx(4.0, rel=1e-6)
+
+    def test_one_product_per_iteration(self):
+        diag = np.array([3.0, 2.0, 1.0, 0.5])
+        calls = []
+
+        def matvec(v):
+            calls.append(v)
+            return diag * v
+
+        # the loop that took two products per iteration, one of them repeated
+        v = np.random.Generator(np.random.Philox(np.random.SeedSequence(0))).standard_normal(4)
+        v /= np.linalg.norm(v)
+        lam, iterations = 0.0, 0
+        while True:
+            iterations += 1
+            w = diag * v
+            v = w / np.linalg.norm(w)
+            lam_new = float(v @ (diag * v))
+            if abs(lam_new - lam) <= 1e-6 * max(1.0, abs(lam_new)):
+                break
+            lam = lam_new
+        got = power_iteration(matvec, 4)
+        assert got.hex() == lam_new.hex() == "0x1.7fffeee1b5cfcp+1"
+        assert len(calls) == iterations + 1
 
     def test_nonconvergence_raises(self):
         mat = np.diag([1.0, 0.99])

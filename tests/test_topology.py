@@ -119,6 +119,11 @@ class TestBuild:
         with pytest.raises(ValueError, match=re.escape(f"edge {edge} out of range for n = 4")):
             build_gossip_matrix(Graph(4, ((0, 1), edge, (2, 3))))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_node_count_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"graph needs n >= 1, got {n}")):
+            build_gossip_matrix(Graph(n, ()))
+
     def test_weights_are_read_only(self):
         m = build_gossip_matrix(Ring(5))
         with pytest.raises(ValueError):
