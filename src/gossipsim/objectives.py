@@ -38,7 +38,7 @@ The logistic oracles take ``sigma(-t) = 1 / (1 + exp(t))`` from the C
 library's ``exp`` through ``math.exp``, the ``exp`` SciPy's float64
 ``expit`` calls, so their bits are ``expit``'s without loading
 ``scipy.special``.  ``parse_libsvm`` streams its lines into typed buffers,
-8 bytes per value and per index, and converts each line's tokens in bulk.
+8 bytes per value and per index.
 
 SciPy serves only the logistic objective, so it loads on first use there:
 ``scipy.sparse``, where ``parse_libsvm`` and ``synthetic_classification``
@@ -51,8 +51,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import lt
 from typing import IO, TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -101,7 +99,6 @@ class Dataset:
 
 
 _MAX_INDEX = 2**63 - 1  # the int64 buffer holds indices 1-based
-_ONE_COLON = frozenset({1})  # the colon count of every well-formed token
 
 
 def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None) -> Dataset:
@@ -111,10 +108,8 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
     indices are 1-based, strictly increasing within a line and at most
     ``2**63 - 1``, and are stored 0-based.  The dimension is the largest
     index seen unless ``n_features`` overrides it.  Malformed input raises
-    with the offending line number.
-
-    Lines stream into typed buffers (8 bytes per value and per index), and
-    each line's tokens are converted in bulk; see :func:`_parse_features`.
+    with the offending line number.  Lines stream into typed buffers,
+    8 bytes per value and per index.
     """
     data, labels = array("d"), array("d")
     indices, indptr = array("q"), array("q", [0])  # 1-based until the end
@@ -123,15 +118,25 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        label, *tokens = line.split()
-        labels.append(_parse_label(label, lineno))
-        if tokens:
-            idx, vals = _parse_features(tokens, lineno)
-            if idx[-1] > _MAX_INDEX:
-                raise ValueError(f"line {lineno}: index {idx[-1]} is above {_MAX_INDEX}")
-            max_index = max(max_index, idx[-1])
-            indices.extend(idx)
-            data.extend(vals)
+        parts = line.split()
+        labels.append(_parse_label(parts[0], lineno))
+        prev = 0
+        for token in parts[1:]:
+            try:
+                idx_s, val_s = token.split(":", 1)
+                idx = int(idx_s)
+                data.append(float(val_s))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: malformed feature {token!r}") from exc
+            if idx < 1:
+                raise ValueError(f"line {lineno}: indices are 1-based, got {idx}")
+            if idx <= prev:
+                raise ValueError(f"line {lineno}: indices must be strictly increasing")
+            if idx > _MAX_INDEX:
+                raise ValueError(f"line {lineno}: index {idx} is above {_MAX_INDEX}")
+            prev = idx
+            indices.append(idx)
+        max_index = max(max_index, prev)
         indptr.append(len(data))
     if not labels:
         raise ValueError("empty LIBSVM stream")
@@ -149,41 +154,6 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
         shape=(len(labels), d),
     )
     return Dataset(features=features, labels=np.frombuffer(labels))
-
-
-def _parse_features(tokens: list[str], lineno: int) -> tuple[list[int], list[float]]:
-    """Indices and values of one line's ``idx:val`` tokens.
-
-    The line is converted in bulk: a shape check that every token holds
-    exactly one ``:``, one ``int`` and one ``float`` map over the halves,
-    and one ``<`` map for the order.  Only a line that fails there is
-    walked token by token, so its error names the first bad token.
-    """
-    if _ONE_COLON.issuperset(map(str.count, tokens, repeat(":"))):
-        halves = ":".join(tokens).split(":")
-        try:
-            idx = list(map(int, halves[::2]))
-            vals = list(map(float, halves[1::2]))
-        except ValueError:
-            pass
-        else:
-            if all(map(lt, chain((0,), idx), idx)):
-                return idx, vals
-    idx, vals, prev = [], [], 0
-    for token in tokens:
-        try:
-            idx_s, val_s = token.split(":", 1)
-            i = int(idx_s)
-            vals.append(float(val_s))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: malformed feature {token!r}") from exc
-        if i < 1:
-            raise ValueError(f"line {lineno}: indices are 1-based, got {i}")
-        if i <= prev:
-            raise ValueError(f"line {lineno}: indices must be strictly increasing")
-        idx.append(i)
-        prev = i
-    return idx, vals
 
 
 def _parse_label(token: str, lineno: int) -> float:
@@ -307,7 +277,6 @@ class LogisticObjective:
             (csr.indices[csr.indptr[j]:csr.indptr[j + 1]], csr.data[csr.indptr[j]:csr.indptr[j + 1]])
             for j in range(dataset.m)
         ]
-        self._labels = dataset.labels.tolist()
 
     @property
     def dim(self) -> int:
@@ -330,7 +299,11 @@ class LogisticObjective:
         """Exact gradient of the full objective over all m samples."""
         labels = self.dataset.labels
         margins = labels * (self.dataset.features @ x)
-        coef = -labels * np.fromiter(map(_sigmoid_neg, margins.tolist()), float, len(margins))
+        try:  # sigma(-t) = 1 / (1 + exp(t)); numpy's + and / round as Python's
+            sig = 1.0 / (1.0 + np.fromiter(map(math.exp, margins.tolist()), float, len(margins)))
+        except OverflowError:
+            sig = np.fromiter(map(_sigmoid_neg, margins.tolist()), float, len(margins))
+        coef = -labels * sig
         grad = np.asarray(self._features_t @ coef).ravel() / self.dataset.m
         return grad + 2.0 * self.l2 * x
 
@@ -355,7 +328,7 @@ class LogisticObjective:
         # one BLAS dot per sample on its contiguous slice keeps each
         # margin's summation order
         coef, lo = np.empty(len(rows)), 0
-        labels = [self._labels[j] for j in samples]
+        labels = self.dataset.labels[samples].tolist()
         for c, ((_, vals), b) in enumerate(zip(rows, labels)):
             hi = lo + vals.size
             coef[c] = -b * _sigmoid_neg(b * (vals @ feats[lo:hi]))  # -b * sigma(-b a.x)

@@ -436,6 +436,24 @@ class TestLogistic:
                        obj.stochastic_gradients(x[:, None], lambda i: Pick(0))[1, 0])
                 assert [g.hex() for g in got] == [want.hex()] * 2, (label, margin)
 
+    @pytest.mark.parametrize("overflow", [[], [745.2, 1e3]])
+    def test_full_gradient_coefficients_are_expit_bits(self, overflow):
+        # many rows in one call: with no exp overflow the coefficients are
+        # computed in bulk, with one the call falls back per margin; row j's
+        # own feature j + 1 reads its coefficient out exactly
+        margins = stream(12).uniform(-700.0, 700.0, 300).tolist() + overflow
+        m = len(margins)
+        labels = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+        dense = np.zeros((m, m + 1))
+        dense[:, 0] = margins
+        dense[np.arange(m), np.arange(m) + 1] = 1.0
+        ds = Dataset(features=sp.csr_matrix(dense), labels=labels)
+        obj = LogisticObjective(ds, partition(ds, 1, "sorted"))
+        x = np.zeros(m + 1)
+        x[0] = 1.0
+        want = (-labels * expit(-labels * np.array(margins))) / m + 0.0
+        assert obj.gradient(x)[1:].tobytes() == want.tobytes()
+
     def test_sigmoid_is_expit_bit_for_bit(self):
         rng = stream(11)
         t = np.concatenate([
