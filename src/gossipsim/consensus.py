@@ -101,7 +101,6 @@ def _check_gossip(scheme: GossipScheme, gamma: float, compression: CompressionSp
 class ConsensusResult:
     records: list[ConsensusRecord]
     final_x: np.ndarray
-    target_mean: np.ndarray
 
 
 def tracking_stepsize(delta: float, omega: float, beta: float) -> float:
@@ -236,8 +235,6 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     ``final_x`` holds.
     """
     matrix = config.matrix
-    if matrix.delta <= 0.0:
-        raise ValueError("consensus requires a positive spectral gap")
     x = np.array(initial_x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"initial X must be d x n, got shape {x.shape}")
@@ -276,4 +273,4 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
         if not np.isfinite(x).all():
             raise DivergenceError(t, float("inf"))
 
-    return ConsensusResult(records=records, final_x=x, target_mean=target)
+    return ConsensusResult(records=records, final_x=x)

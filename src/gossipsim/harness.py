@@ -172,13 +172,18 @@ def gaussian_init(d: int, n: int, seed: int) -> np.ndarray:
 
 
 def load_init_file(path, d: int, n: int) -> np.ndarray:
-    """Initial d x n matrix from a text file holding one node's d values per line."""
+    """Initial d x n matrix from a text file holding one node's d finite values per line."""
     x0 = np.loadtxt(path, ndmin=2).T
     if x0.shape != (d, n):
         raise ConfigError(
             f"init file {path} must be d x n = {d} x {n} ({n} lines of {d} values), "
             f"got {x0.shape[0]} x {x0.shape[1]}"
         )
+    if not np.isfinite(x0).all():
+        node = int(np.flatnonzero(~np.isfinite(x0).all(axis=0))[0])
+        with open(path, encoding="utf-8") as fh:  # node i is the i-th line holding values
+            rows = [k for k, line in enumerate(fh, start=1) if line.split("#", 1)[0].strip()]
+        raise ConfigError(f"init file {path} line {rows[node]}: values must be finite")
     return x0
 
 
@@ -360,12 +365,8 @@ def build_optimize(spec: ExperimentSpec, seed: int):
         schedule = PracticalSchedule(a=o.get("a", 0.1), b=o.get("b", float(d)), m=m)
     else:
         raise ConfigError(f"unknown schedule {schedule_name!r}")
-    config = SgdConfig(
-        schedule=schedule,
-        averaging=averaging,
-        fstar_tol=o.get("fstar_tol", 1e-10),
-        **gossip,
-    )
+    _, f_star = solve_reference(objective, o.get("fstar_tol", 1e-10))
+    config = SgdConfig(schedule=schedule, f_star=f_star, averaging=averaging, **gossip)
     return config, objective, np.zeros((d, matrix.n))
 
 
@@ -483,7 +484,6 @@ def grid_search(
         raise ValueError("grid search varies a practical schedule")
     d = initial_x.shape[0]
     iters = grid.budget_epochs * objective.samples_per_node
-    _, f_star = solve_reference(objective, base.fstar_tol)
 
     best = None
     diverged = []
@@ -491,18 +491,14 @@ def grid_search(
         for b in grid.b_values(d):
             config = replace(
                 base, schedule=replace(base.schedule, a=a, b=b),
-                iters=iters, eval_every=iters, f_star=f_star,
+                iters=iters, eval_every=iters,
             )
             try:
                 result = run_optimization(config, objective, initial_x)
             except DivergenceError:
                 diverged.append((a, b))
                 continue
-            final = result.records[-1].subopt
-            if not math.isfinite(final):
-                diverged.append((a, b))
-                continue
-            key = (final, a, b)
+            key = (result.records[-1].subopt, a, b)
             if best is None or key < best:
                 best = key
     if best is None:

@@ -106,10 +106,11 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
 
     Labels must parse to +/-1 (0/1 files are remapped to -1/+1); feature
     indices are 1-based, strictly increasing within a line and at most
-    ``2**63 - 1``, and are stored 0-based.  The dimension is the largest
-    index seen unless ``n_features`` overrides it.  Malformed input raises
-    with the offending line number.  Lines stream into typed buffers,
-    8 bytes per value and per index.
+    ``2**63 - 1``, and are stored 0-based; values must be finite.  The
+    dimension is the largest index seen unless ``n_features`` overrides it.
+    Malformed input raises with the offending line number, a non-finite
+    value once the rest of its line has passed.  Lines stream into typed
+    buffers, 8 bytes per value and per index.
     """
     data, labels = array("d"), array("d")
     indices, indptr = array("q"), array("q", [0])  # 1-based until the end
@@ -136,6 +137,10 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
                 raise ValueError(f"line {lineno}: index {idx} is above {_MAX_INDEX}")
             prev = idx
             indices.append(idx)
+        if not math.isfinite(sum(data[indptr[-1]:])):  # finite values may still overflow it
+            for token in parts[1:]:
+                if not math.isfinite(float(token.split(":", 1)[1])):
+                    raise ValueError(f"line {lineno}: non-finite feature value {token!r}")
         max_index = max(max_index, prev)
         indptr.append(len(data))
     if not labels:
@@ -383,7 +388,10 @@ def power_iteration(matvec, dim: int, tol: float = 1e-6, max_iters: int = 10_000
 def solve_reference(
     objective: Objective, tolerance: float = 1e-10, max_iters: int = 10**6
 ) -> tuple[np.ndarray, float]:
-    """Minimizer and optimal value by full-gradient descent with step 1/L."""
+    """Minimizer and optimal value by full-gradient descent with step 1/L,
+    stopped once ``||grad|| <= tolerance``."""
+    if not tolerance > 0:  # a tolerance that cannot be met would spin for max_iters
+        raise ValueError(f"fstar_tol must be > 0, got {tolerance}")
     _, big_l = objective.constants()
     x = np.zeros(objective.dim)
     step = 1.0 / big_l

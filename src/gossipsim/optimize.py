@@ -18,7 +18,10 @@ for exact gossip) at some linear rate ``p in (0, 1]``:
 Suboptimality is measured at the node average ``f(xbar) - f*`` -- a
 simulator-only observable that is never fed back into node updates -- and
 a weighted averaged iterate ``x_avg = (1/S_T) sum_t (a+t)^2 xbar_t`` is
-maintained alongside.
+maintained alongside.  ``f*`` is an input, ``SgdConfig.f_star``, resolved
+before the run like the stepsizes (``harness.build_optimize`` takes it
+from :func:`gossipsim.objectives.solve_reference`); ``run_optimization``
+never solves for it.
 """
 
 from __future__ import annotations
@@ -124,14 +127,13 @@ class TrackingAveraging(Gossip):
 class SgdConfig:
     matrix: GossipMatrix
     schedule: Schedule
+    f_star: float  # the optimal value suboptimality is measured against
     averaging: str = "exact"  # exact | tracking
     gamma: float = 1.0
     compression: CompressionSpec = Identity()
     iters: int = 100
     seed: int = 0
     eval_every: int = 1
-    f_star: float | None = None
-    fstar_tol: float = 1e-10
 
     def __post_init__(self):
         if self.averaging not in ("exact", "tracking"):
@@ -141,8 +143,8 @@ class SgdConfig:
             raise ValueError("iters must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if not self.fstar_tol > 0:
-            raise ValueError(f"fstar_tol must be > 0, got {self.fstar_tol}")
+        if not np.isfinite(self.f_star):
+            raise ValueError(f"f_star must be finite, got {self.f_star}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,6 @@ class OptimizationResult:
     x_avg: np.ndarray
     avg_subopt: float
     s_total: float
-    f_star: float
 
 
 def sgd_round(
@@ -198,8 +199,6 @@ def run_optimization(
     rounds, and the stepsize ``eta_t``.
     """
     matrix = config.matrix
-    if matrix.delta <= 0.0:
-        raise ValueError("optimization requires a positive spectral gap")
     x = np.asarray(initial_x, dtype=float).copy()
     if x.ndim != 2 or x.shape[1] != matrix.n:
         raise ValueError(f"initial X must be d x {matrix.n}, got shape {x.shape}")
@@ -213,11 +212,6 @@ def run_optimization(
     averaging = TrackingAveraging if config.averaging == "tracking" else ExactAveraging
     scheme = averaging(config.matrix, config.gamma, config.compression, config.seed)
     _check_theory_precondition(config, objective)
-    f_star = config.f_star
-    if f_star is None:
-        from .objectives import solve_reference
-
-        _, f_star = solve_reference(objective, config.fstar_tol)
 
     # running weighted average (1/S_T) sum_t (a + t)^2 xbar_t
     a = config.schedule.a
@@ -234,7 +228,7 @@ def run_optimization(
         final = t == config.iters
         xbar = x.sum(axis=1) / matrix.n  # what x.mean(axis=1) computes
         if final or t % config.eval_every == 0:
-            subopt = objective.value(xbar) - f_star
+            subopt = objective.value(xbar) - config.f_star
             dispersion = float(np.sum((x - xbar[:, None]) ** 2))
             eta = config.schedule.eta(t)
             records.append(OptimizeRecord(t, subopt, dispersion, bits, eta))
@@ -259,7 +253,6 @@ def run_optimization(
         records=records,
         final_x=x,
         x_avg=x_avg,
-        avg_subopt=objective.value(x_avg) - f_star,
+        avg_subopt=objective.value(x_avg) - config.f_star,
         s_total=total,
-        f_star=f_star,
     )

@@ -4,7 +4,7 @@ A graph is a :class:`Graph`: a node count and a list of undirected edges.
 ``Ring``, ``Torus`` and ``FullyConnected`` build the standard ones and
 :func:`read_edge_list` loads any other; they differ only in their edges,
 which :func:`build_gossip_matrix` normalizes the same way for every graph
-(self-loops dropped, each pair stored once as ``(min, max)``, sorted).
+(self-loops dropped, each pair counted once in either orientation).
 
 A mixing matrix ``W`` is symmetric, doubly stochastic, and supported on the
 edges of a connected graph (self-loops included).  The quantities that
@@ -93,7 +93,6 @@ class GossipMatrix:
     weights: np.ndarray
     delta: float
     beta: float
-    edges: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...]
 
 
@@ -132,9 +131,8 @@ def build_gossip_matrix(graph: Graph) -> GossipMatrix:
     adjacent = np.zeros((n, n), dtype=bool)  # upper triangle: each pair once as (min, max)
     adjacent[lo, hi] = True
     np.fill_diagonal(adjacent, False)  # self-loops are implied at every node
-    lo, hi = np.nonzero(adjacent)  # row-major, so the pairs come sorted
-    edges = tuple(zip(lo.tolist(), hi.tolist()))
-    _check_connected(n, edges)
+    lo, hi = np.nonzero(adjacent)
+    _check_connected(n, zip(lo.tolist(), hi.tolist()))
 
     degrees = np.bincount(np.concatenate([lo, hi]), minlength=n)
     if degrees.min() != degrees.max():
@@ -154,7 +152,6 @@ def build_gossip_matrix(graph: Graph) -> GossipMatrix:
         weights=weights,
         delta=delta,
         beta=beta,
-        edges=edges,
         degrees=tuple(degrees.tolist()),
     )
 

@@ -23,7 +23,12 @@ from gossipsim.harness import (
     summarize,
     theory_check,
 )
-from gossipsim.objectives import QuadraticObjective, serialize_libsvm, synthetic_classification
+from gossipsim.objectives import (
+    QuadraticObjective,
+    serialize_libsvm,
+    solve_reference,
+    synthetic_classification,
+)
 from gossipsim.optimize import PracticalSchedule, SgdConfig, TheoreticalSchedule, run_optimization
 from gossipsim.records import OptimizeRecord, format_value, write_records_csv, write_rows_csv
 from gossipsim.streams import stream
@@ -257,7 +262,7 @@ class TestRunSuite:
         def no_reference(*args, **kwargs):
             raise RuntimeError("reference solve did not converge")
 
-        monkeypatch.setattr("gossipsim.objectives.solve_reference", no_reference)
+        monkeypatch.setattr("gossipsim.harness.solve_reference", no_reference)
         config = tmp_path / "suite.ini"
         config.write_text(SUITE)
         outcome = run_suite(config, tmp_path / "out")
@@ -329,11 +334,11 @@ class TestCsvFormat:
 
 
 class TestGridSearch:
-    def make_base(self, n=9):
-        matrix = build_gossip_matrix(Ring(n))
+    def make_base(self, objective):
         return SgdConfig(
-            matrix=matrix, schedule=PracticalSchedule(1.0, 1.0, 1), averaging="exact",
-            iters=1, seed=2, f_star=None,
+            matrix=build_gossip_matrix(Ring(objective.n_nodes)),
+            schedule=PracticalSchedule(1.0, 1.0, 1), f_star=solve_reference(objective)[1],
+            averaging="exact", iters=1, seed=2,
         )
 
     def quad(self, d, n, noise=0.2):
@@ -341,42 +346,40 @@ class TestGridSearch:
         return QuadraticObjective(targets, noise_sigma=noise)
 
     def test_singleton_grid(self):
-        base = self.make_base()
         objective = self.quad(6, 9)
+        base = self.make_base(objective)
         grid = GridSpec(a_exponents=(-1,), b_factors=(6.0,), budget_epochs=5)
         a, b, _ = grid_search(base, grid, objective, np.zeros((6, 9)))
         assert (a, b) == (0.1, 6.0)
 
     def test_divergent_point_skipped(self):
-        base = self.make_base()
         objective = self.quad(6, 9)
+        base = self.make_base(objective)
         grid = GridSpec(a_exponents=(-1, 4), b_factors=(1.0,), budget_epochs=20)
         a, b, final = grid_search(base, grid, objective, np.zeros((6, 9)))
         assert a == 0.1 and math.isfinite(final)
 
     def test_all_divergent_raises(self):
-        base = self.make_base()
         objective = self.quad(6, 9)
+        base = self.make_base(objective)
         grid = GridSpec(a_exponents=(5, 6), b_factors=(1.0,), budget_epochs=20)
         with pytest.raises(RuntimeError, match="diverged"):
             grid_search(base, grid, objective, np.zeros((6, 9)))
 
     def test_needs_a_practical_schedule(self):
-        base = replace(self.make_base(), schedule=TheoreticalSchedule(mu=1.0, a=100.0))
+        base = replace(self.make_base(self.quad(6, 9)),
+                       schedule=TheoreticalSchedule(mu=1.0, a=100.0))
         with pytest.raises(ValueError, match="practical schedule"):
             grid_search(base, GridSpec(), self.quad(6, 9), np.zeros((6, 9)))
 
     def test_selected_a_within_one_notch_of_fine_grid(self):
         # oracle: a 10x finer logarithmic grid evaluated the same way
-        base = self.make_base()
         d, n = 6, 9
         objective = self.quad(d, n)
+        base = self.make_base(objective)
         epochs = 30
         grid = GridSpec(a_exponents=(-3, -2, -1, 0, 1), b_factors=(float(d),), budget_epochs=epochs)
         a_coarse, _, _ = grid_search(base, grid, objective, np.zeros((d, n)))
-        from gossipsim.objectives import solve_reference
-
-        _, f_star = solve_reference(objective)
         iters = epochs * math.ceil(n / n)
         best = None
         for tenth in range(-30, 11):
@@ -384,7 +387,7 @@ class TestGridSearch:
             config = SgdConfig(
                 matrix=base.matrix, schedule=PracticalSchedule(a, float(d), 1),
                 averaging="exact", iters=iters * 1, seed=base.seed, eval_every=iters,
-                f_star=f_star,
+                f_star=base.f_star,
             )
             try:
                 final = run_optimization(config, objective, np.zeros((d, n))).records[-1].subopt
@@ -536,6 +539,22 @@ class TestCli:
         assert float(out.read_text().splitlines()[1].split(",")[1]) == 14.0
         assert cli.main(args + ["--d", "4"]) == 2
         assert "must be d x n = 4 x 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_init_value_names_its_line(self, tmp_path, capsys, value):
+        init = tmp_path / "init.txt"
+        init.write_text(f"# three nodes\n1 2\n\n3 4 # node 1\n5 {value}\n")
+        args = ["consensus", "--n", "3", "--d", "2", "--init-file", str(init), "--iters", "5"]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == f"error: init file {init} line 5: values must be finite\n"
+
+    def test_nonfinite_libsvm_value_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "train.svm"
+        data.write_text("+1 1:1 2:1\n-1 1:nan 2:1\n+1 1:3\n")
+        code = cli.main(["optimize", "--objective", "logistic", "--data", str(data),
+                         "--n", "2", "--iters", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 2: non-finite feature value '1:nan'\n"
 
     def test_custom_topology_from_edge_file(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

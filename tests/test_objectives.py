@@ -91,7 +91,8 @@ def shard_gradient(obj, node, x):
 
 def parse_libsvm_per_token(source, n_features=None):
     """``parse_libsvm`` as it was before typed buffers: every token is split,
-    converted and checked on its own, and the nonzeros are Python lists."""
+    converted and checked on its own, and the nonzeros are Python lists.
+    A line's first non-finite value is reported after its other checks."""
 
     def parse_label(token, lineno):
         try:
@@ -113,6 +114,7 @@ def parse_libsvm_per_token(source, n_features=None):
         parts = line.split()
         label = parse_label(parts[0], lineno)
         prev = 0
+        nonfinite = None
         for token in parts[1:]:
             try:
                 idx_s, val_s = token.split(":", 1)
@@ -124,9 +126,13 @@ def parse_libsvm_per_token(source, n_features=None):
                 raise ValueError(f"line {lineno}: indices are 1-based, got {idx}")
             if idx <= prev:
                 raise ValueError(f"line {lineno}: indices must be strictly increasing")
+            if nonfinite is None and not math.isfinite(val):
+                nonfinite = token
             prev = idx
             indices.append(idx - 1)
             data.append(val)
+        if nonfinite is not None:
+            raise ValueError(f"line {lineno}: non-finite feature value {nonfinite!r}")
         max_index = max(max_index, prev)
         labels.append(label)
         indptr.append(len(data))
@@ -272,6 +278,9 @@ class TestParseLibsvm:
             ("+1 1:abc\n", "line 1.*malformed"),
             ("+2 1:1.0\n", "line 1.*label"),
             ("spam 1:1.0\n", "line 1.*label"),
+            ("+1 1:nan 2:1\n", "line 1: non-finite feature value '1:nan'"),
+            ("+1 1:1 2:-inf\n", "line 1: non-finite feature value '2:-inf'"),
+            ("+1 1:inf 3:x\n", "line 1: malformed feature '3:x'"),  # its line's checks first
         ],
     )
     def test_malformed_lines_name_the_line(self, line, match):
@@ -279,6 +288,10 @@ class TestParseLibsvm:
             parse_libsvm(io.StringIO(line))
         with pytest.raises(ValueError, match=match.replace("line 1", "line 2")):
             parse_libsvm(io.StringIO("+1 1:1.0\n" + line))
+
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        ds = parse_libsvm(io.StringIO("+1 1:1e308 2:1e308\n"))
+        assert ds.features.data.tolist() == [1e308, 1e308]
 
     def test_comments_and_blanks_skipped(self):
         ds = parse_libsvm(io.StringIO("# header\n\n+1 1:1.0\n"))
@@ -532,6 +545,13 @@ class TestSolveReference:
         x_star, f_star = solve_reference(obj)
         assert f_star < math.log(2.0)
         assert np.linalg.norm(obj.gradient(x_star)) <= 1e-10
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        # a tolerance that can never be met would run all max_iters steps
+        obj = QuadraticObjective(stream(9, tag="targets").standard_normal((4, 5)))
+        with pytest.raises(ValueError, match=f"fstar_tol must be > 0, got {tol}"):
+            solve_reference(obj, tol)
 
     def test_gradient_norm_contract_on_fixture(self):
         obj = small_logistic(n_nodes=2)

@@ -5,10 +5,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gossipsim import harness, objectives
 from gossipsim.compression import Identity, RandK, TopK
 from gossipsim.consensus import DivergenceError, tracking_stepsize
 from gossipsim.harness import ExperimentSpec, build_optimize
-from gossipsim.objectives import QuadraticObjective
+from gossipsim.objectives import (
+    LogisticObjective,
+    QuadraticObjective,
+    serialize_libsvm,
+    solve_reference,
+    synthetic_classification,
+)
 from gossipsim.optimize import (
     ExactAveraging,
     PracticalSchedule,
@@ -346,15 +353,34 @@ class TestRunOptimization:
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
     def test_nonpositive_fstar_tol_rejected(self, tol):
         # a tolerance that can never be met would spin the reference solve
-        with pytest.raises(ValueError, match="fstar_tol"):
-            SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1), fstar_tol=tol)
+        spec = ExperimentSpec("x", "optimize", {"n": 9, "d": 4, "fstar_tol": tol, "seeds": [0]})
+        with pytest.raises(ValueError, match=f"fstar_tol must be > 0, got {tol}"):
+            build_optimize(spec, 0)
+
+    @pytest.mark.parametrize("f_star", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_f_star_rejected(self, f_star):
+        with pytest.raises(ValueError, match="f_star must be finite"):
+            SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1), f_star=f_star)
 
     @pytest.mark.parametrize("averaging", ["exact", "tracking"])
     @pytest.mark.parametrize("gamma", [0.0, 2.0, math.nan])
     def test_gamma_checked_at_construction(self, averaging, gamma):
         with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
-            SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1),
+            SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1), f_star=0.0,
                       averaging=averaging, gamma=gamma)
+
+    def test_run_never_solves_for_f_star(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_optimization called the reference solve")
+
+        monkeypatch.setattr(objectives, "solve_reference", no_solve)
+        monkeypatch.setattr(harness, "solve_reference", no_solve)
+        config = SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.05, 4.0, 1),
+                           averaging="tracking", gamma=0.4, compression=TopK(2),
+                           iters=10, seed=0, eval_every=5, f_star=0.25)
+        objective = quad_objective(4, 9, noise=0.5)
+        result = run_optimization(config, objective, np.zeros((4, 9)))
+        assert result.records[0].subopt == objective.value(np.zeros(4)) - 0.25
 
     def test_theory_precondition_warns(self):
         objective = quad_objective(4, 9)
@@ -385,6 +411,21 @@ class TestRunOptimization:
             "topology": "full", "n": 4, "d": 6, "schedule": "theoretical", "seeds": [0],
         })
         assert build_optimize(spec, 0)[0].schedule.a == 410.0
+
+    @pytest.mark.parametrize("objective", ["quadratic", "logistic"])
+    def test_builder_resolves_f_star_with_the_section_tolerance(self, objective, tmp_path):
+        data = tmp_path / "train.svm"
+        data.write_text(serialize_libsvm(synthetic_classification(60, 5, seed=2)))
+        spec = ExperimentSpec("x", "optimize", {
+            "topology": "ring", "n": 3, "d": 4, "noise_sigma": 0.5, "objective": objective,
+            "data_path": str(data), "fstar_tol": 1e-6, "seeds": [0],
+        })
+        config, built, _ = build_optimize(spec, 0)
+        assert isinstance(built, LogisticObjective if objective == "logistic"
+                          else QuadraticObjective)
+        assert config.f_star == solve_reference(built, 1e-6)[1]
+        if objective == "logistic":  # the quadratic's one 1/L step is exact at any tolerance
+            assert config.f_star != solve_reference(built, 1e-12)[1]
 
     def test_seed_determinism(self):
         d = 8

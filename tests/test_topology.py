@@ -73,7 +73,7 @@ class TestBuild:
     def test_single_node_convention(self):
         m = build_gossip_matrix(Ring(1))
         assert m.weights.shape == (1, 1) and m.weights[0, 0] == 1.0
-        assert m.delta == 1.0 and m.beta == 0.0 and m.edges == ()
+        assert m.delta == 1.0 and m.beta == 0.0 and m.degrees == (0,)
 
     def test_two_node_ring(self):
         m = build_gossip_matrix(Ring(2))
@@ -215,7 +215,7 @@ def scrambled(draw):
 
 
 def loop_reference(graph):
-    """Normalized edges and uniform weights of ``graph``, one edge at a time."""
+    """Normalized edges, degrees and uniform weights of ``graph``, one edge at a time."""
     edges = sorted({(min(i, j), max(i, j)) for i, j in graph.edges if i != j})
     degrees = [0] * graph.n
     for i, j in edges:
@@ -235,10 +235,13 @@ def test_edge_list_normalization(pair):
     graph, variant = pair
     m, v = build_gossip_matrix(graph), build_gossip_matrix(variant)
     assert v.weights.tobytes() == m.weights.tobytes()
-    assert (v.delta, v.beta, v.edges, v.degrees) == (m.delta, m.beta, m.edges, m.degrees)
+    assert (v.delta, v.beta, v.degrees) == (m.delta, m.beta, m.degrees)
     edges, degrees, weights = loop_reference(variant)
-    assert (v.edges, v.degrees) == (edges, degrees)
+    assert v.degrees == degrees
     assert v.weights.tobytes() == weights.tobytes()
+    # the normalized reference graph itself builds the same matrix
+    r = build_gossip_matrix(Graph(variant.n, edges))
+    assert (r.weights.tobytes(), r.degrees) == (v.weights.tobytes(), v.degrees)
 
 
 def test_read_edge_list(tmp_path):
