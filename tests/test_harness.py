@@ -367,10 +367,10 @@ class TestGridSearch:
             grid_search(base, grid, objective, np.zeros((6, 9)))
 
     def test_needs_a_practical_schedule(self):
-        base = replace(self.make_base(self.quad(6, 9)),
-                       schedule=TheoreticalSchedule(mu=1.0, a=100.0))
+        objective = self.quad(6, 9)
+        base = replace(self.make_base(objective), schedule=TheoreticalSchedule(mu=1.0, a=100.0))
         with pytest.raises(ValueError, match="practical schedule"):
-            grid_search(base, GridSpec(), self.quad(6, 9), np.zeros((6, 9)))
+            grid_search(base, GridSpec(), objective, np.zeros((6, 9)))
 
     def test_selected_a_within_one_notch_of_fine_grid(self):
         # oracle: a 10x finer logarithmic grid evaluated the same way
