@@ -104,11 +104,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base, objective, x0 = harness.build_optimize(*_spec(args, "optimize"))
-    grid = harness.GridSpec(
-        a_exponents=tuple(range(args.a_exp_min, args.a_exp_max + 1)),
-        budget_epochs=args.epochs,
-    )
-    a, b, final = harness.grid_search(base, grid, objective, x0)
+    a_exponents = tuple(range(args.a_exp_min, args.a_exp_max + 1))
+    a, b, final = harness.grid_search(base, objective, x0, a_exponents, epochs=args.epochs)
     print(f"best a={a!r} b={b!r} final_subopt={final:.6e}")  # a and b rerun exactly
     return EXIT_OK
 

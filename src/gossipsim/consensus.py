@@ -43,6 +43,7 @@ from .topology import GossipMatrix
 
 __all__ = [
     "GossipScheme",
+    "RunConfig",
     "ConsensusConfig",
     "ConsensusResult",
     "DivergenceError",
@@ -69,9 +70,12 @@ class DivergenceError(RuntimeError):
         self.value = value
 
 
-@dataclass(frozen=True)
-class ConsensusConfig:
-    scheme: GossipScheme
+@dataclass(frozen=True, kw_only=True)
+class RunConfig:
+    """What a consensus run and an SGD run share: the graph, the gossip
+    stepsize and operator, the round count ``iters``, the seed and the
+    evaluation cadence."""
+
     matrix: GossipMatrix
     gamma: float = 1.0
     compression: CompressionSpec = Identity()
@@ -79,12 +83,20 @@ class ConsensusConfig:
     seed: int = 0
     eval_every: int = 1
 
-    def __post_init__(self):
-        _check_gossip(self.scheme, self.gamma, self.compression)
+    def _check(self, scheme: GossipScheme) -> None:
+        _check_gossip(scheme, self.gamma, self.compression)
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ConsensusConfig(RunConfig):
+    scheme: GossipScheme
+
+    def __post_init__(self):
+        self._check(self.scheme)
 
 
 def _check_gossip(scheme: GossipScheme, gamma: float, compression: CompressionSpec) -> None:

@@ -70,7 +70,6 @@ from .topology import (
 __all__ = [
     "ConfigError",
     "ExperimentSpec",
-    "GridSpec",
     "SUITE_KEYS",
     "CHOICES",
     "parse_suite_file",
@@ -130,7 +129,7 @@ def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.Compressi
         spec.omega(d)  # rejects a spec invalid at this d, such as k > d
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"bad compression argument in {text!r}: {exc}") from exc
     return spec
 
@@ -331,18 +330,18 @@ def build_consensus(spec: ExperimentSpec, seed: int):
 
 
 def build_objective(o: dict, matrix: GossipMatrix, seed: int) -> Objective:
-    name = o.get("objective", "quadratic")
-    if name == "quadratic":
+    if o.get("objective", "quadratic") == "quadratic":
         targets = stream(o.get("targets_seed", seed), tag="targets").standard_normal(
             (_dimension(o), matrix.n))
         return QuadraticObjective(targets, noise_sigma=o.get("noise_sigma", 0.0))
-    if name == "logistic":
-        path = _require(o.get("data_path"), "data_path")
-        with open(path, "r", encoding="utf-8") as fh:
+    path = _require(o.get("data_path"), "data_path")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             dataset = parse_libsvm(fh)
-        shards = partition(dataset, matrix.n, o.get("partition", "shuffled"), seed=seed)
-        return LogisticObjective(dataset, shards)
-    raise ConfigError(f"unknown objective {name!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    shards = partition(dataset, matrix.n, o.get("partition", "shuffled"), seed=seed)
+    return LogisticObjective(dataset, shards)
 
 
 def build_optimize(spec: ExperimentSpec, seed: int):
@@ -353,18 +352,15 @@ def build_optimize(spec: ExperimentSpec, seed: int):
     d = objective.dim
     gossip = _gossip_options(o, matrix, d, seed)
     averaging = o.get("averaging", "exact")
-    schedule_name = o.get("schedule", "practical")
-    if schedule_name == "theoretical":
+    if o.get("schedule", "practical") == "theoretical":
         if "a" in o:
             a = o["a"]
         else:  # the requirement run_optimization checks a against
             a = theoretical_a(objective, matrix, averaging, gossip["compression"])
         schedule = TheoreticalSchedule(mu=objective.constants()[0], a=a)
-    elif schedule_name == "practical":
+    else:
         m = objective.samples_per_node * matrix.n if isinstance(objective, LogisticObjective) else 1
         schedule = PracticalSchedule(a=o.get("a", 0.1), b=o.get("b", float(d)), m=m)
-    else:
-        raise ConfigError(f"unknown schedule {schedule_name!r}")
     _, f_star = solve_reference(objective, o.get("fstar_tol", 1e-10))
     config = SgdConfig(schedule=schedule, f_star=f_star, averaging=averaging, **gossip)
     return config, objective, np.zeros((d, matrix.n))
@@ -444,51 +440,38 @@ def run_suite(
 # ---------------------------------------------------------------------------
 # grid search (stepsize sweep)
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Stepsize grid: ``a`` over powers of ten; ``b`` defaults to
-    ``{1, 0.1 d, d, 10 d, 100 d}`` unless overridden."""
-
-    a_exponents: tuple[int, ...] = (-3, -2, -1, 0, 1)
-    b_factors: tuple[float, ...] | None = None
-    budget_epochs: int = 10
-
-    def a_values(self) -> list[float]:
-        if not self.a_exponents:
-            raise ValueError("empty a grid")
-        return [10.0**e for e in self.a_exponents]
-
-    def b_values(self, d: int) -> list[float]:
-        if self.b_factors is None:
-            return [1.0, 0.1 * d, float(d), 10.0 * d, 100.0 * d]
-        if not self.b_factors:
-            raise ValueError("empty b grid")
-        return [float(b) for b in self.b_factors]
-
-
 def grid_search(
-    base: SgdConfig, grid: GridSpec, objective: Objective, initial_x: np.ndarray
+    base: SgdConfig, objective: Objective, initial_x: np.ndarray,
+    a_exponents: tuple[int, ...] = (-3, -2, -1, 0, 1),
+    b_values: tuple[float, ...] | None = None, epochs: int = 10,
 ) -> tuple[float, float, float]:
     """Pick ``(a, b)`` minimizing final suboptimality after a fixed budget.
 
-    Every grid point is ``base`` with only its practical schedule's ``a``
-    and ``b`` replaced, run for ``budget_epochs`` epochs of
-    ``samples_per_node`` rounds, so a run of ``base`` at the chosen point
-    repeats its result.  Diverged points are skipped; if everything
-    diverged the search aborts listing them.  Ties break toward smaller
-    ``a`` then smaller ``b``.
+    ``a`` runs over ``10**e`` for ``e`` in ``a_exponents`` and ``b`` over
+    ``b_values``, by default ``{1, 0.1 d, d, 10 d, 100 d}``.  Every grid
+    point is ``base`` with only its practical schedule's ``a`` and ``b``
+    replaced, run for ``epochs`` epochs of ``samples_per_node`` rounds, so
+    a run of ``base`` at the chosen point repeats its result.  Diverged
+    points are skipped; if everything diverged the search aborts listing
+    them.  Ties break toward smaller ``a`` then smaller ``b``.
     """
-    if grid.budget_epochs < 1:
+    if epochs < 1:
         raise ValueError("budget_epochs must be >= 1")
     if not isinstance(base.schedule, PracticalSchedule):
         raise ValueError("grid search varies a practical schedule")
+    if not a_exponents:
+        raise ValueError("empty a grid")
     d = initial_x.shape[0]
-    iters = grid.budget_epochs * objective.samples_per_node
+    if b_values is None:
+        b_values = (1.0, 0.1 * d, float(d), 10.0 * d, 100.0 * d)
+    elif not b_values:
+        raise ValueError("empty b grid")
+    iters = epochs * objective.samples_per_node
 
     best = None
     diverged = []
-    for a in grid.a_values():
-        for b in grid.b_values(d):
+    for a in (10.0**e for e in a_exponents):
+        for b in map(float, b_values):
             config = replace(
                 base, schedule=replace(base.schedule, a=a, b=b),
                 iters=iters, eval_every=iters,

@@ -223,6 +223,8 @@ class QuadraticObjective:
             raise ValueError(f"targets must be d x n, got shape {targets.shape}")
         self.targets = targets
         self.noise_sigma = float(noise_sigma)
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
     @property
     def dim(self) -> int:

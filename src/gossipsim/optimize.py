@@ -26,13 +26,14 @@ never solves for it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compression import CompressionSpec, Identity
-from .consensus import DIVERGENCE_FACTOR, DivergenceError, Gossip, GossipScheme, _check_gossip
+from .consensus import DIVERGENCE_FACTOR, DivergenceError, Gossip, GossipScheme, RunConfig
 from .objectives import Objective
 from .records import OptimizeRecord
 from .streams import StreamPool, tag_code
@@ -60,6 +61,10 @@ class TheoreticalSchedule:
     mu: float
     a: float
 
+    def __post_init__(self):
+        _check_positive("mu", self.mu)
+        _check_positive("a", self.a)
+
     def eta(self, t: int) -> float:
         return 4.0 / (self.mu * (self.a + t))
 
@@ -72,11 +77,22 @@ class PracticalSchedule:
     b: float
     m: int
 
+    def __post_init__(self):
+        _check_positive("a", self.a)
+        _check_positive("b", self.b)
+        if self.m < 1:
+            raise ValueError(f"schedule parameter m must be >= 1, got {self.m}")
+
     def eta(self, t: int) -> float:
         return self.m * self.a / (t + self.b)
 
 
 Schedule = TheoreticalSchedule | PracticalSchedule
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"schedule parameter {name} must be finite and > 0, got {value}")
 
 
 def theoretical_a(objective: Objective, matrix: GossipMatrix, averaging: str,
@@ -123,26 +139,16 @@ class TrackingAveraging(Gossip):
         return x_new, bits
 
 
-@dataclass(frozen=True)
-class SgdConfig:
-    matrix: GossipMatrix
+@dataclass(frozen=True, kw_only=True)
+class SgdConfig(RunConfig):
     schedule: Schedule
     f_star: float  # the optimal value suboptimality is measured against
     averaging: str = "exact"  # exact | tracking
-    gamma: float = 1.0
-    compression: CompressionSpec = Identity()
-    iters: int = 100
-    seed: int = 0
-    eval_every: int = 1
 
     def __post_init__(self):
         if self.averaging not in ("exact", "tracking"):
             raise ValueError(f"unknown averaging {self.averaging!r}")
-        _check_gossip(GossipScheme(self.averaging), self.gamma, self.compression)
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        self._check(GossipScheme(self.averaging))
         if not np.isfinite(self.f_star):
             raise ValueError(f"f_star must be finite, got {self.f_star}")
 
@@ -177,17 +183,6 @@ def sgd_round(
     return averaging.apply(x_half, t)
 
 
-def _check_theory_precondition(config: SgdConfig, objective: Objective) -> None:
-    if not isinstance(config.schedule, TheoreticalSchedule):
-        return
-    needed = theoretical_a(objective, config.matrix, config.averaging, config.compression)
-    if config.schedule.a < needed * (1.0 - 1e-9):
-        warnings.warn(
-            f"schedule parameter a = {config.schedule.a} is below the theoretical "
-            f"requirement {needed:.6g}", stacklevel=3,
-        )
-
-
 def run_optimization(
     config: SgdConfig, objective: Objective, initial_x: np.ndarray
 ) -> OptimizationResult:
@@ -211,7 +206,13 @@ def run_optimization(
 
     averaging = TrackingAveraging if config.averaging == "tracking" else ExactAveraging
     scheme = averaging(config.matrix, config.gamma, config.compression, config.seed)
-    _check_theory_precondition(config, objective)
+    if isinstance(config.schedule, TheoreticalSchedule):
+        needed = theoretical_a(objective, matrix, config.averaging, config.compression)
+        if config.schedule.a < needed * (1.0 - 1e-9):
+            warnings.warn(
+                f"schedule parameter a = {config.schedule.a} is below the theoretical "
+                f"requirement {needed:.6g}", stacklevel=2,
+            )
 
     # running weighted average (1/S_T) sum_t (a + t)^2 xbar_t
     a = config.schedule.a
@@ -221,7 +222,6 @@ def run_optimization(
 
     records: list[OptimizeRecord] = []
     bits = 0
-    initial_subopt = None
     pool = StreamPool()
 
     for t in range(config.iters + 1):
@@ -232,9 +232,7 @@ def run_optimization(
             dispersion = float(np.sum((x - xbar[:, None]) ** 2))
             eta = config.schedule.eta(t)
             records.append(OptimizeRecord(t, subopt, dispersion, bits, eta))
-            if initial_subopt is None:
-                initial_subopt = abs(subopt)
-            limit = DIVERGENCE_FACTOR * max(initial_subopt, 1.0)
+            limit = DIVERGENCE_FACTOR * max(abs(records[0].subopt), 1.0)
             if not np.isfinite(subopt) or abs(subopt) > limit:
                 raise DivergenceError(t, subopt)
         if final:

@@ -14,7 +14,6 @@ from gossipsim.harness import (
     CheckOutcome,
     ConfigError,
     ExperimentSpec,
-    GridSpec,
     build_optimize,
     grid_search,
     parse_compression,
@@ -348,29 +347,29 @@ class TestGridSearch:
     def test_singleton_grid(self):
         objective = self.quad(6, 9)
         base = self.make_base(objective)
-        grid = GridSpec(a_exponents=(-1,), b_factors=(6.0,), budget_epochs=5)
-        a, b, _ = grid_search(base, grid, objective, np.zeros((6, 9)))
+        a, b, _ = grid_search(base, objective, np.zeros((6, 9)), a_exponents=(-1,),
+                              b_values=(6.0,), epochs=5)
         assert (a, b) == (0.1, 6.0)
 
     def test_divergent_point_skipped(self):
         objective = self.quad(6, 9)
         base = self.make_base(objective)
-        grid = GridSpec(a_exponents=(-1, 4), b_factors=(1.0,), budget_epochs=20)
-        a, b, final = grid_search(base, grid, objective, np.zeros((6, 9)))
+        a, b, final = grid_search(base, objective, np.zeros((6, 9)), a_exponents=(-1, 4),
+                                  b_values=(1.0,), epochs=20)
         assert a == 0.1 and math.isfinite(final)
 
     def test_all_divergent_raises(self):
         objective = self.quad(6, 9)
         base = self.make_base(objective)
-        grid = GridSpec(a_exponents=(5, 6), b_factors=(1.0,), budget_epochs=20)
         with pytest.raises(RuntimeError, match="diverged"):
-            grid_search(base, grid, objective, np.zeros((6, 9)))
+            grid_search(base, objective, np.zeros((6, 9)), a_exponents=(5, 6), b_values=(1.0,),
+                        epochs=20)
 
     def test_needs_a_practical_schedule(self):
         objective = self.quad(6, 9)
         base = replace(self.make_base(objective), schedule=TheoreticalSchedule(mu=1.0, a=100.0))
         with pytest.raises(ValueError, match="practical schedule"):
-            grid_search(base, GridSpec(), objective, np.zeros((6, 9)))
+            grid_search(base, objective, np.zeros((6, 9)))
 
     def test_selected_a_within_one_notch_of_fine_grid(self):
         # oracle: a 10x finer logarithmic grid evaluated the same way
@@ -378,8 +377,9 @@ class TestGridSearch:
         objective = self.quad(d, n)
         base = self.make_base(objective)
         epochs = 30
-        grid = GridSpec(a_exponents=(-3, -2, -1, 0, 1), b_factors=(float(d),), budget_epochs=epochs)
-        a_coarse, _, _ = grid_search(base, grid, objective, np.zeros((d, n)))
+        a_coarse, _, _ = grid_search(base, objective, np.zeros((d, n)),
+                                     a_exponents=(-3, -2, -1, 0, 1), b_values=(float(d),),
+                                     epochs=epochs)
         iters = epochs * math.ceil(n / n)
         best = None
         for tenth in range(-30, 11):
@@ -548,13 +548,31 @@ class TestCli:
         assert cli.main(args) == 2
         assert capsys.readouterr().err == f"error: init file {init} line 5: values must be finite\n"
 
+    @pytest.mark.parametrize("argv, named", [
+        (["optimize", "--schedule", "practical", "--a", "0", "--b", "0"],
+         "schedule parameter a must be finite and > 0, got 0.0"),
+        (["optimize", "--schedule", "practical", "--a", "-1", "--b", "2"],
+         "schedule parameter a must be finite and > 0, got -1.0"),
+        (["optimize", "--schedule", "theoretical", "--a", "-3"],
+         "schedule parameter a must be finite and > 0, got -3.0"),
+        (["consensus", "--compression", "top_k:1e400"], "'top_k:1e400'"),
+        (["consensus", "--compression", "rand_k:inf"], "'rand_k:inf'"),
+        (["optimize", "--noise-sigma", "-1"], "noise_sigma must be finite and >= 0, got -1.0"),
+    ])
+    def test_bad_value_is_one_config_error(self, capsys, argv, named):
+        assert cli.main([*argv, "--n", "4", "--d", "3", "--iters", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and named in line
+
     def test_nonfinite_libsvm_value_names_its_line(self, tmp_path, capsys):
         data = tmp_path / "train.svm"
         data.write_text("+1 1:1 2:1\n-1 1:nan 2:1\n+1 1:3\n")
         code = cli.main(["optimize", "--objective", "logistic", "--data", str(data),
                          "--n", "2", "--iters", "5"])
         assert code == 2
-        assert capsys.readouterr().err == "error: line 2: non-finite feature value '1:nan'\n"
+        assert capsys.readouterr().err == f"error: {data}: line 2: non-finite feature value '1:nan'\n"
 
     def test_custom_topology_from_edge_file(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
@@ -633,8 +651,8 @@ class TestCli:
             # the grid point as the grid ran it, in the same bytes
             base, objective, x0 = build_optimize(ExperimentSpec("sweep", "optimize", {
                 "topology": "ring", "n": n, "d": 6, "noise_sigma": noise, "seeds": [0]}), 0)
-            a, b, _ = grid_search(base, GridSpec(tuple(range(a_min, a_max + 1)),
-                                                 budget_epochs=epochs), objective, x0)
+            a, b, _ = grid_search(base, objective, x0, tuple(range(a_min, a_max + 1)),
+                                  epochs=epochs)
             config = replace(base, schedule=replace(base.schedule, a=a, b=b),
                              iters=epochs, eval_every=epochs)
             grid_csv = tmp_path / "grid.csv"

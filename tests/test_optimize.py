@@ -135,9 +135,9 @@ class TestAveragedIterate:
         assert result.x_avg[0] == pytest.approx((4.0 + 90.0) / 13.0)
 
     def test_empty_average_rejected(self):
-        # a = 0 gives the only round weight (0 + 0)^2 = 0
+        # a = 1e-200 gives the only round weight (a + 0)^2, which underflows to 0
         with pytest.raises(ValueError, match="no iterates"):
-            self.run(0.0, 1, np.zeros((2, 2)), np.zeros((2, 2)))
+            self.run(1e-200, 1, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestAveragingSchemes:
