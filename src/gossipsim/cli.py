@@ -13,17 +13,18 @@ Subcommands::
 
 A ``consensus`` or ``optimize`` run is a one-section suite: every suite
 key is a flag of the same name with ``-`` for ``_`` (``--data`` sets
-``data_path``, ``--seed`` is the one seed), and the flags' text is parsed by
-the suite's own coercion, so a bad value is reported as in a suite file
-(``[consensus]: gamma must be a number or auto, got 'fast'``).  Only
-``--seed`` (0) has a default of its own; the suite's builders supply every
-other, ``topology = ring`` included.  Both also accept ``--config
-suite.ini --out-dir results/`` to run every matching experiment section of
-a suite file (one CSV per seed plus a summary per experiment); the sections
-set everything else, so a suite-key flag, ``--out`` or ``--seed`` next to
-``--config`` is a configuration error.  ``sweep``
-takes the ``optimize`` flags except those of the keys its grid sets
-(``iters``, ``eval_every``, ``schedule``, ``a``, ``b``), and writes nothing.
+``data_path``, ``--seed`` is the one seed), and the flags' text, choices
+included, is checked only by the suite's own coercion, so a bad value is
+reported as in a suite file (``[consensus]: gamma must be a number or
+auto, got 'fast'``).  Only ``--seed`` (0) has a default of its own; the
+suite's builders supply every other, ``topology = ring`` included.  Both
+also accept ``--config suite.ini --out-dir results/`` to run every
+matching experiment section of a suite file (one CSV per seed plus a
+summary per experiment); the sections set everything else, so a
+suite-key flag, ``--out`` or ``--seed`` next to ``--config`` is a
+configuration error, and so is ``--out-dir`` without it.  ``sweep`` takes
+the ``optimize`` flags except those of the keys its grid sets (``iters``,
+``eval_every``, ``schedule``, ``a``, ``b``), and writes nothing.
 
 Exit codes: 0 success, 1 failed assertion, divergence or partially failed
 suite, 2 configuration error.
@@ -63,8 +64,9 @@ def _flag(key: str) -> str:
 def _add_suite_flags(p: argparse.ArgumentParser, keys: set[str]) -> None:
     """One text flag per suite key; ``_spec`` parses them as a suite file's."""
     for key in sorted(keys - {"kind", "seeds"}):
-        p.add_argument(_flag(key), dest=key, choices=harness.CHOICES.get(key),
-                       help=_HELP.get(key), type=str.lower if key == "topology" else None)
+        choices = harness.CHOICES.get(key)  # listed by --help, checked only by _spec
+        p.add_argument(_flag(key), dest=key, help=_HELP.get(key),
+                       metavar=choices and "{" + ",".join(choices) + "}")
     p.add_argument("--seed", help="the run's one seed (default 0)")
 
 
@@ -88,6 +90,8 @@ def _cmd_run(args) -> int:
         if ignored:
             raise harness.ConfigError(f"--config takes no {', '.join(ignored)}")
         return _run_suite(args, args.command)
+    if args.out_dir is not None:
+        raise harness.ConfigError("--out-dir needs --config")
     result = harness.run_experiment(*_spec(args, args.command))
     if args.out:
         write_records_csv(args.out, result.records)
@@ -103,6 +107,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.a_exp_min > args.a_exp_max:  # the exponent range below would be empty
+        raise harness.ConfigError(
+            f"--a-exp-min {args.a_exp_min} is above --a-exp-max {args.a_exp_max}")
     base, objective, x0 = harness.build_optimize(*_spec(args, "optimize"))
     a_exponents = tuple(range(args.a_exp_min, args.a_exp_max + 1))
     a, b, final = harness.grid_search(base, objective, x0, a_exponents, epochs=args.epochs)
@@ -124,7 +131,8 @@ def _cmd_check(args) -> int:
 
 
 def _run_suite(args, kind: str) -> int:
-    outcome = harness.run_suite(args.config, args.out_dir, kind=kind)
+    out_dir = "results" if args.out_dir is None else args.out_dir
+    outcome = harness.run_suite(args.config, out_dir, kind=kind)
     for path in outcome.written:
         print(f"wrote {path}")
     for label, seed, message in outcome.failures:
@@ -141,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=help_text)
         _add_suite_flags(p, harness.SUITE_KEYS[kind])
         p.add_argument("--config", help="suite file; runs matching sections instead of flags")
-        p.add_argument("--out-dir", default="results", help="output directory for suite runs")
+        p.add_argument("--out-dir", help="output directory for suite runs (default: results)")
         p.add_argument("--out", help="CSV output path for a single run")
         p.set_defaults(func=_cmd_run)
 
@@ -153,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("check", help="run the built-in theory checks")
-    p.add_argument("--kind", default="all", choices=[*harness.CHECKS, "all"])
+    p.add_argument("--kind", default="all", metavar="{" + ",".join([*harness.CHECKS, "all"]) + "}")
     p.add_argument("--out", help="optional CSV report path")
     p.set_defaults(func=_cmd_check)
     return parser

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,7 @@ class TestParseCompression:
         assert parse_compression("identity", 100) == Identity()
         assert parse_compression("rand_k:0.01", 2000) == RandK(20)
         assert parse_compression("rand_k:7", 100) == RandK(7)
+        assert parse_compression("top_k:5.0", 100) == TopK(5)
         assert parse_compression("top_k:0.1", 50) == TopK(5)
         assert parse_compression("qsgd:256", 10) == Qsgd(256)
         assert parse_compression("unbiased:rand_k:0.01", 2000) == RescaledUnbiased(RandK(20))
@@ -83,6 +85,13 @@ class TestParseCompression:
     @pytest.mark.parametrize("text", ["top_k:3000", "rand_k:2001", "unbiased:rand_k:3000"])
     def test_rejects_k_above_d(self, text):
         with pytest.raises(ConfigError, match=f"{text.split(':', 1)[-1]}'.*exceeds.*d = 2000"):
+            parse_compression(text, 2000)
+
+    @pytest.mark.parametrize("text", ["top_k:2.7", "rand_k:1.5", "unbiased:rand_k:10.25"])
+    def test_rejects_fractional_count(self, text):
+        inner = text.removeprefix("unbiased:")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"bad compression argument in '{inner}': a count k must be a whole number")):
             parse_compression(text, 2000)
 
 
@@ -156,15 +165,16 @@ class TestSuiteFile:
         ("optimize", "partition"),
         ("optimize", "schedule"),
     ])
-    def test_choice_key_checked_against_cli_choices(self, tmp_path, kind, key):
+    def test_choice_key_checked_against_cli_choices(self, tmp_path, kind, key, capsys):
         path = tmp_path / "suite.ini"
         path.write_text(f"[x]\nkind = {kind}\n{key} = banana\n")
         choices = ", ".join(CHOICES[key])
         with pytest.raises(ConfigError, match=rf"^\[x\]: {key} must be one of {choices}, got 'banana'$"):
             parse_suite_file(path)
-        with pytest.raises(SystemExit) as exc:  # the flag has the same choices
-            cli.build_parser().parse_args([kind, f"--{key}", "banana"])
-        assert exc.value.code == 2
+        # the flag's text goes through the same coercion, so it fails with the suite's message
+        assert cli.main([kind, f"--{key}", "banana", "--n", "4", "--d", "3"]) == 2
+        message = f"[{kind}]: {key} must be one of {choices}, got 'banana'"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         path.write_text(f"[x]\nkind = {kind}\n{key} = {CHOICES[key][-1]}\n")
         assert parse_suite_file(path)[0].options[key] == CHOICES[key][-1]
 
@@ -172,7 +182,8 @@ class TestSuiteFile:
         path = tmp_path / "suite.ini"
         path.write_text("[x]\nkind = consensus\ntopology = Fully_Connected\n")
         assert parse_suite_file(path)[0].options["topology"] == "fully_connected"
-        assert cli.build_parser().parse_args(["consensus", "--topology", "Ring"]).topology == "ring"
+        args = cli.build_parser().parse_args(["consensus", "--topology", "Ring"])
+        assert cli._spec(args, "consensus")[0].options["topology"] == "ring"
 
     def test_gamma_text_is_kept_for_the_builders(self, tmp_path):
         path = tmp_path / "suite.ini"
@@ -407,8 +418,10 @@ class TestTheoryCheck:
             assert o.passed, o.line()
 
     def test_line_format(self):
-        outcome = CheckOutcome("exact_rate", "demo", True, 1.0, 2.0)
+        outcome = CheckOutcome("exact_rate", "demo", 1.0, 2.0)
+        assert outcome.passed and CheckOutcome("mixing", "demo", 0.0, 0.0).passed  # at the bound
         assert outcome.line() == "PASS exact_rate demo observed=1 bound=2"
+        assert CheckOutcome("mixing", "demo", 2.5, 2.0).line() == "FAIL mixing demo observed=2.5 bound=2"
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -558,6 +571,9 @@ class TestCli:
         (["consensus", "--compression", "top_k:1e400"], "'top_k:1e400'"),
         (["consensus", "--compression", "rand_k:inf"], "'rand_k:inf'"),
         (["optimize", "--noise-sigma", "-1"], "noise_sigma must be finite and >= 0, got -1.0"),
+        (["consensus", "--scheme", "bogus"],
+         "[consensus]: scheme must be one of exact, direct, paired, tracking, got 'bogus'"),
+        (["consensus", "--compression", "top_k:2.7"], "bad compression argument in 'top_k:2.7'"),
     ])
     def test_bad_value_is_one_config_error(self, capsys, argv, named):
         assert cli.main([*argv, "--n", "4", "--d", "3", "--iters", "5"]) == 2
@@ -688,6 +704,38 @@ class TestCli:
         ])
         assert code == 1
         assert "error: all grid points diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["consensus", "--n", "4", "--d", "3", "--out-dir", "x"], "--out-dir needs --config"),
+        (["sweep", "--n", "4", "--d", "3", "--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["sweep", "--n", "4", "--d", "3", "--a-exp-min", "2", "--a-exp-max", "1"],
+         "--a-exp-min 2 is above --a-exp-max 1"),
+        (["consensus", "--topology", "ring", "--n", "0", "--d", "3"], "graph needs n >= 1, got 0"),
+        (["consensus", "--topology", "full", "--n", "0", "--d", "3"], "graph needs n >= 1, got 0"),
+        (["check", "--kind", "bogus"], "unknown check kind 'bogus'"),
+    ])
+    def test_flag_error_is_one_line(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a stray --out-dir or default results/ would land here
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_suite_out_dir_defaults_to_results(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "suite.ini").write_text("[a]\nkind = consensus\nn = 4\nd = 3\niters = 3\n")
+        assert cli.main(["consensus", "--config", "suite.ini"]) == 0
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+            "a_seed0.csv", "a_summary.csv"]
+
+    def test_disconnected_edge_file_is_one_config_error(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")  # two triangles
+        argv = ["consensus", "--topology", "custom", "--edges-file", str(edges), "--d", "3"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        head, _, gap = err.partition("spectral gap ")
+        assert (out, head) == ("", "error: graph is disconnected: ")
+        assert gap.endswith("\n") and 0.0 <= float(gap) < 1e-9  # a few ulps at most
 
     def test_seed_flag_takes_one_seed(self, capsys):
         assert cli.main(["consensus", "--n", "4", "--d", "3", "--seed", "1,2"]) == 2

@@ -58,7 +58,8 @@ class TestBuild:
         assert m.delta == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert m.beta == pytest.approx(4.0 / 3.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [5, 8, 16, 25])
+    # n = 1000 has delta = 1.3e-5, far above the EIG_TOL connectivity threshold
+    @pytest.mark.parametrize("n", [5, 8, 16, 25, 1000])
     def test_ring_matches_circulant_oracle(self, n):
         m = build_gossip_matrix(Ring(n))
         eigs = ring_circulant_eigs(n)
@@ -113,6 +114,18 @@ class TestBuild:
         with pytest.raises(ValueError, match="disconnected"):
             build_gossip_matrix(Graph(4, ((0, 1), (2, 3))))
 
+    @pytest.mark.parametrize("copies, size", [(2, 30), (2, 50), (3, 40), (4, 4), (3, 1)])
+    def test_disconnected_regular_graph_has_no_gap(self, copies, size):
+        # disjoint copies of a ring: W's eigenvalue 1 repeats, so delta is 0 up to rounding
+        edges = tuple((c * size + i, c * size + (i + 1) % size)
+                      for c in range(copies) for i in range(size))
+        with pytest.raises(ValueError, match=r"^graph is disconnected: spectral gap "):
+            build_gossip_matrix(Graph(copies * size, edges))
+
+    def test_disconnected_irregular_graph_reports_irregular(self):
+        with pytest.raises(ValueError, match="not regular"):
+            build_gossip_matrix(Graph(5, ((0, 1), (2, 3), (3, 4))))
+
     @pytest.mark.parametrize("edge", [(0, 4), (-1, 2)])
     def test_edge_out_of_range_rejected(self, edge):
         # numpy would wrap the negative index, so the range is checked first
@@ -123,6 +136,9 @@ class TestBuild:
     def test_node_count_below_one_rejected(self, n):
         with pytest.raises(ValueError, match=re.escape(f"graph needs n >= 1, got {n}")):
             build_gossip_matrix(Graph(n, ()))
+        for ctor in (Ring, FullyConnected):  # the constructors leave the check to Graph
+            with pytest.raises(ValueError, match=re.escape(f"graph needs n >= 1, got {n}")):
+                ctor(n)
 
     def test_weights_are_read_only(self):
         m = build_gossip_matrix(Ring(5))
