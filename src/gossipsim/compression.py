@@ -72,9 +72,13 @@ RngFor = Callable[[int], "np.random.Generator | None"]
 class CompressionSpec:
     """Base for all operator specs; carries the bit-accounting knob.
 
-    Subclasses implement ``omega``, ``message_bits`` and ``apply``; those
-    with ``E Q(x) = x`` set ``unbiased``, and those that work on the
-    ``n x d`` scratch set ``node_major``.
+    Subclasses implement ``omega(d)``, the contraction quality at dimension ``d``;
+    ``message_bits(d)``, the modeled cost of one sent message at dimension ``d``, at least 1;
+    and ``apply(X, rng_for, out, scratch)``, which compresses every column of the finite
+    ``d x n`` matrix ``X`` into ``out`` (``d x n``, contiguous, not overlapping ``X``), using
+    the ``n x d`` ``scratch`` if ``node_major``, and returns ``out`` and a per-column sent mask.
+    Those with ``E Q(x) = x`` set ``unbiased``, and those that work on the ``n x d`` scratch
+    set ``node_major``.
     """
 
     value_bits: int = field(default=32, kw_only=True)
@@ -85,25 +89,9 @@ class CompressionSpec:
         if self.value_bits < 1:
             raise ValueError(f"value_bits must be >= 1, got {self.value_bits}")
 
-    def omega(self, d: int) -> float:
-        """Contraction quality at dimension ``d``."""
-        raise TypeError(f"unknown compression spec {self!r}")
-
-    def message_bits(self, d: int) -> int:
-        """Modeled cost of one sent message at dimension ``d``; at least 1."""
-        raise TypeError(f"unknown compression spec {self!r}")
-
     def natural_tau(self, d: int) -> float:
         """Scale that lifts the operator to its unbiased estimator."""
         raise ValueError(f"no unbiased rescaling for {type(self).__name__}")
-
-    def apply(self, X: np.ndarray, rng_for: RngFor | None, out: np.ndarray,
-              scratch: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Compress every column of the finite ``d x n`` matrix ``X`` into
-        ``out`` (``d x n``, contiguous, not overlapping ``X``), using the
-        ``n x d`` ``scratch`` if ``node_major``; returns ``out`` and a
-        per-column sent mask."""
-        raise TypeError(f"unknown compression spec {self!r}")
 
 
 @dataclass(frozen=True)
@@ -200,8 +188,7 @@ class Qsgd(CompressionSpec):
         return 1.0 / qsgd_tau(self.s, d)
 
     def message_bits(self, d):
-        level_bits = (self.s - 1).bit_length() if self.s > 1 else 0
-        return d * (1 + level_bits) + self.value_bits
+        return d * (1 + _index_bits(self.s)) + self.value_bits
 
     def natural_tau(self, d):
         return qsgd_tau(self.s, d)

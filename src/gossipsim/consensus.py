@@ -248,10 +248,8 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     """
     matrix = config.matrix
     x = np.array(initial_x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"initial X must be d x n, got shape {x.shape}")
-    if x.shape[1] != matrix.n:
-        raise ValueError(f"initial X has {x.shape[1]} columns but the graph has {matrix.n} nodes")
+    if x.ndim != 2 or x.shape[1] != matrix.n:
+        raise ValueError(f"initial X must be d x {matrix.n}, got shape {x.shape}")
 
     gossip = Gossip(config.scheme, matrix, config.gamma, config.compression, config.seed)
     work = gossip.work_like(x)  # every evaluation runs in it

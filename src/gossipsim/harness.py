@@ -98,8 +98,8 @@ class ConfigError(ValueError):
 def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.CompressionSpec:
     """Parse an operator string.
 
-    Forms: ``identity``, ``rand_k:<k or fraction>``, ``top_k:<k or
-    fraction>``, ``qsgd:<levels>``, ``rand_gossip:<p>``, and
+    Forms: ``identity`` (no argument), ``rand_k:<k or fraction>``,
+    ``top_k:<k or fraction>``, ``qsgd:<levels>``, ``rand_gossip:<p>``, and
     ``unbiased:<inner>`` for the rescaled unbiased variant.  A sparsifier
     argument below 1 is read as a coordinate fraction and resolved as
     ``ceil(fraction * d)``.
@@ -108,11 +108,13 @@ def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.Compressi
     if text.startswith("unbiased:"):
         inner = parse_compression(text[len("unbiased:"):], d, value_bits)
         return comp.RescaledUnbiased(inner, value_bits=value_bits)
-    name, _, arg = text.partition(":")
+    name, colon, arg = text.partition(":")
     name = name.strip().lower()
     try:
         if name in ("identity", "none", "exact"):
-            spec = comp.Identity(value_bits=value_bits)
+            if colon:
+                raise ConfigError(f"{name} takes no argument, got {text!r}")
+            spec = comp.Identity()
         elif name in ("rand_k", "top_k"):
             if not arg:
                 raise ConfigError(f"{name} needs k or a fraction, e.g. {name}:0.01")
@@ -121,11 +123,11 @@ def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.Compressi
             if value >= 1 and k != value:
                 raise ValueError(f"a count k must be a whole number, got {arg}")
             cls = comp.RandK if name == "rand_k" else comp.TopK
-            spec = cls(k, value_bits=value_bits)
+            spec = cls(k)
         elif name == "qsgd":
-            spec = comp.Qsgd(int(arg), value_bits=value_bits)
+            spec = comp.Qsgd(int(arg))
         elif name == "rand_gossip":
-            spec = comp.RandGossip(float(arg), value_bits=value_bits)
+            spec = comp.RandGossip(float(arg))
         else:
             raise ConfigError(f"unknown compression kind {text!r}")
         spec.omega(d)  # rejects a spec invalid at this d, such as k > d
@@ -133,7 +135,7 @@ def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.Compressi
         raise
     except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"bad compression argument in {text!r}: {exc}") from exc
-    return spec
+    return replace(spec, value_bits=value_bits)  # outside the try: not blamed on ``text``
 
 
 def build_topology(name: str, n: int | None, rows: int | None = None,
@@ -252,8 +254,8 @@ def _coerce_options(label: str, raw: dict) -> dict:
     """Typed options; a value of the wrong syntax or outside the key's
     ``CHOICES`` is a ConfigError naming its key.
 
-    Range checks are left to the config dataclasses; only the seeds' is
-    made here, so a bad seed aborts the whole suite before any run.
+    Range checks are left to the config dataclasses; only the seed keys'
+    are made here, so a bad seed aborts the whole suite before any run.
     """
     opts = dict(raw)
     if "topology" in opts:  # build_topology takes any letter case
@@ -274,6 +276,9 @@ def _coerce_options(label: str, raw: dict) -> dict:
                 "targets_seed"):
         if key in opts:
             opts[key] = coerce(key, int, "an integer")
+    if not 0 <= opts.get("targets_seed", 0) < 2**64:  # streams.stream's key range, as for seeds
+        raise ConfigError(f"[{label}]: targets_seed must be a non-negative 64-bit integer, "
+                          f"got {raw['targets_seed']!r}")
     for key in ("a", "b", "noise_sigma", "fstar_tol"):
         if key in opts:
             opts[key] = coerce(key, float, "a number")

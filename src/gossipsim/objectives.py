@@ -392,8 +392,8 @@ def solve_reference(
 ) -> tuple[np.ndarray, float]:
     """Minimizer and optimal value by full-gradient descent with step 1/L,
     stopped once ``||grad|| <= tolerance``."""
-    if not tolerance > 0:  # a tolerance that cannot be met would spin for max_iters
-        raise ValueError(f"fstar_tol must be > 0, got {tolerance}")
+    if not 0 < tolerance < math.inf:  # unmeetable spins max_iters; inf stops at x = 0
+        raise ValueError(f"fstar_tol must be finite and > 0, got {tolerance}")
     _, big_l = objective.constants()
     x = np.zeros(objective.dim)
     step = 1.0 / big_l

@@ -227,10 +227,10 @@ def run_optimization(
     for t in range(config.iters + 1):
         final = t == config.iters
         xbar = x.sum(axis=1) / matrix.n  # what x.mean(axis=1) computes
+        eta = config.schedule.eta(t)
         if final or t % config.eval_every == 0:
             subopt = objective.value(xbar) - config.f_star
             dispersion = float(np.sum((x - xbar[:, None]) ** 2))
-            eta = config.schedule.eta(t)
             records.append(OptimizeRecord(t, subopt, dispersion, bits, eta))
             limit = DIVERGENCE_FACTOR * max(abs(records[0].subopt), 1.0)
             if not np.isfinite(subopt) or abs(subopt) > limit:
@@ -240,7 +240,6 @@ def run_optimization(
         w = (a + t) ** 2
         weighted_sum += w * xbar
         total += w
-        eta = config.schedule.eta(t)
         x, payloads = sgd_round(x, objective, eta, scheme, t, pool)
         bits += int(np.dot(degrees, payloads))
 

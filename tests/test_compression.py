@@ -327,6 +327,10 @@ class TestSpecValidation:
                 RescaledUnbiased(inner)
         assert RescaledUnbiased(Qsgd(4)).omega(16) == 1.0 / qsgd_tau(4, 16)
 
+    def test_top_k_has_no_natural_tau(self):
+        with pytest.raises(ValueError, match="no unbiased rescaling for TopK"):
+            TopK(2).natural_tau(8)
+
     def test_helpers(self):
         assert resolve_k(0.01, 2000) == 20
         assert resolve_k(0.001, 50) == 1

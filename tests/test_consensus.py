@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,12 @@ class TestRunConsensus:
         x0 = stream(3, tag="init").standard_normal((200, 9))
         with pytest.raises(DivergenceError):
             run_consensus(config, x0)
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 8), (2, 4, 9)])
+    def test_initial_x_must_be_d_by_n(self, shape):
+        config = ConsensusConfig(scheme=EXACT, matrix=RING9, iters=5)
+        with pytest.raises(ValueError, match=re.escape(f"initial X must be d x 9, got shape {shape}")):
+            run_consensus(config, np.zeros(shape))
 
     def test_rejects_gamma_out_of_range(self):
         with pytest.raises(ValueError):

@@ -8,17 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipsim import cli
-from gossipsim.compression import Identity, Qsgd, RandK, RescaledUnbiased, TopK
+from gossipsim.compression import Identity, Qsgd, RandGossip, RandK, RescaledUnbiased, TopK
 from gossipsim.harness import (
     CHOICES,
     SUITE_KEYS,
     CheckOutcome,
     ConfigError,
     ExperimentSpec,
+    build_consensus,
     build_optimize,
     grid_search,
     parse_compression,
     parse_suite_file,
+    run_experiment,
     run_suite,
     summarize,
     theory_check,
@@ -69,10 +71,38 @@ class TestParseCompression:
         assert parse_compression("top_k:0.1", 50) == TopK(5)
         assert parse_compression("qsgd:256", 10) == Qsgd(256)
         assert parse_compression("unbiased:rand_k:0.01", 2000) == RescaledUnbiased(RandK(20))
+        assert parse_compression("unbiased:identity", 16) == RescaledUnbiased(Identity())
 
     def test_value_bits_flow_through(self):
         spec = parse_compression("top_k:2", 16, value_bits=64)
         assert spec == TopK(2, value_bits=64)
+
+    @pytest.mark.parametrize("text", ["identity", "unbiased:identity", "qsgd:4"])
+    def test_bad_value_bits_is_named(self, text):
+        # not blamed on the compression string, which may be the default
+        with pytest.raises(ValueError, match=r"^value_bits must be >= 1, got 0$"):
+            parse_compression(text, 16, value_bits=0)
+
+    @pytest.mark.parametrize("text", ["identity:5", "identity:banana", "none:1", "exact:",
+                                      "unbiased:identity:5"])
+    def test_identity_takes_no_argument(self, text):
+        inner = text.removeprefix("unbiased:")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{inner.split(':')[0]} takes no argument, got '{inner}'")):
+            parse_compression(text, 16)
+
+    def test_rand_gossip_tracking_run(self):
+        spec = ExperimentSpec("x", "consensus", {
+            "n": 9, "d": 4, "scheme": "tracking", "compression": "rand_gossip:0.5",
+            "gamma": "auto", "iters": 200, "seeds": [0],
+        })
+        assert build_consensus(spec, 0)[0].compression == RandGossip(0.5)
+        records = run_experiment(spec, 0).records
+        per_round = np.diff([rec.bits for rec in records])
+        # a node that sends pays 4 * 32 bits on each of its 2 edges, else nothing
+        assert np.all(per_round % 256 == 0) and 0 < per_round.min() < per_round.max() < 9 * 256
+        assert records[-1].error < 0.8 * records[0].error
+        assert max(rec.mean_drift for rec in records) < 1e-12
 
     def test_rejects_unknown(self):
         with pytest.raises(ConfigError):
@@ -121,6 +151,21 @@ class TestSuiteFile:
         path = tmp_path / "suite.ini"
         path.write_text("[x]\nkind = consensus\nseeds = 1 1\n")
         with pytest.raises(ConfigError, match="distinct"):
+            parse_suite_file(path)
+
+    def test_empty_seeds_rejected(self, tmp_path):
+        path = tmp_path / "suite.ini"
+        path.write_text("[x]\nkind = consensus\nseeds =\n")
+        with pytest.raises(ConfigError, match=re.escape("[x]: empty seeds list")):
+            parse_suite_file(path)
+
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_targets_seed_range_checked_at_parse(self, tmp_path, value):
+        # like a seed in seeds, before any run rather than as every seed's failure
+        path = tmp_path / "suite.ini"
+        path.write_text(f"[x]\nkind = optimize\ntargets_seed = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[x]: targets_seed must be a non-negative 64-bit integer, got '{value}'")):
             parse_suite_file(path)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -574,6 +619,15 @@ class TestCli:
         (["consensus", "--scheme", "bogus"],
          "[consensus]: scheme must be one of exact, direct, paired, tracking, got 'bogus'"),
         (["consensus", "--compression", "top_k:2.7"], "bad compression argument in 'top_k:2.7'"),
+        (["consensus", "--compression", "identity:5"],
+         "identity takes no argument, got 'identity:5'"),
+        (["optimize", "--fstar-tol", "inf"], "fstar_tol must be finite and > 0, got inf"),
+        (["optimize", "--targets-seed", "-1"],
+         "[optimize]: targets_seed must be a non-negative 64-bit integer, got '-1'"),
+        (["consensus", "--value-bits", "0"], "error: value_bits must be >= 1, got 0"),
+        (["consensus", "--compression", "top_k:0"], "k fraction must lie in (0, 1], got 0.0"),
+        (["consensus", "--eval-every", "0"], "eval_every must be >= 1"),
+        (["consensus", "--topology", "custom"], "custom topology needs an edge list file"),
     ])
     def test_bad_value_is_one_config_error(self, capsys, argv, named):
         assert cli.main([*argv, "--n", "4", "--d", "3", "--iters", "5"]) == 2
@@ -684,6 +738,17 @@ class TestCli:
         assert code == 1
         assert "error: run diverged" in capsys.readouterr().err
 
+    def test_overflow_between_evaluations_is_a_divergence(self, capsys):
+        # paired gossip with rand_k:1 rescaled by d blows up; the only
+        # evaluations are rounds 0 and 3000, so the round's own check fires
+        code = cli.main([
+            "consensus", "--scheme", "paired", "--compression", "unbiased:rand_k:1",
+            "--gamma", "1.0", "--n", "9", "--d", "20", "--iters", "3000", "--eval-every", "100000",
+        ])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: run diverged at iteration 1888 (error inf)"]
+
     @pytest.mark.parametrize("flag", [
         "--config=suite.ini", "--out-dir=res", "--out=run.csv", "--iters=5",
         "--eval-every=2", "--schedule=practical", "--a=0.1", "--b=4",
@@ -713,6 +778,8 @@ class TestCli:
         (["consensus", "--topology", "ring", "--n", "0", "--d", "3"], "graph needs n >= 1, got 0"),
         (["consensus", "--topology", "full", "--n", "0", "--d", "3"], "graph needs n >= 1, got 0"),
         (["check", "--kind", "bogus"], "unknown check kind 'bogus'"),
+        (["consensus", "--n", "4", "--d", "3", "--iters", "0"], "iters must be >= 1"),
+        (["consensus", "--config", "missing.ini"], "cannot read config file missing.ini"),
     ])
     def test_flag_error_is_one_line(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # a stray --out-dir or default results/ would land here

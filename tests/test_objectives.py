@@ -546,11 +546,11 @@ class TestSolveReference:
         assert f_star < math.log(2.0)
         assert np.linalg.norm(obj.gradient(x_star)) <= 1e-10
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_tolerance_must_be_positive(self, tol):
         # a tolerance that can never be met would run all max_iters steps
         obj = QuadraticObjective(stream(9, tag="targets").standard_normal((4, 5)))
-        with pytest.raises(ValueError, match=f"fstar_tol must be > 0, got {tol}"):
+        with pytest.raises(ValueError, match=f"fstar_tol must be finite and > 0, got {tol}"):
             solve_reference(obj, tol)
 
     def test_gradient_norm_contract_on_fixture(self):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -290,6 +291,13 @@ class TestRunOptimization:
         with pytest.raises(ValueError, match=f"{n} nodes and dimension {d},.*9 nodes.*dimension 5"):
             run_optimization(config, objective, np.zeros((5, 9)))
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 8), (2, 5, 9)])
+    def test_initial_x_must_be_d_by_n(self, shape):
+        config = SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 5.0, 1),
+                           iters=5, f_star=0.0)
+        with pytest.raises(ValueError, match=re.escape(f"initial X must be d x 9, got shape {shape}")):
+            run_optimization(config, QuadraticObjective(np.zeros((5, 9))), np.zeros(shape))
+
     def test_monotone_trend_quadratic(self):
         # suboptimality at T=2000 is below its value at T=1000, averaged
         # over 5 seeds, with the theoretical schedule
@@ -350,11 +358,11 @@ class TestRunOptimization:
             run_optimization(config, objective, np.zeros((4, 9)))
         assert err.value.iteration == 5
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_nonpositive_fstar_tol_rejected(self, tol):
         # a tolerance that can never be met would spin the reference solve
         spec = ExperimentSpec("x", "optimize", {"n": 9, "d": 4, "fstar_tol": tol, "seeds": [0]})
-        with pytest.raises(ValueError, match=f"fstar_tol must be > 0, got {tol}"):
+        with pytest.raises(ValueError, match=f"fstar_tol must be finite and > 0, got {tol}"):
             build_optimize(spec, 0)
 
     @pytest.mark.parametrize("f_star", [math.nan, math.inf, -math.inf])
