@@ -86,8 +86,8 @@ class CompressionSpec:
     node_major: ClassVar[bool] = False
 
     def __post_init__(self):
-        if self.value_bits < 1:
-            raise ValueError(f"value_bits must be >= 1, got {self.value_bits}")
+        if not 1 <= self.value_bits <= 64:  # so every bit count fits in int64
+            raise ValueError(f"value_bits must lie in [1, 64], got {self.value_bits}")
 
     def natural_tau(self, d: int) -> float:
         """Scale that lifts the operator to its unbiased estimator."""

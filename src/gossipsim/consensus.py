@@ -147,14 +147,13 @@ class Gossip:
     both start at zero and stay ``None`` for the other schemes.  Exact
     gossip pays ``d * value_bits`` per message.
 
-    The kernel owns every ``d x n`` array a round touches, allocated on the
-    first round in the memory order of ``x``: ``x_hat`` and ``s`` for
-    tracking, one ``work`` array (:meth:`work_like`), and for the
-    compressed schemes the message buffer and, if the operator is
-    ``node_major``, its ``n x d`` scratch.  The arrays that
-    :meth:`exchange` and :meth:`messages` return -- the messages ``q``,
-    ``x_hat``, ``s`` and ``received`` -- are these buffers: the next round
-    overwrites them, so copy what must outlive it.
+    The kernel owns every ``d x n`` array a round touches, C-ordered and
+    allocated on the first round: ``x_hat`` and ``s`` for tracking, one
+    ``work`` array (:meth:`work_like`), and for the compressed schemes the
+    message buffer and, if the operator is ``node_major``, its ``n x d``
+    scratch.  The arrays that :meth:`exchange` and :meth:`messages` return
+    -- the messages ``q``, ``x_hat``, ``s`` and ``received`` -- are these
+    buffers: the next round overwrites them, so copy what must outlive it.
     """
 
     def __init__(self, scheme: GossipScheme, matrix: GossipMatrix, gamma: float = 1.0,
@@ -171,14 +170,11 @@ class Gossip:
         self._pool = StreamPool()
 
     def work_like(self, x: np.ndarray) -> np.ndarray:
-        """The kernel's ``work`` array, shaped and laid out like ``x``; the
-        rounds use it between their steps, so it holds nothing across them.
-        It is allocated anew when ``x`` changes shape or turns C-ordered."""
-        work = self._work
-        if work is None or work.shape != x.shape or (
-                x.flags.c_contiguous and not work.flags.c_contiguous):
-            work = self._work = np.empty_like(x, dtype=float)
-        return work
+        """The kernel's ``work`` array, shaped like ``x``; the rounds use it
+        between their steps, so it holds nothing across them."""
+        if self._work is None or self._work.shape != x.shape:
+            self._work = np.empty(x.shape)
+        return self._work
 
     def messages(self, v: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Every node's round-``t`` message ``Q(v_i)``, in the message buffer,
@@ -187,7 +183,7 @@ class Gossip:
             return self._pool.get(self.seed, node=i, round_=t, tag=_COMPRESS_TAG)
 
         if self._q is None or self._q.shape != v.shape:
-            self._q = np.empty_like(v, dtype=float)
+            self._q = np.empty(v.shape)
             self._scratch = np.empty(v.shape[::-1]) if self.compression.node_major else None
         return compress_columns(self.compression, v, rng_for, self._q, self._scratch)
 
@@ -199,7 +195,7 @@ class Gossip:
             return np.matmul(x, weights, out=work), x, bits
         if self.scheme is GossipScheme.TRACKING:
             if self.x_hat is None:
-                self.x_hat, self.s = np.zeros_like(x), np.zeros_like(x)
+                self.x_hat, self.s = np.zeros(x.shape), np.zeros(x.shape)
             q, bits = self.messages(np.subtract(x, self.x_hat, out=work), t)
             self.x_hat += q
             self.s += np.matmul(q, weights, out=work)
@@ -243,11 +239,11 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     serves only the final Lyapunov value, and the loop stops before its
     move, so its bits are not counted.
 
-    The iterates are updated in place in a copy of ``initial_x``, which
-    ``final_x`` holds.
+    The iterates are updated in place in a C-ordered copy of ``initial_x``,
+    which ``final_x`` holds.
     """
     matrix = config.matrix
-    x = np.array(initial_x, dtype=float)
+    x = np.array(initial_x, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != matrix.n:
         raise ValueError(f"initial X must be d x {matrix.n}, got shape {x.shape}")
 
@@ -274,11 +270,6 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
         if t == config.iters:
             break
         x += gossip.move(received, own)
-        if t == 0 and not x.flags.c_contiguous:
-            # from round 1 on the iterates are C-ordered like x @ W, whatever
-            # the input's layout, and so is every sum taken in work
-            x = np.ascontiguousarray(x)
-            work = gossip.work_like(x)
         bits += int(np.dot(degrees, payloads))
         if not np.isfinite(x).all():
             raise DivergenceError(t, float("inf"))

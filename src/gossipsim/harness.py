@@ -135,7 +135,10 @@ def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.Compressi
         raise
     except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"bad compression argument in {text!r}: {exc}") from exc
-    return replace(spec, value_bits=value_bits)  # outside the try: not blamed on ``text``
+    try:  # apart from the try above: not blamed on ``text``
+        return replace(spec, value_bits=value_bits)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_topology(name: str, n: int | None, rows: int | None = None,
@@ -148,7 +151,10 @@ def build_topology(name: str, n: int | None, rows: int | None = None,
     if name == "ring":
         return build_gossip_matrix(Ring(_require(n, "n")))
     if name == "torus":
-        return build_gossip_matrix(Torus(_require(rows, "torus_rows"), _require(cols, "torus_cols")))
+        rows, cols = _require(rows, "torus_rows"), _require(cols, "torus_cols")
+        if n is not None and n != rows * cols:
+            raise ConfigError(f"n = {n} contradicts torus_rows x torus_cols = {rows} x {cols}")
+        return build_gossip_matrix(Torus(rows, cols))
     if name == "custom":
         if edges_file is None:
             raise ConfigError("custom topology needs an edge list file")
@@ -188,12 +194,6 @@ def load_init_file(path, d: int, n: int) -> np.ndarray:
             rows = [k for k, line in enumerate(fh, start=1) if line.split("#", 1)[0].strip()]
         raise ConfigError(f"init file {path} line {rows[node]}: values must be finite")
     return x0
-
-
-def resolve_gamma(gamma_text: str, matrix: GossipMatrix, spec: comp.CompressionSpec, d: int) -> float:
-    if gamma_text.strip().lower() == "auto":
-        return tracking_stepsize(matrix.delta, spec.omega(d), matrix.beta)
-    return float(gamma_text)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +282,9 @@ def _coerce_options(label: str, raw: dict) -> dict:
     for key in ("a", "b", "noise_sigma", "fstar_tol"):
         if key in opts:
             opts[key] = coerce(key, float, "a number")
-    if "gamma" in opts and opts["gamma"].strip().lower() != "auto":
-        # checked only: the text goes on to resolve_gamma when the run is built
-        coerce("gamma", float, "a number or auto")
+    if "gamma" in opts:  # "auto" is resolved when the run is built
+        opts["gamma"] = coerce("gamma", lambda text: "auto" if text.strip().lower() == "auto"
+                               else float(text), "a number or auto")
     if "seeds" in opts:
         seeds = coerce("seeds", lambda text: [int(tok) for tok in text.replace(",", " ").split()],
                        "integers")
@@ -311,9 +311,12 @@ def _build_matrix(o: dict) -> GossipMatrix:
 def _gossip_options(o: dict, matrix: GossipMatrix, d: int, seed: int) -> dict:
     """The config fields consensus and SGD runs share, with their defaults."""
     cspec = parse_compression(o.get("compression", "identity"), d, o.get("value_bits", 32))
+    gamma = o.get("gamma", 1.0)
+    if gamma == "auto":
+        gamma = tracking_stepsize(matrix.delta, cspec.omega(d), matrix.beta)
     return dict(
         matrix=matrix,
-        gamma=resolve_gamma(str(o.get("gamma", "1.0")), matrix, cspec, d),
+        gamma=gamma,
         compression=cspec,
         iters=o.get("iters", 100),
         seed=seed,
@@ -347,6 +350,8 @@ def build_objective(o: dict, matrix: GossipMatrix, seed: int) -> Objective:
             dataset = parse_libsvm(fh)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    if o.get("d", dataset.d) != dataset.d:
+        raise ConfigError(f"{path} holds {dataset.d}-dimensional data, but d = {o['d']}")
     shards = partition(dataset, matrix.n, o.get("partition", "shuffled"), seed=seed)
     return LogisticObjective(dataset, shards)
 

@@ -151,6 +151,12 @@ class SgdConfig(RunConfig):
         self._check(GossipScheme(self.averaging))
         if not np.isfinite(self.f_star):
             raise ValueError(f"f_star must be finite, got {self.f_star}")
+        # the sum of the averaging weights (a + s)^2 for s <= t, in closed form; a finite sum
+        # bounds every weight.  A t past 1e300 overflows it all the same; past 1e308, no float.
+        a, t = self.schedule.a, float(min(self.iters, 10**300))
+        if not math.isfinite((t + 1) * a * a + a * t * (t + 1) + t * (t + 1) * (2 * t + 1) / 6):
+            raise ValueError(f"schedule parameter a = {a} makes the averaging weights "
+                             f"(a + t)^2 overflow by t = {self.iters}")
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,7 @@ def run_optimization(
     rounds, and the stepsize ``eta_t``.
     """
     matrix = config.matrix
-    x = np.asarray(initial_x, dtype=float).copy()
+    x = np.array(initial_x, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != matrix.n:
         raise ValueError(f"initial X must be d x {matrix.n}, got shape {x.shape}")
     d = x.shape[0]

@@ -4,7 +4,8 @@ Every property runs a few rounds of :class:`gossipsim.consensus.Gossip` on
 a generated ring, torus or complete graph with a generated ``gamma``,
 operator and initial matrix; tolerances are relative to the largest
 magnitude the run produced, since the rescaled unbiased operators blow
-values up.
+values up.  A whole run's bytes depend on the values of ``X0`` alone, not on
+its memory layout.
 """
 
 import functools
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gossipsim.compression import Identity, Qsgd, RandGossip, RandK, RescaledUnbiased, TopK
-from gossipsim.consensus import Gossip, GossipScheme
+from gossipsim.consensus import Gossip, GossipScheme, run_consensus
 from gossipsim.optimize import TrackingAveraging
 from gossipsim.topology import FullyConnected, Ring, Torus, build_gossip_matrix
+from test_round_identity import gossip_cases, laid_out, outcome
 
 EXACT, DIRECT, PAIRED, TRACKING = GossipScheme
 
@@ -116,3 +118,19 @@ def test_tracking_averaging_is_tracking_gossip(data):
         tol = 1e-12 * scale(x, gossip.x_hat, gossip.s)
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
         x = want
+
+
+@settings(max_examples=150, deadline=None)
+@given(gossip_cases())
+def test_run_consensus_bytes_do_not_depend_on_the_layout_of_x0(case):
+    config, x0 = case
+
+    def run(layout):
+        result = outcome(run_consensus, config, laid_out(x0, layout))
+        if isinstance(result, tuple):  # the error it raised
+            return result
+        return repr(result.records), result.final_x.tobytes(), result.final_x.strides
+
+    c_run = run("C")
+    assert run("F") == c_run
+    assert run("strided") == c_run

@@ -17,6 +17,7 @@ from gossipsim.harness import (
     ExperimentSpec,
     build_consensus,
     build_optimize,
+    build_topology,
     grid_search,
     parse_compression,
     parse_suite_file,
@@ -80,8 +81,10 @@ class TestParseCompression:
     @pytest.mark.parametrize("text", ["identity", "unbiased:identity", "qsgd:4"])
     def test_bad_value_bits_is_named(self, text):
         # not blamed on the compression string, which may be the default
-        with pytest.raises(ValueError, match=r"^value_bits must be >= 1, got 0$"):
-            parse_compression(text, 16, value_bits=0)
+        for value_bits in (0, 65):
+            with pytest.raises(ConfigError,
+                               match=rf"^value_bits must lie in \[1, 64\], got {value_bits}$"):
+                parse_compression(text, 16, value_bits=value_bits)
 
     @pytest.mark.parametrize("text", ["identity:5", "identity:banana", "none:1", "exact:",
                                       "unbiased:identity:5"])
@@ -230,10 +233,16 @@ class TestSuiteFile:
         args = cli.build_parser().parse_args(["consensus", "--topology", "Ring"])
         assert cli._spec(args, "consensus")[0].options["topology"] == "ring"
 
+    def test_torus_n_must_match_its_sides(self):
+        assert build_topology("torus", None, 3, 3).n == build_topology("torus", 9, 3, 3).n == 9
+        with pytest.raises(ConfigError, match=re.escape(
+                "n = 5 contradicts torus_rows x torus_cols = 3 x 3")):
+            build_topology("torus", 5, 3, 3)
+
     def test_gamma_text_is_kept_for_the_builders(self, tmp_path):
         path = tmp_path / "suite.ini"
         path.write_text("[x]\nkind = consensus\ngamma = Auto\n\n[y]\nkind = consensus\ngamma = 0.5\n")
-        assert [s.options["gamma"] for s in parse_suite_file(path)] == ["Auto", "0.5"]
+        assert [s.options["gamma"] for s in parse_suite_file(path)] == ["auto", 0.5]
 
 
 class TestRunSuite:
@@ -420,6 +429,12 @@ class TestGridSearch:
         with pytest.raises(RuntimeError, match="diverged"):
             grid_search(base, objective, np.zeros((6, 9)), a_exponents=(5, 6), b_values=(1.0,),
                         epochs=20)
+
+    def test_overflowing_grid_point_is_rejected(self):
+        objective = self.quad(6, 9)
+        with pytest.raises(ValueError, match=re.escape("a = 1e+200 makes the averaging weights")):
+            grid_search(self.make_base(objective), objective, np.zeros((6, 9)),
+                        a_exponents=(200,), b_values=(1.0,))
 
     def test_needs_a_practical_schedule(self):
         objective = self.quad(6, 9)
@@ -624,10 +639,15 @@ class TestCli:
         (["optimize", "--fstar-tol", "inf"], "fstar_tol must be finite and > 0, got inf"),
         (["optimize", "--targets-seed", "-1"],
          "[optimize]: targets_seed must be a non-negative 64-bit integer, got '-1'"),
-        (["consensus", "--value-bits", "0"], "error: value_bits must be >= 1, got 0"),
+        (["consensus", "--value-bits", "0"], "error: value_bits must lie in [1, 64], got 0"),
         (["consensus", "--compression", "top_k:0"], "k fraction must lie in (0, 1], got 0.0"),
         (["consensus", "--eval-every", "0"], "eval_every must be >= 1"),
         (["consensus", "--topology", "custom"], "custom topology needs an edge list file"),
+        (["consensus", "--value-bits", "65"], "error: value_bits must lie in [1, 64], got 65"),
+        (["optimize", "--schedule", "theoretical", "--a", "1e200"],
+         "schedule parameter a = 1e+200 makes the averaging weights (a + t)^2 overflow by t = 5"),
+        (["consensus", "--topology", "torus", "--torus-rows", "3", "--torus-cols", "3"],
+         "n = 4 contradicts torus_rows x torus_cols = 3 x 3"),
     ])
     def test_bad_value_is_one_config_error(self, capsys, argv, named):
         assert cli.main([*argv, "--n", "4", "--d", "3", "--iters", "5"]) == 2
@@ -635,6 +655,17 @@ class TestCli:
         assert "Traceback" not in err
         (line,) = err.splitlines()
         assert line.startswith("error: ") and named in line
+
+    @pytest.mark.parametrize("d", ["2", "7"])
+    def test_logistic_d_must_match_the_data(self, tmp_path, capsys, d):
+        data = tmp_path / "train.svm"
+        data.write_text(serialize_libsvm(synthetic_classification(12, 5, seed=3)))
+        args = ["optimize", "--objective", "logistic", "--data", str(data), "--n", "3",
+                "--iters", "5"]
+        assert cli.main([*args, "--d", "5"]) == 0
+        capsys.readouterr()
+        assert cli.main([*args, "--d", d]) == 2
+        assert capsys.readouterr().err == f"error: {data} holds 5-dimensional data, but d = {d}\n"
 
     def test_nonfinite_libsvm_value_names_its_line(self, tmp_path, capsys):
         data = tmp_path / "train.svm"

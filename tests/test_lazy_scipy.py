@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCIPY_MODULES = ("scipy.sparse", "scipy.special")
 
 CONSENSUS = {"topology": "ring", "n": 5, "d": 8, "scheme": "tracking",
-             "compression": "top_k:2", "gamma": "0.3", "iters": 6, "eval_every": 2}
+             "compression": "top_k:2", "gamma": 0.3, "iters": 6, "eval_every": 2}
 QUADRATIC = {"topology": "full", "n": 4, "d": 6, "objective": "quadratic",
              "noise_sigma": 0.5, "iters": 6, "eval_every": 2}
 LOGISTIC = {"topology": "ring", "n": 3, "objective": "logistic", "partition": "sorted",

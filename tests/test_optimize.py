@@ -370,6 +370,23 @@ class TestRunOptimization:
         with pytest.raises(ValueError, match="f_star must be finite"):
             SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1), f_star=f_star)
 
+    @pytest.mark.parametrize("schedule", [TheoreticalSchedule(mu=1.0, a=1e200),
+                                          PracticalSchedule(1e200, 1.0, 1)])
+    def test_overflowing_averaging_weights_rejected(self, schedule):
+        with pytest.raises(ValueError, match=re.escape(
+                "a = 1e+200 makes the averaging weights (a + t)^2 overflow by t = 5")):
+            SgdConfig(matrix=RING9, schedule=schedule, f_star=0.0, iters=5)
+
+    def test_overflowing_weight_sum_rejected(self):
+        # every weight (a + t)^2 is near 2.3e304, but 10**5 of them overflow
+        schedule = PracticalSchedule(1.5e152, 1.0, 1)
+        SgdConfig(matrix=RING9, schedule=schedule, f_star=0.0, iters=10)
+        with pytest.raises(ValueError, match="makes the averaging weights"):
+            SgdConfig(matrix=RING9, schedule=schedule, f_star=0.0, iters=10**5)
+        with pytest.raises(ValueError, match="makes the averaging weights"):  # no float
+            SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1), f_star=0.0,
+                      iters=10**400)
+
     @pytest.mark.parametrize("averaging", ["exact", "tracking"])
     @pytest.mark.parametrize("gamma", [0.0, 2.0, math.nan])
     def test_gamma_checked_at_construction(self, averaging, gamma):
@@ -425,7 +442,7 @@ class TestRunOptimization:
         data = tmp_path / "train.svm"
         data.write_text(serialize_libsvm(synthetic_classification(60, 5, seed=2)))
         spec = ExperimentSpec("x", "optimize", {
-            "topology": "ring", "n": 3, "d": 4, "noise_sigma": 0.5, "objective": objective,
+            "topology": "ring", "n": 3, "d": 5, "noise_sigma": 0.5, "objective": objective,
             "data_path": str(data), "fstar_tol": 1e-6, "seeds": [0],
         })
         config, built, _ = build_optimize(spec, 0)

@@ -383,7 +383,7 @@ class AllocatingGossip:
 
 def allocating_run_consensus(config, initial_x):
     """``run_consensus``'s loop as it was: returns ``(records, x)``."""
-    x = np.array(initial_x, dtype=float)
+    x = np.array(initial_x, dtype=float, order="C")
     target = x.mean(axis=1)
 
     def error_of(x):
