@@ -107,6 +107,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for flag, exponent in (("--a-exp-min", args.a_exp_min), ("--a-exp-max", args.a_exp_max)):
+        if not -323 <= exponent <= 308:  # where 10.0**e is a positive finite float
+            raise harness.ConfigError(f"{flag} must lie in [-323, 308], got {exponent}")
     if args.a_exp_min > args.a_exp_max:  # the exponent range below would be empty
         raise harness.ConfigError(
             f"--a-exp-min {args.a_exp_min} is above --a-exp-max {args.a_exp_max}")
@@ -182,10 +185,11 @@ def main(argv: list[str] | None = None) -> int:
         try:
             return args.func(args)
         # ConfigError is a ValueError; DivergenceError, a failed reference solve
-        # and an all-diverged sweep are RuntimeErrors.
-        except (ValueError, OSError, RuntimeError) as exc:
+        # and an all-diverged sweep are RuntimeErrors; a size too large to
+        # allocate is a MemoryError.
+        except (ValueError, OSError, MemoryError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG if isinstance(exc, (ValueError, OSError)) else EXIT_FAILURE
+            return EXIT_FAILURE if isinstance(exc, RuntimeError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -102,6 +102,8 @@ class ConsensusConfig(RunConfig):
 def _check_gossip(scheme: GossipScheme, gamma: float, compression: CompressionSpec) -> None:
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    if scheme == GossipScheme.EXACT and not isinstance(compression, Identity):
+        raise ValueError(f"exact gossip takes the identity operator, got {compression}")
     if scheme in (GossipScheme.DIRECT, GossipScheme.PAIRED) and not compression.unbiased:
         raise ValueError(
             f"{scheme.value} gossip is only defined for unbiased compression "
@@ -145,7 +147,8 @@ class Gossip:
     Tracking advances the public estimates ``x_hat += Q(x - x_hat)`` and
     their aggregates ``s += Q(x - x_hat) W``, so ``s = x_hat W`` throughout;
     both start at zero and stay ``None`` for the other schemes.  Exact
-    gossip pays ``d * value_bits`` per message.
+    gossip sends its iterates uncompressed, so it takes only the identity
+    operator and pays its ``d * value_bits`` per message.
 
     The kernel owns every ``d x n`` array a round touches, C-ordered and
     allocated on the first round: ``x_hat`` and ``s`` for tracking, one
@@ -191,7 +194,7 @@ class Gossip:
         """Round ``t``'s messages: ``(received, own, bits)``."""
         weights, work = self.matrix.weights, self.work_like(x)
         if self.scheme is GossipScheme.EXACT:
-            bits = np.full(x.shape[1], x.shape[0] * self.compression.value_bits)
+            bits = np.full(x.shape[1], self.compression.message_bits(x.shape[0]))
             return np.matmul(x, weights, out=work), x, bits
         if self.scheme is GossipScheme.TRACKING:
             if self.x_hat is None:

@@ -433,8 +433,9 @@ def run_suite(
             try:
                 records = run_experiment(spec, seed).records
             # ConfigError is a ValueError; DivergenceError is a RuntimeError,
-            # as are failed reference solves and power iterations.
-            except (ValueError, OSError, RuntimeError) as exc:
+            # as are failed reference solves and power iterations; MemoryError
+            # is a size too large to allocate.
+            except (ValueError, OSError, MemoryError, RuntimeError) as exc:
                 failures.append((spec.label, seed, str(exc)))
                 continue
             path = out / f"{spec.label}_seed{seed}.csv"
@@ -549,7 +550,7 @@ def _check_tracking_rate() -> list[CheckOutcome]:
     gamma = tracking_stepsize(matrix.delta, om, matrix.beta)
     config = ConsensusConfig(
         scheme=GossipScheme.TRACKING, matrix=matrix, gamma=gamma, compression=spec,
-        iters=2000, seed=11, eval_every=1,
+        iters=5000, seed=11, eval_every=1,
     )
     records = run_consensus(config, gaussian_init(d, matrix.n, seed=11)).records
     rate = 1.0 - matrix.delta**2 * om / 82.0

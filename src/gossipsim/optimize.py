@@ -111,7 +111,8 @@ def theoretical_a(objective: Objective, matrix: GossipMatrix, averaging: str,
 class ExactAveraging(Gossip):
     """Full-precision neighbor averaging; ``gamma = 1`` is plain gossip.
 
-    ``compression`` only sets ``value_bits`` for the bit count.
+    ``compression`` must be the identity operator, whose ``value_bits``
+    sets the bit count.
     """
 
     def __init__(self, matrix: GossipMatrix, gamma: float = 1.0,

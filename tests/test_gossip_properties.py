@@ -55,7 +55,8 @@ def runs(draw, scheme, bound=100.0):
     """``(gossip, x0, rounds)`` for one generated run of ``scheme``."""
     matrix = matrix_of(draw(GRAPHS))
     d = draw(st.integers(1, 8))
-    spec = draw(operators(d, unbiased=scheme in (DIRECT, PAIRED)))
+    # exact gossip sends its iterates and takes only the identity operator
+    spec = Identity() if scheme == EXACT else draw(operators(d, scheme in (DIRECT, PAIRED)))
     x0 = draw(arrays(float, (d, matrix.n), elements=st.floats(-bound, bound)))
     gossip = Gossip(scheme, matrix, draw(GAMMAS), spec, draw(SEEDS))
     return gossip, x0, draw(ROUNDS)

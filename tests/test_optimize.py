@@ -416,7 +416,7 @@ class TestRunOptimization:
             run_optimization(config, objective, np.zeros((4, 9)))
 
     @pytest.mark.parametrize("averaging,compression,omega", [
-        ("exact", "top_k:1", 1.0), ("tracking", "top_k:1", 0.25), ("tracking", "identity", 1.0),
+        ("exact", "identity", 1.0), ("tracking", "top_k:1", 0.25), ("tracking", "identity", 1.0),
     ])
     def test_default_a_is_the_theoretical_requirement(self, averaging, compression, omega):
         spec = ExperimentSpec("theory", "optimize", {

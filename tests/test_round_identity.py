@@ -433,7 +433,10 @@ def gossip_cases(draw):
     )))
     d = draw(st.integers(1, 8))
     scheme = draw(st.sampled_from(list(GossipScheme)))
-    spec = draw(operators(d, unbiased=scheme in (GossipScheme.DIRECT, GossipScheme.PAIRED)))
+    if scheme is GossipScheme.EXACT:  # it sends its iterates and takes only the identity
+        spec = Identity()
+    else:
+        spec = draw(operators(d, unbiased=scheme in (GossipScheme.DIRECT, GossipScheme.PAIRED)))
     config = ConsensusConfig(
         scheme=scheme, matrix=matrix, gamma=draw(st.sampled_from([0.05, 0.3, 1.0])),
         compression=spec, iters=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**32)),
