@@ -165,10 +165,11 @@ class TopK(_Sparsifier):
         threshold = part[:, d - k:d - k + 1]
         keep = mag >= threshold
         if np.count_nonzero(keep) > n * k:  # every row keeps at least k
-            for i in np.flatnonzero(np.count_nonzero(keep, axis=1) > k):
-                # a stable sort of -|x| keeps the lowest-index ties
-                above = np.count_nonzero(mag[i] > threshold[i])
-                keep[i, np.flatnonzero(mag[i] == threshold[i])[k - above:]] = False
+            # a stable sort of -|x| keeps each row's lowest-index ties
+            above = mag > threshold
+            ties = keep ^ above
+            room = k - np.count_nonzero(above, axis=1, keepdims=True)
+            keep = above | (ties & (np.cumsum(ties, axis=1) <= room))
         out.fill(0.0)
         np.copyto(out, X, where=keep.T)
         return out, _all_sent(X)

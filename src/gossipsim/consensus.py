@@ -254,8 +254,6 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     work = gossip.work_like(x)  # every evaluation runs in it
     target = x.mean(axis=1)
     limit = DIVERGENCE_FACTOR * max(_squared_error(x, target[:, None], work), 1.0)
-    degrees = np.asarray(matrix.degrees)
-    tracking = config.scheme == GossipScheme.TRACKING
 
     records: list[ConsensusRecord] = []
     bits = 0
@@ -268,12 +266,12 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
                 raise DivergenceError(t, error)
         received, own, payloads = gossip.exchange(x, t)
         if evaluate:
-            lyap = error + _squared_error(x, gossip.x_hat, work) if tracking else error
+            lyap = error if gossip.x_hat is None else error + _squared_error(x, gossip.x_hat, work)
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
         if t == config.iters:
             break
         x += gossip.move(received, own)
-        bits += int(np.dot(degrees, payloads))
+        bits += matrix.degree * int(payloads.sum())
         if not np.isfinite(x).all():
             raise DivergenceError(t, float("inf"))
 

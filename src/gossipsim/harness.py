@@ -48,6 +48,7 @@ from .objectives import (
     solve_reference,
 )
 from .optimize import (
+    AVERAGING,
     OptimizationResult,
     PracticalSchedule,
     SgdConfig,
@@ -215,7 +216,7 @@ SUITE_KEYS = {
 CHOICES = {
     "topology": ("ring", "torus", "full", "fully_connected", "complete", "custom"),
     "scheme": tuple(s.value for s in GossipScheme),
-    "averaging": ("exact", "tracking"),
+    "averaging": tuple(s.value for s in AVERAGING),
     "objective": ("quadratic", "logistic"),
     "partition": ("shuffled", "sorted"),
     "schedule": ("practical", "theoretical"),
@@ -363,18 +364,18 @@ def build_optimize(spec: ExperimentSpec, seed: int):
     objective = build_objective(o, matrix, seed)
     d = objective.dim
     gossip = _gossip_options(o, matrix, d, seed)
-    averaging = o.get("averaging", "exact")
     if o.get("schedule", "practical") == "theoretical":
         if "a" in o:
             a = o["a"]
         else:  # the requirement run_optimization checks a against
-            a = theoretical_a(objective, matrix, averaging, gossip["compression"])
+            a = theoretical_a(objective, matrix, gossip["compression"])
         schedule = TheoreticalSchedule(mu=objective.constants()[0], a=a)
     else:
         m = objective.samples_per_node * matrix.n if isinstance(objective, LogisticObjective) else 1
         schedule = PracticalSchedule(a=o.get("a", 0.1), b=o.get("b", float(d)), m=m)
     _, f_star = solve_reference(objective, o.get("fstar_tol", 1e-10))
-    config = SgdConfig(schedule=schedule, f_star=f_star, averaging=averaging, **gossip)
+    config = SgdConfig(schedule=schedule, f_star=f_star, averaging=o.get("averaging", "exact"),
+                       **gossip)
     return config, objective, np.zeros((d, matrix.n))
 
 

@@ -387,11 +387,10 @@ def power_iteration(matvec, dim: int, tol: float = 1e-6, max_iters: int = 10_000
     raise RuntimeError(f"power iteration did not converge in {max_iters} steps")
 
 
-def solve_reference(
-    objective: Objective, tolerance: float = 1e-10, max_iters: int = 10**6
-) -> tuple[np.ndarray, float]:
+def solve_reference(objective: Objective, tolerance: float = 1e-10) -> tuple[np.ndarray, float]:
     """Minimizer and optimal value by full-gradient descent with step 1/L,
-    stopped once ``||grad|| <= tolerance``."""
+    stopped once ``||grad|| <= tolerance``, within ``10**6`` steps."""
+    max_iters = 10**6
     if not 0 < tolerance < math.inf:  # unmeetable spins max_iters; inf stops at x = 0
         raise ValueError(f"fstar_tol must be finite and > 0, got {tolerance}")
     _, big_l = objective.constants()
@@ -406,12 +405,12 @@ def solve_reference(
                        f"in {max_iters} iterations")
 
 
-def synthetic_classification(m: int, d: int, seed: int = 0, flip: float = 0.05) -> Dataset:
+def synthetic_classification(m: int, d: int, seed: int = 0) -> Dataset:
     """Dense Gaussian features labeled by a random separator with noise.
 
     Labels are the sign of the margin against a hidden unit vector with a
-    small additive perturbation, and a ``flip`` fraction is inverted
-    outright, giving a nearly separable but noisy binary problem.
+    small additive perturbation, and each is inverted outright with
+    probability 0.05, giving a nearly separable but noisy binary problem.
     """
     rng = stream(seed, tag="synthetic")
     w = rng.standard_normal(d)
@@ -419,7 +418,7 @@ def synthetic_classification(m: int, d: int, seed: int = 0, flip: float = 0.05) 
     features = rng.standard_normal((m, d)) / math.sqrt(d)
     margins = features @ w + 0.1 * rng.standard_normal(m) / math.sqrt(d)
     labels = np.where(margins >= 0, 1.0, -1.0)
-    flips = rng.random(m) < flip
+    flips = rng.random(m) < 0.05
     labels[flips] = -labels[flips]
     import scipy.sparse as sp  # see the module docstring on SciPy
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .compression import CompressionSpec, Identity
 from .consensus import DIVERGENCE_FACTOR, DivergenceError, Gossip, GossipScheme, RunConfig
+from .consensus import _squared_error
 from .objectives import Objective
 from .records import OptimizeRecord
 from .streams import StreamPool, tag_code
@@ -47,6 +48,7 @@ __all__ = [
     "theoretical_a",
     "ExactAveraging",
     "TrackingAveraging",
+    "AVERAGING",
     "SgdConfig",
     "OptimizationResult",
     "sgd_round",
@@ -95,14 +97,15 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"schedule parameter {name} must be finite and > 0, got {value}")
 
 
-def theoretical_a(objective: Objective, matrix: GossipMatrix, averaging: str,
+def theoretical_a(objective: Objective, matrix: GossipMatrix,
                   compression: CompressionSpec) -> float:
     """The schedule parameter ``a = max(5/p, 16 L/mu)`` the theory asks of one
     run, at the tracking rate ``p = delta^2 omega / 82`` (so ``5/p =
-    410/(delta^2 omega)``), with ``omega = 1`` for exact averaging."""
+    410/(delta^2 omega)``), with ``omega`` the run's operator's; exact
+    averaging carries the identity, whose ``omega`` is 1."""
     mu, big_l = objective.constants()
     delta = matrix.delta
-    omega = compression.omega(objective.dim) if averaging == "tracking" else 1.0
+    omega = compression.omega(objective.dim)
     if min(mu, big_l, delta, omega) <= 0:
         raise ValueError("mu, L, delta and omega must be positive")
     return max(410.0 / (delta**2 * omega), 16.0 * big_l / mu)
@@ -140,14 +143,18 @@ class TrackingAveraging(Gossip):
         return x_new, bits
 
 
+# The gossip schemes SGD averages with, and the kernel each runs on.
+AVERAGING = {GossipScheme.EXACT: ExactAveraging, GossipScheme.TRACKING: TrackingAveraging}
+
+
 @dataclass(frozen=True, kw_only=True)
 class SgdConfig(RunConfig):
     schedule: Schedule
     f_star: float  # the optimal value suboptimality is measured against
-    averaging: str = "exact"  # exact | tracking
+    averaging: str = "exact"  # a key of AVERAGING, by its value
 
     def __post_init__(self):
-        if self.averaging not in ("exact", "tracking"):
+        if self.averaging not in AVERAGING:
             raise ValueError(f"unknown averaging {self.averaging!r}")
         self._check(GossipScheme(self.averaging))
         if not np.isfinite(self.f_star):
@@ -158,6 +165,9 @@ class SgdConfig(RunConfig):
         if not math.isfinite((t + 1) * a * a + a * t * (t + 1) + t * (t + 1) * (2 * t + 1) / 6):
             raise ValueError(f"schedule parameter a = {a} makes the averaging weights "
                              f"(a + t)^2 overflow by t = {self.iters}")
+        if self.iters == 1 and a * a == 0:  # later weights (a + t)^2 >= 1 keep the sum positive
+            raise ValueError(f"schedule parameter a = {a} makes the one averaging weight "
+                             "a^2 underflow to 0")
 
 
 @dataclass(frozen=True)
@@ -211,10 +221,9 @@ def run_optimization(
             f"but the gossip matrix has {matrix.n} nodes and initial X dimension {d}"
         )
 
-    averaging = TrackingAveraging if config.averaging == "tracking" else ExactAveraging
-    scheme = averaging(config.matrix, config.gamma, config.compression, config.seed)
+    scheme = AVERAGING[config.averaging](matrix, config.gamma, config.compression, config.seed)
     if isinstance(config.schedule, TheoreticalSchedule):
-        needed = theoretical_a(objective, matrix, config.averaging, config.compression)
+        needed = theoretical_a(objective, matrix, config.compression)
         if config.schedule.a < needed * (1.0 - 1e-9):
             warnings.warn(
                 f"schedule parameter a = {config.schedule.a} is below the theoretical "
@@ -225,7 +234,6 @@ def run_optimization(
     a = config.schedule.a
     weighted_sum = np.zeros(d)
     total = 0.0
-    degrees = np.asarray(matrix.degrees)
 
     records: list[OptimizeRecord] = []
     bits = 0
@@ -237,7 +245,7 @@ def run_optimization(
         eta = config.schedule.eta(t)
         if final or t % config.eval_every == 0:
             subopt = objective.value(xbar) - config.f_star
-            dispersion = float(np.sum((x - xbar[:, None]) ** 2))
+            dispersion = _squared_error(x, xbar[:, None], scheme.work_like(x))
             records.append(OptimizeRecord(t, subopt, dispersion, bits, eta))
             limit = DIVERGENCE_FACTOR * max(abs(records[0].subopt), 1.0)
             if not np.isfinite(subopt) or abs(subopt) > limit:
@@ -248,10 +256,8 @@ def run_optimization(
         weighted_sum += w * xbar
         total += w
         x, payloads = sgd_round(x, objective, eta, scheme, t, pool)
-        bits += int(np.dot(degrees, payloads))
+        bits += matrix.degree * int(payloads.sum())
 
-    if total <= 0:
-        raise ValueError("no iterates accumulated")
     x_avg = weighted_sum / total
     return OptimizationResult(
         records=records,

@@ -89,7 +89,7 @@ class GossipMatrix:
     weights: np.ndarray
     delta: float
     beta: float
-    degrees: tuple[int, ...]
+    degree: int  # every node's, as the graph is regular; 0 on one node
 
 
 def build_gossip_matrix(graph: Graph) -> GossipMatrix:
@@ -123,13 +123,7 @@ def build_gossip_matrix(graph: Graph) -> GossipMatrix:
     if delta < EIG_TOL:  # W's eigenvalue 1 repeats once per connected component
         raise ValueError(f"graph is disconnected: spectral gap {delta:.3g}")
     weights.setflags(write=False)
-    return GossipMatrix(
-        n=n,
-        weights=weights,
-        delta=delta,
-        beta=beta,
-        degrees=tuple(degrees.tolist()),
-    )
+    return GossipMatrix(n=n, weights=weights, delta=delta, beta=beta, degree=int(degrees[0]))
 
 
 def spectral_quantities(weights: np.ndarray) -> tuple[float, float]:

@@ -298,7 +298,7 @@ class TestRunConsensus:
         x0 = stream(1, tag="init").standard_normal((16, 9))
         result = run_consensus(config, x0)
         per_message = 2 * (32 + 4)  # k * (value_bits + ceil(log2 16))
-        per_round = sum(RING9.degrees) * per_message
+        per_round = RING9.n * RING9.degree * per_message
         for rec in result.records:
             assert rec.bits == rec.iter * per_round
 

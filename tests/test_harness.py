@@ -530,6 +530,14 @@ class TestCli:
         assert out.read_text().splitlines()[0] == "iter,subopt,dispersion,bits,eta"
         assert "avg_subopt=" in capsys.readouterr().out
 
+    def test_underflowing_first_weight_runs_with_a_second_round(self, capsys):
+        # a^2 is 0, but the weight (a + 1)^2 of round 1 keeps the sum positive;
+        # at --epochs 1 the same exponents exit 2 (tests/exit2_cases.tsv)
+        code = cli.main(["sweep", "--n", "4", "--d", "3", "--a-exp-min", "-200",
+                         "--a-exp-max", "-199", "--epochs", "2"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_config_error_exit_code(self, capsys):
         code = cli.main([
             "consensus", "--topology", "ring", "--n", "6", "--d", "8",

@@ -562,11 +562,11 @@ class TestSolveReference:
 
 
 def test_synthetic_classification_properties():
-    ds = synthetic_classification(300, 20, seed=1, flip=0.1)
+    ds = synthetic_classification(300, 20, seed=1)
     assert ds.m == 300 and ds.d == 20
     assert set(np.unique(ds.labels)) == {-1.0, 1.0}
     # roughly balanced and mostly separable by construction
     assert 0.3 <= np.mean(ds.labels > 0) <= 0.7
-    again = synthetic_classification(300, 20, seed=1, flip=0.1)
+    again = synthetic_classification(300, 20, seed=1)
     assert (ds.features != again.features).nnz == 0
     assert np.array_equal(ds.labels, again.labels)

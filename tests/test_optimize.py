@@ -35,9 +35,9 @@ FC9 = build_gossip_matrix(FullyConnected(9))
 
 
 def requirement(mu, big_l, delta, omega):
-    """``theoretical_a`` of a tracking run with these constants."""
+    """``theoretical_a`` of a run with these constants."""
     objective = SimpleNamespace(constants=lambda: (mu, big_l), dim=1)
-    return theoretical_a(objective, SimpleNamespace(delta=delta), "tracking",
+    return theoretical_a(objective, SimpleNamespace(delta=delta),
                          SimpleNamespace(omega=lambda d: omega))
 
 
@@ -104,8 +104,9 @@ class TestTheoreticalStepsize:
     def test_pinned_values(self, objective, matrix, averaging, compression, bits):
         # the theoretical schedule's a reaches every theoretical CSV through
         # eta_t; on ring7 at omega = 1/5, 5/(delta^2 omega/82) and
-        # 410/delta^2/omega round differently from 410/(delta^2 omega)
-        assert theoretical_a(objective, matrix, averaging, compression).hex() == bits
+        # 410/delta^2/omega round differently from 410/(delta^2 omega);
+        # ``averaging`` names the run, whose operator carries its omega
+        assert theoretical_a(objective, matrix, compression).hex() == bits, averaging
 
 
 class TestAveragedIterate:
@@ -136,8 +137,10 @@ class TestAveragedIterate:
         assert result.x_avg[0] == pytest.approx((4.0 + 90.0) / 13.0)
 
     def test_empty_average_rejected(self):
-        # a = 1e-200 gives the only round weight (a + 0)^2, which underflows to 0
-        with pytest.raises(ValueError, match="no iterates"):
+        # a = 1e-200 gives the only round weight (a + 0)^2, which underflows to 0;
+        # the config rejects it before the run
+        with pytest.raises(ValueError, match=r"a = 1e-200 makes the one averaging weight "
+                                             r"a\^2 underflow to 0"):
             self.run(1e-200, 1, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
@@ -325,7 +328,7 @@ class TestRunOptimization:
         result = run_optimization(config, objective, np.zeros((d, 9)))
         iters = [r.iter for r in result.records]
         assert iters == [0, 2, 4, 6, 8, 10]
-        per_round = sum(RING9.degrees) * (2 * (32 + 4))
+        per_round = RING9.n * RING9.degree * (2 * (32 + 4))
         for rec in result.records:
             assert rec.bits == rec.iter * per_round
         assert all(b.bits >= a.bits for a, b in zip(result.records, result.records[1:]))
@@ -336,7 +339,7 @@ class TestRunOptimization:
         config = SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.05, 16.0, 1),
                            averaging="exact", iters=4, seed=0, eval_every=4, f_star=0.0)
         result = run_optimization(config, objective, np.zeros((d, 9)))
-        assert result.records[-1].bits == 4 * sum(RING9.degrees) * d * 32
+        assert result.records[-1].bits == 4 * RING9.n * RING9.degree * d * 32
 
     def test_divergence_reports_iteration(self):
         objective = quad_objective(4, 9)

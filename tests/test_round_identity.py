@@ -165,7 +165,6 @@ def reference_run(config, objective, x0):
     x = x0.copy()
     scheme = averaging_for(config)
     averaged = AveragedIterate(config.schedule.a, x.shape[0])
-    degrees = np.asarray(config.matrix.degrees)
     records, bits = [], 0
     for t in range(config.iters + 1):
         xbar = x.mean(axis=1)
@@ -178,7 +177,7 @@ def reference_run(config, objective, x0):
             break
         averaged.update(t, xbar)
         x, payloads = reference_sgd_round(x, objective, config.schedule.eta(t), scheme, t)
-        bits += int(np.dot(degrees, payloads))
+        bits += config.matrix.degree * int(payloads.sum())
     x_avg = averaged.value()
     return records, x, x_avg, objective.value(x_avg) - config.f_star, averaged.weight_total
 
@@ -390,7 +389,6 @@ def allocating_run_consensus(config, initial_x):
         return float(np.sum((x - target[:, None]) ** 2))
 
     limit = DIVERGENCE_FACTOR * max(error_of(x), 1.0)
-    degrees = np.asarray(config.matrix.degrees)
     tracking = config.scheme == GossipScheme.TRACKING
     gossip = AllocatingGossip(config.scheme, config.matrix, config.gamma, config.compression,
                               config.seed)
@@ -416,7 +414,7 @@ def allocating_run_consensus(config, initial_x):
             if tracking:
                 lyap = error + float(np.sum((x - gossip.x_hat) ** 2))
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
-        bits += int(np.dot(degrees, payloads))
+        bits += config.matrix.degree * int(payloads.sum())
         if not np.all(np.isfinite(x_new)):
             raise DivergenceError(t, float("inf"))
         x = x_new

@@ -74,17 +74,17 @@ class TestBuild:
     def test_single_node_convention(self):
         m = build_gossip_matrix(Ring(1))
         assert m.weights.shape == (1, 1) and m.weights[0, 0] == 1.0
-        assert m.delta == 1.0 and m.beta == 0.0 and m.degrees == (0,)
+        assert m.delta == 1.0 and m.beta == 0.0 and m.degree == 0
 
     def test_two_node_ring(self):
         m = build_gossip_matrix(Ring(2))
         np.testing.assert_allclose(m.weights, np.full((2, 2), 0.5))
-        assert m.degrees == (1, 1)
+        assert m.degree == 1
 
     def test_torus_structure(self):
         m = build_gossip_matrix(Torus(3, 4))
         assert m.n == 12
-        assert m.degrees == tuple([4] * 12)
+        assert m.degree == 4
         np.testing.assert_allclose(m.weights.sum(axis=0), np.ones(12), atol=1e-12)
         np.testing.assert_allclose(np.diag(m.weights), np.full(12, 0.2))
 
@@ -251,13 +251,13 @@ def test_edge_list_normalization(pair):
     graph, variant = pair
     m, v = build_gossip_matrix(graph), build_gossip_matrix(variant)
     assert v.weights.tobytes() == m.weights.tobytes()
-    assert (v.delta, v.beta, v.degrees) == (m.delta, m.beta, m.degrees)
+    assert (v.delta, v.beta, v.degree) == (m.delta, m.beta, m.degree)
     edges, degrees, weights = loop_reference(variant)
-    assert v.degrees == degrees
+    assert (v.degree,) * v.n == degrees
     assert v.weights.tobytes() == weights.tobytes()
     # the normalized reference graph itself builds the same matrix
     r = build_gossip_matrix(Graph(variant.n, edges))
-    assert (r.weights.tobytes(), r.degrees) == (v.weights.tobytes(), v.degrees)
+    assert (r.weights.tobytes(), r.degree) == (v.weights.tobytes(), v.degree)
 
 
 def test_read_edge_list(tmp_path):
