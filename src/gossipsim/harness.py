@@ -49,15 +49,18 @@ from .objectives import (
 )
 from .optimize import (
     AVERAGING,
+    ExactAveraging,
     OptimizationResult,
     PracticalSchedule,
     SgdConfig,
     TheoreticalSchedule,
+    TrackingAveraging,
     run_optimization,
+    sgd_round,
     theoretical_a,
 )
 from .records import write_records_csv, write_rows_csv
-from .streams import stream
+from .streams import StreamPool, stream
 from .topology import (
     FullyConnected,
     GossipMatrix,
@@ -232,7 +235,17 @@ class ExperimentSpec:
 
 def parse_suite_file(path: str | Path) -> list[ExperimentSpec]:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as e:  # worded from attributes that every Python sets
+        what = next(text.format(e=e) for cls, text in {  # the first class that e is
+            configparser.MissingSectionHeaderError: "a key before any [section]",
+            configparser.ParsingError: "not a 'key = value' line",
+            configparser.DuplicateSectionError: "section [{e.section}] appears twice",
+            configparser.DuplicateOptionError: "key '{e.option}' appears twice in [{e.section}]",
+        }.items() if isinstance(e, cls))
+        line = getattr(e, "lineno", None) or e.errors[0][0]
+        raise ConfigError(f"config file {path} line {line}: {what}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     specs = []
@@ -255,9 +268,9 @@ def _coerce_options(label: str, raw: dict) -> dict:
     """Typed options; a value of the wrong syntax or outside the key's
     ``CHOICES`` is a ConfigError naming its key.
 
-    Range checks are left to the config dataclasses; only the seed keys'
-    are made here, so a bad seed aborts the whole suite before any run.
-    """
+    Range checks are left to the config dataclasses but for the seeds' and,
+    once ``d`` is set, the operator's, which abort the suite before any run
+    (a logistic section without ``d`` checks its operator per seed)."""
     opts = dict(raw)
     if "topology" in opts:  # build_topology takes any letter case
         opts["topology"] = opts["topology"].lower()
@@ -299,6 +312,12 @@ def _coerce_options(label: str, raw: dict) -> dict:
         opts["seeds"] = seeds
     else:
         opts["seeds"] = [0]
+    if opts.get("d", 0) >= 1:  # the operator's own checks, as the run's builder makes them
+        try:
+            parse_compression(opts.get("compression", "identity"), opts["d"],
+                              opts.get("value_bits", 32))
+        except ValueError as exc:
+            raise ConfigError(f"[{label}]: {exc}") from None
     return opts
 
 
@@ -561,7 +580,7 @@ def _check_tracking_rate() -> list[CheckOutcome]:
 
 def _check_mixing() -> list[CheckOutcome]:
     outcomes = []
-    graphs = [(Ring, 4), (Ring, 8), (Ring, 16), (Torus, 3, 3), (Torus, 4, 4), (FullyConnected, 9)]
+    graphs = [(Ring, n) for n in range(4, 17)] + [(Torus, 3, 3), (Torus, 4, 4), (FullyConnected, 9)]
     for kind, *args in graphs:
         matrix = build_gossip_matrix(kind(*args))
         gaps = (mixing_contraction(matrix.weights, k) - ((1.0 - matrix.delta) ** k + 1e-9)
@@ -571,58 +590,61 @@ def _check_mixing() -> list[CheckOutcome]:
 
 
 def _omega_contract_outcomes() -> list[CheckOutcome]:
-    """Draws of one fixed ``x`` are columns of one ``compress_columns`` call
-    per chunk, all from one generator.  The tiles are F-ordered, so each
-    message is a contiguous row of ``Q.T`` and its row sum adds in the
-    order ``np.sum`` uses for one vector."""
-    outcomes = []
-    d, draws, chunk = 400, 10_000, 1_000
-    x = stream(2024, tag="omega-fixture").standard_normal(d)
-    xnorm2 = float(np.dot(x, x))
-    copies = np.tile(x, (chunk, 1)).T
-    cases = [
-        ("rand_k", comp.RandK(max(1, d // 100))),
-        ("qsgd16", comp.Qsgd(16)),
-        ("rand_gossip", comp.RandGossip(0.25)),
+    """At d = 400 and d = 2000, draws of one fixed ``x`` are columns of one
+    ``compress_columns`` call per chunk, each case's from one generator.  The
+    tiles are F-ordered, so each message is a contiguous row of ``Q.T`` and
+    its row sum adds in the order ``np.sum`` uses for one vector."""
+    fixtures = [  # (name prefix, d, [(case, operator, generator, draws)], top_k, its samples)
+        ("", 400, [(name, spec, stream(2024, tag=f"omega-{name}"), 10_000) for name, spec in [
+            ("rand_k", comp.RandK(4)), ("qsgd16", comp.Qsgd(16)),
+            ("rand_gossip", comp.RandGossip(0.25))]],
+         comp.TopK(4), stream(2024, tag="omega-topk-samples").standard_normal((100, 400))),
+        ("d2000_", 2000, [(name, spec, stream(1, tag="mc"), 2_500) for name, spec in [
+            ("rand_k20", comp.RandK(20)), ("qsgd256", comp.Qsgd(256)),
+            ("rand_k100", comp.RandK(100)), ("qsgd16", comp.Qsgd(16))]]
+         + [("rand_gossip", comp.RandGossip(0.25), stream(2, tag="mc"), 10_000)],
+         comp.TopK(20), stream(3, tag="mc").standard_normal((500, 2000))),
     ]
-    for name, spec in cases:
-        om = spec.omega(d)
-        rng = stream(2024, tag=f"omega-{name}")
-        ratios = np.empty(draws)
-        for lo in range(0, draws, chunk):
-            q, _ = comp.compress_columns(spec, copies, lambda i: rng)
-            ratios[lo:lo + chunk] = np.sum((q.T - x) ** 2, axis=1) / xnorm2
-        se = float(np.std(ratios) / math.sqrt(draws))
-        observed = float(np.mean(ratios))
-        bound = (1.0 - om) + 4.0 * se
-        outcomes.append(CheckOutcome("omega_contract", name, observed, bound))
-    # deterministic top_k holds per sample
-    spec = comp.TopK(max(1, d // 100))
-    om = spec.omega(d)
-    samples = stream(2024, tag="omega-topk-samples").standard_normal((100, d))
-    q, _ = comp.compress_columns(spec, samples.T)
-    errors = np.sum((q.T - samples) ** 2, axis=1)
-    gaps = (float(e / np.dot(s, s)) - (1.0 - om) for e, s in zip(errors, samples))
-    outcomes.append(_worst_gap("omega_contract", "top_k_per_sample", gaps))
+    outcomes, chunk = [], 500
+    for prefix, d, cases, top_k, samples in fixtures:
+        x = stream(2024, tag="omega-fixture").standard_normal(d)
+        copies = np.tile(x, (chunk, 1)).T
+        for name, spec, rng, draws in cases:
+            ratios = np.empty(draws)
+            for lo in range(0, draws, chunk):
+                q, _ = comp.compress_columns(spec, copies, lambda i: rng)
+                ratios[lo:lo + chunk] = np.sum((q.T - x) ** 2, axis=1) / np.dot(x, x)
+            bound = (1.0 - spec.omega(d)) + 4.0 * float(np.std(ratios) / math.sqrt(draws))
+            outcomes.append(CheckOutcome("omega_contract", prefix + name,
+                                         float(np.mean(ratios)), bound))
+        # deterministic top_k holds per sample
+        q, _ = comp.compress_columns(top_k, samples.T)
+        errors = np.sum((q.T - samples) ** 2, axis=1)
+        gaps = (float(e / np.dot(s, s)) - (1.0 - top_k.omega(d)) for e, s in zip(errors, samples))
+        outcomes.append(_worst_gap("omega_contract", prefix + "top_k_per_sample", gaps))
     return outcomes
 
 
 def _check_identity_reduction() -> list[CheckOutcome]:
+    """Tracking with the identity operator and plain SGD, driven round by
+    round through ``sgd_round``, agree at every iterate."""
     matrix = build_gossip_matrix(Ring(9))
-    d, rounds, seed = 12, 200, 5
-    targets = stream(31, tag="targets").standard_normal((d, 9))
-    objective = QuadraticObjective(targets, noise_sigma=0.5)
-    x0 = gaussian_init(d, 9, seed)
-    schedule = PracticalSchedule(a=0.05, b=float(d), m=1)
-    common = dict(matrix=matrix, schedule=schedule, iters=rounds, seed=seed,
-                  eval_every=rounds, f_star=0.0)
-    plain = run_optimization(SgdConfig(averaging="exact", gamma=1.0, **common), objective, x0)
-    tracked = run_optimization(
-        SgdConfig(averaging="tracking", gamma=1.0, compression=comp.Identity(), **common),
-        objective, x0,
-    )
-    diff = float(np.max(np.abs(plain.final_x - tracked.final_x)))
-    return [CheckOutcome("identity_reduction", "identity_reduction", diff, 1e-12)]
+    rounds, seed = 200, 5
+    outcomes = []
+    for d in (12, 20):
+        objective = QuadraticObjective(stream(31, tag="targets").standard_normal((d, 9)), 0.5)
+        eta = PracticalSchedule(a=0.05, b=float(d), m=1).eta
+        plain = ExactAveraging(matrix, 1.0, seed=seed)
+        tracked = TrackingAveraging(matrix, 1.0, comp.Identity(), seed)
+        pool = StreamPool()  # each get re-keys it in full, so both runs may share it
+        x_plain = x_tracked = gaussian_init(d, 9, seed)
+        gaps = [0.0]
+        for t in range(rounds):
+            x_plain, _ = sgd_round(x_plain, objective, eta(t), plain, t, pool)
+            x_tracked, _ = sgd_round(x_tracked, objective, eta(t), tracked, t, pool)
+            gaps.append(float(np.max(np.abs(x_plain - x_tracked))))
+        outcomes.append(CheckOutcome("identity_reduction", f"ring9_d{d}", max(gaps), 1e-12))
+    return outcomes
 
 
 # The built-in bound suites by kind, in the order ``all`` runs them.

@@ -14,11 +14,9 @@ from gossipsim import cli
 from gossipsim.compression import (
     Identity,
     Qsgd,
-    RandGossip,
     RandK,
     RescaledUnbiased,
     TopK,
-    compress_columns,
 )
 from gossipsim.consensus import (
     ConsensusConfig,
@@ -35,22 +33,13 @@ from gossipsim.objectives import (
     synthetic_classification,
 )
 from gossipsim.optimize import (
-    ExactAveraging,
     PracticalSchedule,
     SgdConfig,
     TheoreticalSchedule,
-    TrackingAveraging,
     run_optimization,
-    sgd_round,
 )
-from gossipsim.streams import StreamPool, stream
-from gossipsim.topology import (
-    FullyConnected,
-    Ring,
-    Torus,
-    build_gossip_matrix,
-    mixing_contraction,
-)
+from gossipsim.streams import stream
+from gossipsim.topology import FullyConnected, Ring, build_gossip_matrix
 
 RING9 = build_gossip_matrix(Ring(9))
 
@@ -179,81 +168,42 @@ def test_criterion_05_sparsified_replica_iteration_and_bit_cost():
 
 def test_criterion_06_omega_contract_monte_carlo():
     with Budget(6, "compression contraction contract", 5.0):
-        d, draws, chunk = 2000, 10_000, 500
-        x = stream(2024, tag="omega-fixture").standard_normal(d)
-        xnorm2 = float(np.dot(x, x))
-        copies = np.tile(x, (chunk, 1)).T  # one column per draw
-
-        def distortions(spec, rng, count):
-            """``count`` draws of Q(x), one generator consumed column by column."""
-            errors = [
-                np.sum((compress_columns(spec, copies, lambda i: rng)[0].T - x) ** 2, axis=1)
-                for _ in range(count // chunk)
-            ]
-            return np.concatenate(errors) / xnorm2
-
-        for spec in (RandK(20), Qsgd(256), RandK(100), Qsgd(16)):
-            om = spec.omega(d)
-            ratios = distortions(spec, stream(1, tag="mc"), draws // 4)
-            se = float(np.std(ratios) / math.sqrt(ratios.size))
-            assert np.mean(ratios) <= (1.0 - om) + 4 * se, spec
-        # rand-gossip with full draw count
-        ratios = distortions(RandGossip(0.25), stream(2, tag="mc"), draws)
-        se = float(np.std(ratios) / math.sqrt(draws))
-        assert np.mean(ratios) <= 0.75 + 4 * se
-        # deterministic top-k contracts on every sample
-        samples = stream(3, tag="mc").standard_normal((500, d))
-        q, _ = compress_columns(TopK(20), samples.T)
-        for qi, sample in zip(q.T, samples):
-            assert np.sum((qi - sample) ** 2) <= (1.0 - 0.01) * np.dot(sample, sample) + 1e-12
+        failed = [o.line() for o in theory_check("omega_contract") if not o.passed]
+        assert not failed, "\n".join(failed)
 
 
 def test_criterion_07_mixing_matrix_contraction():
     with Budget(7, "mixing power contraction", 10.0):
-        kinds = [Ring(n) for n in range(4, 17)] + [Torus(3, 3), Torus(4, 4), FullyConnected(9)]
-        for kind in kinds:
-            matrix = build_gossip_matrix(kind)
-            for k in range(51):
-                bound = (1.0 - matrix.delta) ** k + 1e-9
-                assert mixing_contraction(matrix.weights, k) <= bound, (kind, k)
+        failed = [o.line() for o in theory_check("mixing") if not o.passed]
+        assert not failed, "\n".join(failed)
 
 
 def test_criterion_08_identity_tracking_reduces_to_plain():
     with Budget(8, "identity-compression reduction", 10.0):
-        d, rounds, seed = 20, 200, 5
-        targets = stream(31, tag="targets").standard_normal((d, 9))
-        objective = QuadraticObjective(targets, noise_sigma=0.5)
-        x0 = stream(seed, tag="init").standard_normal((d, 9))
-        sched = PracticalSchedule(a=0.05, b=float(d), m=1)
-        plain = ExactAveraging(RING9, gamma=1.0, seed=seed)
-        tracked = TrackingAveraging(RING9, 1.0, Identity(), seed)
-        xp = xt = x0
-        pool_a, pool_b = StreamPool(), StreamPool()
-        for t in range(rounds):
-            eta = sched.eta(t)
-            xp, _ = sgd_round(xp, objective, eta, plain, t, pool_a)
-            xt, _ = sgd_round(xt, objective, eta, tracked, t, pool_b)
-            assert np.max(np.abs(xp - xt)) <= 1e-12, t
+        failed = [o.line() for o in theory_check("identity_reduction") if not o.passed]
+        assert not failed, "\n".join(failed)
 
 
 def test_criterion_09_fully_connected_equals_minibatch():
     with Budget(9, "centralized mini-batch equivalence", 10.0):
-        d, rounds, seed, n = 20, 200, 9, 9
+        rounds, seed, n = 200, 9, 9
         matrix = build_gossip_matrix(FullyConnected(n))
-        targets = stream(31, tag="targets").standard_normal((d, n))
-        objective = QuadraticObjective(targets, noise_sigma=0.5)
-        x0 = np.tile(stream(77, tag="init").standard_normal(d)[:, None], (1, n))
-        sched = PracticalSchedule(a=0.05, b=float(d), m=1)
-        config = SgdConfig(matrix=matrix, schedule=sched, averaging="exact", gamma=1.0,
-                           iters=rounds, seed=seed, eval_every=rounds, f_star=0.0)
-        result = run_optimization(config, objective, x0)
-        w = x0[:, 0].copy()
-        for t in range(rounds):
-            grads = objective.stochastic_gradients(
-                np.tile(w[:, None], (1, n)), lambda i: stream(seed, node=i, round_=t, tag="grad")
-            )
-            w = w - sched.eta(t) * np.mean(grads, axis=1)
-        assert np.max(np.abs(result.final_x - w[:, None])) <= 1e-12
+        for d in (12, 20):
+            targets = stream(31, tag="targets").standard_normal((d, n))
+            objective = QuadraticObjective(targets, noise_sigma=0.5)
+            x0 = np.tile(stream(77, tag="init").standard_normal(d)[:, None], (1, n))
+            sched = PracticalSchedule(a=0.05, b=float(d), m=1)
+            config = SgdConfig(matrix=matrix, schedule=sched, averaging="exact", gamma=1.0,
+                               iters=rounds, seed=seed, eval_every=rounds, f_star=0.0)
+            result = run_optimization(config, objective, x0)
+            w = x0[:, 0].copy()
+            for t in range(rounds):
+                grads = objective.stochastic_gradients(
+                    np.tile(w[:, None], (1, n)),
+                    lambda i: stream(seed, node=i, round_=t, tag="grad"),
+                )
+                w = w - sched.eta(t) * np.mean(grads, axis=1)
+            assert np.max(np.abs(result.final_x - w[:, None])) <= 1e-12, d
 
 
 def test_criterion_10_variance_scaling_with_workers():

@@ -205,10 +205,12 @@ class TestSuiteFile:
         path.write_text(f"[x]\nkind = optimize\n{key} = {text}\n")
         with pytest.raises(ConfigError, match=rf"^\[x\]: {key} must be {expected}, got '{text}'$"):
             parse_suite_file(path)
-        # the flag's text goes through the same coercion; both exit 2 before any run
-        flag = "--seed" if key == "seeds" else "--" + key.replace("_", "-")
-        for label, argv in [("x", ["--config", str(path), "--out-dir", str(tmp_path / "res")]),
-                            ("optimize", [flag, text])]:
+        # the flag's text goes through the same coercion (the flags' rows are in
+        # tests/exit2_cases.tsv, whose tokens hold no whitespace); both exit 2 before any run
+        argvs = [("x", ["--config", str(path), "--out-dir", str(tmp_path / "res")])]
+        if " " in text:
+            argvs.append(("optimize", ["--seed", text]))
+        for label, argv in argvs:
             assert cli.main(["optimize", *argv]) == 2
             message = f"[{label}]: {key} must be {expected}, got '{text}'"
             assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -222,16 +224,13 @@ class TestSuiteFile:
         ("optimize", "partition"),
         ("optimize", "schedule"),
     ])
-    def test_choice_key_checked_against_cli_choices(self, tmp_path, kind, key, capsys):
+    def test_choice_key_checked_against_cli_choices(self, tmp_path, kind, key):
+        # the flag's text goes through the same coercion: see its row in tests/exit2_cases.tsv
         path = tmp_path / "suite.ini"
         path.write_text(f"[x]\nkind = {kind}\n{key} = banana\n")
         choices = ", ".join(CHOICES[key])
         with pytest.raises(ConfigError, match=rf"^\[x\]: {key} must be one of {choices}, got 'banana'$"):
             parse_suite_file(path)
-        # the flag's text goes through the same coercion, so it fails with the suite's message
-        assert cli.main([kind, f"--{key}", "banana", "--n", "4", "--d", "3"]) == 2
-        message = f"[{kind}]: {key} must be one of {choices}, got 'banana'"
-        assert capsys.readouterr() == ("", f"error: {message}\n")
         path.write_text(f"[x]\nkind = {kind}\n{key} = {CHOICES[key][-1]}\n")
         assert parse_suite_file(path)[0].options[key] == CHOICES[key][-1]
 
@@ -503,6 +502,17 @@ class TestTheoryCheck:
             "PASS omega_contract qsgd16 observed=0.36158575346621336 bound=0.55607108744524125",
             "PASS omega_contract rand_gossip observed=0.75019999999999998 bound=0.7673158868095169",
             "PASS omega_contract top_k_per_sample observed=-0.05312945478022435 bound=0",
+            "PASS omega_contract d2000_rand_k20 observed=0.98993631012616856 "
+            "bound=0.99026164846096876",
+            "PASS omega_contract d2000_qsgd256 observed=0.0056411612486963981 "
+            "bound=0.029625859264360357",
+            "PASS omega_contract d2000_rand_k100 observed=0.95007404155183872 "
+            "bound=0.95055960534578332",
+            "PASS omega_contract d2000_qsgd16 observed=0.62800691380699014 "
+            "bound=0.73736552317929516",
+            "PASS omega_contract d2000_rand_gossip observed=0.75309999999999999 "
+            "bound=0.76724832235320295",
+            "PASS omega_contract d2000_top_k_per_sample observed=-0.059888947285200445 bound=0",
         ]
 
 
@@ -538,20 +548,12 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().err == ""
 
-    def test_config_error_exit_code(self, capsys):
-        code = cli.main([
-            "consensus", "--topology", "ring", "--n", "6", "--d", "8",
-            "--compression", "nonsense:1",
-        ])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
     def test_check_command(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = cli.main(["check", "--kind", "mixing", "--out", str(out)])
         assert code == 0
         stdout = capsys.readouterr().out
-        assert stdout.count("PASS mixing") == 6
+        assert stdout.count("PASS mixing") == 16
         assert out.read_text().splitlines()[0] == "kind,name,passed,observed,bound"
 
     def test_suite_via_config_flag(self, tmp_path, capsys):
@@ -564,25 +566,6 @@ class TestCli:
         assert (tmp_path / "res" / "avg-exact_summary.csv").exists()
         # only consensus sections ran under the consensus subcommand
         assert not (tmp_path / "res" / "sgd-quad_summary.csv").exists()
-
-    @pytest.mark.parametrize("kind,flags", [
-        ("consensus", ["--n", "50", "--seed", "5", "--out", "o.csv"]),
-        ("consensus", ["--scheme", "tracking"]),
-        ("consensus", ["--seed", "0"]),
-        ("optimize", ["--data", "train.svm", "--noise-sigma", "0.5"]),
-        ("optimize", ["--out", "o.csv"]),
-    ])
-    def test_config_rejects_flags_it_ignores(self, kind, flags, tmp_path, capsys):
-        # the suite file's sections set everything; a flag beside --config
-        # would otherwise be dropped without a word
-        config = tmp_path / "suite.ini"
-        config.write_text(SUITE)
-        code = cli.main([kind, "--config", str(config), "--out-dir", str(tmp_path / "res"),
-                         *flags])
-        assert code == 2
-        named = ", ".join(f for f in flags if f.startswith("--"))
-        assert capsys.readouterr().err == f"error: --config takes no {named}\n"
-        assert list(tmp_path.iterdir()) == [config]
 
     def test_suite_kind_mismatch_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "suite.ini"
@@ -667,7 +650,7 @@ class TestCli:
         assert code == 0
 
     def test_suite_gamma_syntax_is_a_config_error(self, tmp_path, capsys):
-        # as --gamma fast is: the whole suite aborts before any run
+        # as --gamma fast is (tests/exit2_cases.tsv): the whole suite aborts before any run
         config = tmp_path / "suite.ini"
         config.write_text(
             SUITE + "\n[bad-gamma]\nkind = consensus\ntopology = ring\nn = 4\nd = 3\ngamma = fast\n"
@@ -678,7 +661,47 @@ class TestCli:
         assert code == 2
         assert "[bad-gamma]: gamma must be a number or auto" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
-        assert cli.main(["consensus", "--n", "4", "--d", "3", "--gamma", "fast"]) == 2
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("kind = consensus\n", 1, "a key before any [section]"),
+        ("[a]\nkind = consensus\nbanana\n", 3, "not a 'key = value' line"),
+        ("[a]\nkind = consensus\n[a]\n", 3, "section [a] appears twice"),
+        ("[a]\nkind = consensus\nd = 3\nd = 4\n", 4, "key 'd' appears twice in [a]"),
+    ])
+    def test_malformed_suite_file_is_one_config_error(self, text, line, message, tmp_path,
+                                                      capsys):
+        config = tmp_path / "suite.ini"
+        config.write_text(text)
+        assert cli.main(["consensus", "--config", str(config),
+                         "--out-dir", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr() == ("", f"error: config file {config} line {line}: {message}\n")
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("key, message", [
+        ("compression = identity:5", "identity takes no argument, got 'identity:5'"),
+        ("value_bits = 0", "value_bits must lie in [1, 64], got 0"),
+    ])
+    def test_bad_operator_in_suite_fails_once_at_parse_time(self, key, message, tmp_path,
+                                                            capsys):
+        config = tmp_path / "suite.ini"
+        config.write_text(f"[x]\nkind = consensus\nn = 4\nd = 3\n{key}\nseeds = 1 2\n")
+        assert cli.main(["consensus", "--config", str(config),
+                         "--out-dir", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr() == ("", f"error: [x]: {message}\n")
+        assert not (tmp_path / "res").exists()
+
+    def test_bad_operator_without_logistic_d_fails_per_seed(self, tmp_path, capsys):
+        # a logistic section takes d from its data, so its operator is checked when built
+        data = tmp_path / "train.svm"
+        data.write_text(serialize_libsvm(synthetic_classification(30, 4, seed=6)))
+        config = tmp_path / "suite.ini"
+        config.write_text(f"[x]\nkind = optimize\nn = 3\nobjective = logistic\n"
+                          f"data_path = {data}\ncompression = identity:5\nseeds = 1 2\n")
+        assert cli.main(["optimize", "--config", str(config),
+                         "--out-dir", str(tmp_path / "res")]) == 1
+        failed = "identity takes no argument, got 'identity:5'"
+        assert capsys.readouterr().err.splitlines() == [
+            f"FAILED x seed={seed}: {failed}" for seed in (1, 2)]
 
     def test_bad_choice_in_suite_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "suite.ini"
@@ -828,14 +851,6 @@ class TestCli:
         assert (out, head) == ("", "error: graph is disconnected: ")
         assert gap.endswith("\n") and 0.0 <= float(gap) < 1e-9  # a few ulps at most
 
-    def test_seed_flag_takes_one_seed(self, capsys):
-        assert cli.main(["consensus", "--n", "4", "--d", "3", "--seed", "1,2"]) == 2
-        assert capsys.readouterr().err == "error: --seed takes one seed, got '1,2'\n"
-
-    def test_missing_dimension_is_config_error(self, capsys):
-        assert cli.main(["consensus", "--n", "4"]) == 2
-        assert "missing required key 'd'" in capsys.readouterr().err
-
     def test_below_requirement_warning_is_one_stable_line(self, tmp_path, capsys):
         argv = "optimize --topology full --n 4 --d 6 --schedule theoretical --a 5 --iters 3"
         assert cli.main(argv.split()) == 0
@@ -847,11 +862,6 @@ class TestCli:
                           "schedule = theoretical\na = 5\niters = 3\nseeds = 1 2\n")
         assert cli.main(["optimize", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().err == warning
-
-    @pytest.mark.parametrize("kind", ["consensus", "optimize"])
-    def test_dimension_below_one_is_config_error(self, kind, capsys):
-        assert cli.main([kind, "--n", "4", "--d", "0", "--compression", "top_k:1"]) == 2
-        assert capsys.readouterr().err == "error: d must be >= 1, got 0\n"
 
 
 # The same experiment as CLI flags and as a suite section: (flags, section).
