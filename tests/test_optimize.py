@@ -24,9 +24,10 @@ from gossipsim.optimize import (
     TheoreticalSchedule,
     TrackingAveraging,
     run_optimization,
+    sgd_round,
     theoretical_a,
 )
-from gossipsim.streams import stream
+from gossipsim.streams import StreamPool, stream
 from gossipsim.topology import FullyConnected, Ring, build_gossip_matrix
 
 RING9 = build_gossip_matrix(Ring(9))
@@ -201,6 +202,37 @@ class TestAveragingSchemes:
 
 
 class TestReductions:
+    def test_tracking_identity_equals_plain_every_iterate(self):
+        d, rounds, seed = 12, 200, 5
+        objective = quad_objective(d, 9, noise=0.5)
+        x0 = stream(seed, tag="init").standard_normal((d, 9))
+        plain = ExactAveraging(RING9, gamma=1.0, seed=seed)
+        tracked = TrackingAveraging(RING9, 1.0, Identity(), seed)
+        xp = xt = x0
+        sched = PracticalSchedule(a=0.05, b=float(d), m=1)
+        pool_a, pool_b = StreamPool(), StreamPool()
+        for t in range(rounds):
+            eta = sched.eta(t)
+            xp, _ = sgd_round(xp, objective, eta, plain, t, pool_a)
+            xt, _ = sgd_round(xt, objective, eta, tracked, t, pool_b)
+            assert np.max(np.abs(xp - xt)) <= 1e-12
+
+    def test_fully_connected_plain_equals_minibatch_oracle(self):
+        d, rounds, seed = 12, 200, 9
+        objective = quad_objective(d, 9, noise=0.5)
+        x0 = np.tile(stream(77, tag="init").standard_normal(d)[:, None], (1, 9))
+        sched = PracticalSchedule(a=0.05, b=float(d), m=1)
+        config = SgdConfig(matrix=FC9, schedule=sched, averaging="exact", gamma=1.0,
+                           iters=rounds, seed=seed, eval_every=rounds, f_star=0.0)
+        result = run_optimization(config, objective, x0)
+        w = x0[:, 0].copy()
+        for t in range(rounds):
+            grads = objective.stochastic_gradients(
+                np.tile(w[:, None], (1, 9)), lambda i: stream(seed, node=i, round_=t, tag="grad")
+            )
+            w = w - sched.eta(t) * np.mean(grads, axis=1)
+        assert np.max(np.abs(result.final_x - w[:, None])) <= 1e-12
+
     def test_single_node_ring_is_serial_sgd(self):
         d, rounds, seed = 6, 100, 3
         matrix = build_gossip_matrix(Ring(1))

@@ -204,6 +204,13 @@ class TestMixingContraction:
         m = build_gossip_matrix(Ring(4))
         assert mixing_contraction(m.weights, 3) <= (1.0 / 3.0) ** 3 + 1e-9
 
+    @pytest.mark.parametrize("kind", graphs((Ring, 4), (Ring, 8), (Ring, 16), (Torus, 3, 3),
+                                            (Torus, 4, 4), (FullyConnected, 9)))
+    def test_bounded_by_contraction_rate(self, kind):
+        m = build_gossip_matrix(kind)
+        for k in range(0, 51, 5):
+            assert mixing_contraction(m.weights, k) <= (1.0 - m.delta) ** k + 1e-9
+
 
 @st.composite
 def scrambled(draw):
