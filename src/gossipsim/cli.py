@@ -184,10 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = show_warning
         try:
             return args.func(args)
-        # ConfigError is a ValueError; DivergenceError, a failed reference solve
-        # and an all-diverged sweep are RuntimeErrors; a size too large to
-        # allocate is a MemoryError.
-        except (ValueError, OSError, MemoryError, RuntimeError) as exc:
+        except harness.RUN_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAILURE if isinstance(exc, RuntimeError) else EXIT_CONFIG
 

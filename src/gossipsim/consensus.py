@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressionSpec, Identity, compress_columns
+from .compression import CompressionSpec, Identity, RngFor, compress_columns
 from .records import ConsensusRecord
 from .streams import StreamPool, tag_code
 from .topology import GossipMatrix
@@ -179,16 +179,19 @@ class Gossip:
             self._work = np.empty(x.shape)
         return self._work
 
+    def streams(self, t: int, tag: int) -> RngFor:
+        """Round ``t``'s ``rng_for``: node i's generator for the ``(seed, i, t,
+        tag)`` stream, from the kernel's one pool; consume each before the next."""
+        return lambda i: self._pool.get(self.seed, node=i, round_=t, tag=tag)
+
     def messages(self, v: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Every node's round-``t`` message ``Q(v_i)``, in the message buffer,
         and its bits."""
-        def rng_for(i):
-            return self._pool.get(self.seed, node=i, round_=t, tag=_COMPRESS_TAG)
-
         if self._q is None or self._q.shape != v.shape:
             self._q = np.empty(v.shape)
             self._scratch = np.empty(v.shape[::-1]) if self.compression.node_major else None
-        return compress_columns(self.compression, v, rng_for, self._q, self._scratch)
+        return compress_columns(self.compression, v, self.streams(t, _COMPRESS_TAG),
+                                self._q, self._scratch)
 
     def exchange(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Round ``t``'s messages: ``(received, own, bits)``."""

@@ -60,7 +60,7 @@ from .optimize import (
     theoretical_a,
 )
 from .records import write_records_csv, write_rows_csv
-from .streams import StreamPool, stream
+from .streams import stream
 from .topology import (
     FullyConnected,
     GossipMatrix,
@@ -73,6 +73,7 @@ from .topology import (
 
 __all__ = [
     "ConfigError",
+    "RUN_ERRORS",
     "ExperimentSpec",
     "SUITE_KEYS",
     "CHOICES",
@@ -96,11 +97,17 @@ class ConfigError(ValueError):
     pass
 
 
+# What a run may raise: ConfigError is a ValueError; DivergenceError, failed solves and power
+# iterations and an all-diverged sweep are RuntimeErrors; too large a size is a MemoryError.
+RUN_ERRORS = (ValueError, OSError, MemoryError, RuntimeError)
+
+
 # ---------------------------------------------------------------------------
 # building blocks shared by the CLI and the suite runner
 
-def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.CompressionSpec:
-    """Parse an operator string.
+def parse_compression(text: str | None, d: int,
+                      value_bits: int | None = None) -> comp.CompressionSpec:
+    """Parse an operator string; ``None`` is an unset key's default: identity, 32 bits.
 
     Forms: ``identity`` (no argument), ``rand_k:<k or fraction>``,
     ``top_k:<k or fraction>``, ``qsgd:<levels>``, ``rand_gossip:<p>``, and
@@ -108,7 +115,8 @@ def parse_compression(text: str, d: int, value_bits: int = 32) -> comp.Compressi
     argument below 1 is read as a coordinate fraction and resolved as
     ``ceil(fraction * d)``.
     """
-    text = text.strip()
+    text = "identity" if text is None else text.strip()
+    value_bits = 32 if value_bits is None else value_bits
     if text.startswith("unbiased:"):
         inner = parse_compression(text[len("unbiased:"):], d, value_bits)
         return comp.RescaledUnbiased(inner, value_bits=value_bits)
@@ -314,8 +322,7 @@ def _coerce_options(label: str, raw: dict) -> dict:
         opts["seeds"] = [0]
     if opts.get("d", 0) >= 1:  # the operator's own checks, as the run's builder makes them
         try:
-            parse_compression(opts.get("compression", "identity"), opts["d"],
-                              opts.get("value_bits", 32))
+            parse_compression(opts.get("compression"), opts["d"], opts.get("value_bits"))
         except ValueError as exc:
             raise ConfigError(f"[{label}]: {exc}") from None
     return opts
@@ -330,7 +337,7 @@ def _build_matrix(o: dict) -> GossipMatrix:
 
 def _gossip_options(o: dict, matrix: GossipMatrix, d: int, seed: int) -> dict:
     """The config fields consensus and SGD runs share, with their defaults."""
-    cspec = parse_compression(o.get("compression", "identity"), d, o.get("value_bits", 32))
+    cspec = parse_compression(o.get("compression"), d, o.get("value_bits"))
     gamma = o.get("gamma", 1.0)
     if gamma == "auto":
         gamma = tracking_stepsize(matrix.delta, cspec.omega(d), matrix.beta)
@@ -452,10 +459,7 @@ def run_suite(
         for seed in spec.options["seeds"]:
             try:
                 records = run_experiment(spec, seed).records
-            # ConfigError is a ValueError; DivergenceError is a RuntimeError,
-            # as are failed reference solves and power iterations; MemoryError
-            # is a size too large to allocate.
-            except (ValueError, OSError, MemoryError, RuntimeError) as exc:
+            except RUN_ERRORS as exc:
                 failures.append((spec.label, seed, str(exc)))
                 continue
             path = out / f"{spec.label}_seed{seed}.csv"
@@ -636,12 +640,11 @@ def _check_identity_reduction() -> list[CheckOutcome]:
         eta = PracticalSchedule(a=0.05, b=float(d), m=1).eta
         plain = ExactAveraging(matrix, 1.0, seed=seed)
         tracked = TrackingAveraging(matrix, 1.0, comp.Identity(), seed)
-        pool = StreamPool()  # each get re-keys it in full, so both runs may share it
         x_plain = x_tracked = gaussian_init(d, 9, seed)
         gaps = [0.0]
         for t in range(rounds):
-            x_plain, _ = sgd_round(x_plain, objective, eta(t), plain, t, pool)
-            x_tracked, _ = sgd_round(x_tracked, objective, eta(t), tracked, t, pool)
+            x_plain, _ = sgd_round(x_plain, objective, eta(t), plain, t)
+            x_tracked, _ = sgd_round(x_tracked, objective, eta(t), tracked, t)
             gaps.append(float(np.max(np.abs(x_plain - x_tracked))))
         outcomes.append(CheckOutcome("identity_reduction", f"ring9_d{d}", max(gaps), 1e-12))
     return outcomes

@@ -37,7 +37,7 @@ from .consensus import DIVERGENCE_FACTOR, DivergenceError, Gossip, GossipScheme,
 from .consensus import _squared_error
 from .objectives import Objective
 from .records import OptimizeRecord
-from .streams import StreamPool, tag_code
+from .streams import tag_code
 from .topology import GossipMatrix
 
 _GRAD_TAG = tag_code("grad")
@@ -179,21 +179,13 @@ class OptimizationResult:
     s_total: float
 
 
-def sgd_round(
-    x: np.ndarray,
-    objective: Objective,
-    eta: float,
-    averaging: Gossip,
-    t: int,
-    pool: StreamPool,
-) -> tuple[np.ndarray, np.ndarray]:
+def sgd_round(x: np.ndarray, objective: Objective, eta: float, averaging: Gossip,
+              t: int) -> tuple[np.ndarray, np.ndarray]:
     """One decentralized SGD round: gradient half-step, then one gossip
-    round.  Node i's gradient draws come from the ``(averaging.seed, i, t,
-    "grad")`` stream.  Returns the new iterates and payload bits per node."""
-    def rng_for(i):
-        return pool.get(averaging.seed, node=i, round_=t, tag=_GRAD_TAG)
-
-    grads = objective.stochastic_gradients(x, rng_for)
+    round.  Node i's gradient draws come from the kernel's ``(seed, i, t,
+    "grad")`` stream, all of them before its first compress draw.  Returns
+    the new iterates and payload bits per node."""
+    grads = objective.stochastic_gradients(x, averaging.streams(t, _GRAD_TAG))
     x_half = x - eta * grads
     if not np.isfinite(x_half).all():  # before it reaches a compressor, which rejects it
         raise DivergenceError(t, float("inf"))
@@ -237,7 +229,6 @@ def run_optimization(
 
     records: list[OptimizeRecord] = []
     bits = 0
-    pool = StreamPool()
 
     for t in range(config.iters + 1):
         final = t == config.iters
@@ -255,7 +246,7 @@ def run_optimization(
         w = (a + t) ** 2
         weighted_sum += w * xbar
         total += w
-        x, payloads = sgd_round(x, objective, eta, scheme, t, pool)
+        x, payloads = sgd_round(x, objective, eta, scheme, t)
         bits += matrix.degree * int(payloads.sum())
 
     x_avg = weighted_sum / total

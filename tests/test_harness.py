@@ -241,6 +241,10 @@ class TestSuiteFile:
         args = cli.build_parser().parse_args(["consensus", "--topology", "Ring"])
         assert cli._spec(args, "consensus")[0].options["topology"] == "ring"
 
+    def test_build_topology_rejects_unknown_name(self):
+        with pytest.raises(ConfigError, match="^unknown topology 'banana'$"):
+            build_topology("banana", 4)
+
     def test_torus_n_must_match_its_sides(self):
         assert build_topology("torus", None, 3, 3).n == build_topology("torus", 9, 3, 3).n == 9
         with pytest.raises(ConfigError, match=re.escape(
@@ -399,6 +403,19 @@ class TestCsvFormat:
         else:
             assert back == value
 
+    @pytest.mark.parametrize("value, error, message", [
+        (True, TypeError, "bool is not a CSV cell type"),
+        ("a,b", ValueError, "cell 'a,b' would break the CSV layout"),
+    ])
+    def test_format_value_rejects(self, value, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            format_value(value)
+
+    def test_no_records_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^no records to write$"):
+            write_records_csv(tmp_path / "t.csv", [])
+        assert not (tmp_path / "t.csv").exists()
+
     def test_write_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         write_rows_csv(path, ["a", "b"], [(1, 0.5), (2, 1.5)])
@@ -443,6 +460,16 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=re.escape("a = 1e+200 makes the averaging weights")):
             grid_search(self.make_base(objective), objective, np.zeros((6, 9)),
                         a_exponents=(200,), b_values=(1.0,))
+
+    @pytest.mark.parametrize("a_exponents, b_values, message", [
+        ((), None, "empty a grid"),
+        ((-1,), (), "empty b grid"),
+    ])
+    def test_empty_grid_rejected(self, a_exponents, b_values, message):
+        objective = self.quad(6, 9)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid_search(self.make_base(objective), objective, np.zeros((6, 9)),
+                        a_exponents=a_exponents, b_values=b_values)
 
     def test_needs_a_practical_schedule(self):
         objective = self.quad(6, 9)
@@ -680,6 +707,7 @@ class TestCli:
     @pytest.mark.parametrize("key, message", [
         ("compression = identity:5", "identity takes no argument, got 'identity:5'"),
         ("value_bits = 0", "value_bits must lie in [1, 64], got 0"),
+        ("compression =", "unknown compression kind ''"),  # empty is not unset
     ])
     def test_bad_operator_in_suite_fails_once_at_parse_time(self, key, message, tmp_path,
                                                             capsys):
@@ -689,6 +717,13 @@ class TestCli:
                          "--out-dir", str(tmp_path / "res")]) == 2
         assert capsys.readouterr() == ("", f"error: [x]: {message}\n")
         assert not (tmp_path / "res").exists()
+
+    def test_empty_compression_flag_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # an empty token, which no exit-2 table row can hold
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["consensus", "--n", "4", "--d", "3", "--compression", ""]) == 2
+        assert capsys.readouterr() == ("", "error: [consensus]: unknown compression kind ''\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_operator_without_logistic_d_fails_per_seed(self, tmp_path, capsys):
         # a logistic section takes d from its data, so its operator is checked when built

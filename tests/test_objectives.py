@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -298,6 +299,17 @@ class TestParseLibsvm:
         assert ds.m == 1
 
 
+class TestDataset:
+    @pytest.mark.parametrize("rows, labels, message", [
+        (2, [1.0], "feature rows and labels disagree in length"),
+        (0, [], "dataset must contain at least one sample"),
+        (2, [1.0, 0.0], "labels must be -1 or +1"),
+    ])
+    def test_rejection_is_named(self, rows, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(features=sp.csr_matrix((rows, 3)), labels=np.array(labels))
+
+
 class TestPartition:
     @pytest.fixture
     def dataset(self):
@@ -351,6 +363,14 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(dataset, 13, "shuffled", seed=0)
 
+    @pytest.mark.parametrize("n, mode, message", [
+        (0, "sorted", "need at least one shard"),
+        (2, "banana", "unknown partition mode 'banana'"),
+    ])
+    def test_bad_shard_count_or_mode_rejected(self, dataset, n, mode, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            partition(dataset, n, mode, seed=0)
+
 
 class TestQuadratic:
     def test_gradient_zero_at_target(self):
@@ -370,6 +390,15 @@ class TestQuadratic:
     def test_constants(self):
         obj = QuadraticObjective(np.zeros((3, 2)))
         assert obj.constants() == (1.0, 1.0)
+
+    def test_targets_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match=re.escape("targets must be d x n, got shape (3,)")):
+            QuadraticObjective(np.zeros(3))
+
+    def test_noisy_oracle_needs_an_rng(self):
+        obj = QuadraticObjective(np.zeros((3, 2)), noise_sigma=1.0)
+        with pytest.raises(ValueError, match="^noisy quadratic oracle needs an rng$"):
+            obj.stochastic_gradients(np.zeros((3, 2)), lambda i: None)
 
     def test_noise_has_configured_scale(self):
         obj = QuadraticObjective(np.zeros((50, 4000)), noise_sigma=2.0)
@@ -423,6 +452,11 @@ class TestLogistic:
         shards = partition(ds, 2, "shuffled", seed=0)
         with pytest.raises(ValueError):
             LogisticObjective(ds, shards[:1])
+
+    def test_shards_required(self):
+        ds = parse_libsvm(io.StringIO(TEN_LINE_FIXTURE))
+        with pytest.raises(ValueError, match="^at least one shard is required$"):
+            LogisticObjective(ds, [])
 
     def test_empty_shard_rejected(self):
         ds = parse_libsvm(io.StringIO(TEN_LINE_FIXTURE))
@@ -524,6 +558,9 @@ class TestPowerIteration:
         got = power_iteration(matvec, 4)
         assert got.hex() == lam_new.hex() == "0x1.7fffeee1b5cfcp+1"
         assert len(calls) == iterations + 1
+
+    def test_zero_operator_has_eigenvalue_zero(self):
+        assert power_iteration(lambda v: 0.0 * v, 3) == 0.0
 
     def test_nonconvergence_raises(self):
         mat = np.diag([1.0, 0.99])

@@ -27,7 +27,7 @@ from gossipsim.optimize import (
     sgd_round,
     theoretical_a,
 )
-from gossipsim.streams import StreamPool, stream
+from gossipsim.streams import stream
 from gossipsim.topology import FullyConnected, Ring, build_gossip_matrix
 
 RING9 = build_gossip_matrix(Ring(9))
@@ -66,6 +66,10 @@ class TestSchedules:
         for sched in (TheoreticalSchedule(1.0, 410.0), PracticalSchedule(0.3, 50.0, 1800)):
             etas = [sched.eta(t) for t in range(100)]
             assert all(a > b for a, b in zip(etas, etas[1:]))
+
+    def test_practical_m_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^schedule parameter m must be >= 1, got 0$"):
+            PracticalSchedule(a=1, b=1, m=0)
 
 
 class TestTheoreticalStepsize:
@@ -210,11 +214,10 @@ class TestReductions:
         tracked = TrackingAveraging(RING9, 1.0, Identity(), seed)
         xp = xt = x0
         sched = PracticalSchedule(a=0.05, b=float(d), m=1)
-        pool_a, pool_b = StreamPool(), StreamPool()
         for t in range(rounds):
             eta = sched.eta(t)
-            xp, _ = sgd_round(xp, objective, eta, plain, t, pool_a)
-            xt, _ = sgd_round(xt, objective, eta, tracked, t, pool_b)
+            xp, _ = sgd_round(xp, objective, eta, plain, t)
+            xt, _ = sgd_round(xt, objective, eta, tracked, t)
             assert np.max(np.abs(xp - xt)) <= 1e-12
 
     def test_fully_connected_plain_equals_minibatch_oracle(self):
@@ -367,6 +370,12 @@ class TestRunOptimization:
         spec = ExperimentSpec("x", "optimize", {"n": 9, "d": 4, "fstar_tol": tol, "seeds": [0]})
         with pytest.raises(ValueError, match=f"fstar_tol must be finite and > 0, got {tol}"):
             build_optimize(spec, 0)
+
+    @pytest.mark.parametrize("averaging", ["direct", "paired"])
+    def test_averaging_must_be_an_averaging_scheme(self, averaging):
+        with pytest.raises(ValueError, match=f"^unknown averaging '{averaging}'$"):
+            SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 1.0, 1), f_star=0.0,
+                      averaging=averaging)
 
     @pytest.mark.parametrize("f_star", [math.nan, math.inf, -math.inf])
     def test_nonfinite_f_star_rejected(self, f_star):

@@ -48,7 +48,7 @@ from gossipsim.optimize import (
     sgd_round,
 )
 from gossipsim.records import ConsensusRecord, OptimizeRecord
-from gossipsim.streams import StreamPool, stream
+from gossipsim.streams import stream
 from gossipsim.topology import FullyConnected, Ring, Torus, build_gossip_matrix
 
 
@@ -243,10 +243,10 @@ def test_sgd_round_matches_earlier_expressions(case):
     config, objective, x = case
     scheme = averaging_for(config)
     reference = averaging_for(with_argpartition_top_k(config))
-    want_x, pool = x, StreamPool()
+    want_x = x
     for t in range(config.iters):
         eta = config.schedule.eta(t)
-        x, bits = sgd_round(x, objective, eta, scheme, t, pool)
+        x, bits = sgd_round(x, objective, eta, scheme, t)
         want_x, want_bits = reference_sgd_round(want_x, objective, eta, reference, t)
         assert same_bits(x, want_x)
         assert same_bits(bits, want_bits)

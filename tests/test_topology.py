@@ -190,6 +190,16 @@ class TestSpectralQuantities:
         with pytest.raises(ValueError, match="sum"):
             spectral_quantities(np.eye(3) * 0.5)
 
+    @pytest.mark.parametrize("w, message", [
+        (np.ones((2, 3)), "weights must be square, got shape (2, 3)"),
+        ([[1.5, -0.5], [-0.5, 1.5]], "principal eigenvalue is 2.0, expected 1"),
+        # symmetric and row-stochastic within 1e-10, but the first column sums to 1 + 1.8e-10
+        ([[0.5 + 0.9e-10, 0.5], [0.5 + 0.9e-10, 0.5 - 0.9e-10]], "columns do not sum to 1"),
+    ])
+    def test_rejection_is_named(self, w, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spectral_quantities(w)
+
 
 class TestMixingContraction:
     def test_power_zero_is_one(self):
@@ -203,6 +213,10 @@ class TestMixingContraction:
     def test_ring4_third_power(self):
         m = build_gossip_matrix(Ring(4))
         assert mixing_contraction(m.weights, 3) <= (1.0 / 3.0) ** 3 + 1e-9
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="^power k must be >= 0, got -1$"):
+            mixing_contraction(build_gossip_matrix(Ring(4)).weights, -1)
 
     @pytest.mark.parametrize("kind", graphs((Ring, 4), (Ring, 8), (Ring, 16), (Torus, 3, 3),
                                             (Torus, 4, 4), (FullyConnected, 9)))
