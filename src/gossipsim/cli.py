@@ -16,8 +16,8 @@ key is a flag of the same name with ``-`` for ``_`` (``--data`` sets
 ``data_path``, ``--seed`` is the one seed), and the flags' text, choices
 included, is checked only by the suite's own coercion, so a bad value is
 reported as in a suite file (``[consensus]: gamma must be a number or
-auto, got 'fast'``).  Only ``--seed`` (0) has a default of its own; the
-suite's builders supply every other, ``topology = ring`` included.  Both
+auto, got 'fast'``).  ``harness.KEYS`` holds every default, ``topology =
+ring`` and the ``seeds`` default ``0`` of ``--seed`` included.  Both
 also accept ``--config suite.ini --out-dir results/`` to run every
 matching experiment section of a suite file (one CSV per seed plus a
 summary per experiment); the sections set everything else, so a
@@ -46,15 +46,6 @@ EXIT_CONFIG = 2
 
 # Suite keys a sweep's grid sets itself, so ``sweep`` has no flag for them.
 _GRID_KEYS = {"iters", "eval_every", "schedule", "a", "b"}
-_HELP = {
-    "n": "node count", "d": "vector dimension",
-    "compression": "identity | rand_k:<k|frac> | top_k:<k|frac> | qsgd:<s> | "
-                   "rand_gossip:<p> | unbiased:<inner>",
-    "gamma": "consensus stepsize or 'auto'",
-    "edges_file": "custom topology: 'i j' pairs, 0-indexed",
-    "init_file": "initial matrix, one node row per line (default: Gaussian)",
-    "data_path": "LIBSVM file for the logistic objective",
-}
 
 
 def _flag(key: str) -> str:
@@ -63,21 +54,20 @@ def _flag(key: str) -> str:
 
 def _add_suite_flags(p: argparse.ArgumentParser, keys: set[str]) -> None:
     """One text flag per suite key; ``_spec`` parses them as a suite file's."""
-    for key in sorted(keys - {"kind", "seeds"}):
-        choices = harness.CHOICES.get(key)  # listed by --help, checked only by _spec
-        p.add_argument(_flag(key), dest=key, help=_HELP.get(key),
-                       metavar=choices and "{" + ",".join(choices) + "}")
-    p.add_argument("--seed", help="the run's one seed (default 0)")
+    for name in sorted(keys - {"kind", "seeds"}):
+        key = harness.KEYS[name]  # its choices are listed by --help, checked only by _spec
+        p.add_argument(_flag(name), dest=name, help=key.help,
+                       metavar="{" + ",".join(key.choices) + "}" if key.choices else None)
+    p.add_argument("--seed", help=harness.KEYS["seeds"].help)
 
 
 def _spec(args, kind: str) -> tuple[harness.ExperimentSpec, int]:
     """The one-section suite that a flag invocation stands for, and its seed."""
     raw = {
-        key: value for key, value in vars(args).items()
+        key: value for key, value in {**vars(args), "seeds": args.seed}.items()
         if key in harness.SUITE_KEYS[kind] and value is not None
     }
-    seed = "0" if args.seed is None else args.seed
-    options = harness._coerce_options(args.command, {**raw, "seeds": seed})
+    options = harness._coerce_options(args.command, raw)
     if len(options["seeds"]) != 1:
         raise harness.ConfigError(f"--seed takes one seed, got {args.seed!r}")
     return harness.ExperimentSpec(args.command, kind, options), options["seeds"][0]

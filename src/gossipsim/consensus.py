@@ -159,7 +159,7 @@ class Gossip:
     buffers: the next round overwrites them, so copy what must outlive it.
     """
 
-    def __init__(self, scheme: GossipScheme, matrix: GossipMatrix, gamma: float = 1.0,
+    def __init__(self, scheme: GossipScheme, matrix: GossipMatrix, gamma: float,
                  compression: CompressionSpec = Identity(), seed: int = 0):
         self.scheme = GossipScheme(scheme)
         _check_gossip(self.scheme, gamma, compression)

@@ -1,8 +1,8 @@
 """Experiment orchestration: config files, suites, sweeps, theory checks.
 
-Config files are INI-style with one section per experiment.  Keys are flat
-and strictly validated -- an unknown key anywhere aborts the whole suite
-(exit code 2 from the CLI), which catches typos in sweeps early.  Example::
+Config files are INI-style with one section per experiment of flat keys,
+each one a ``KEYS`` entry and strictly validated -- an unknown key anywhere
+aborts the whole suite (exit code 2 from the CLI), which catches typos early::
 
     [ring-tracking-qsgd]
     kind = consensus
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .consensus import (
     ConsensusResult,
     DivergenceError,
     GossipScheme,
+    RunConfig,
     run_consensus,
     tracking_stepsize,
 )
@@ -75,8 +77,8 @@ __all__ = [
     "ConfigError",
     "RUN_ERRORS",
     "ExperimentSpec",
+    "KEYS",
     "SUITE_KEYS",
-    "CHOICES",
     "parse_suite_file",
     "build_consensus",
     "build_optimize",
@@ -155,10 +157,10 @@ def parse_compression(text: str | None, d: int,
 
 def build_topology(name: str, n: int | None, rows: int | None = None,
                    cols: int | None = None, edges_file: str | None = None) -> GossipMatrix:
-    """Mixing matrix of one of ``CHOICES["topology"]``, in any letter case;
+    """Mixing matrix of one of ``KEYS["topology"].choices``, in any letter case;
     the names other than ring, torus and custom are the complete graph."""
     name = name.lower()
-    if name not in CHOICES["topology"]:
+    if name not in KEYS["topology"].choices:
         raise ConfigError(f"unknown topology {name!r}")
     if name == "ring":
         return build_gossip_matrix(Ring(_require(n, "n")))
@@ -211,27 +213,55 @@ def load_init_file(path, d: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # suite configs
 
-_COMMON_KEYS = {
-    "kind", "topology", "n", "d", "torus_rows", "torus_cols", "edges_file",
-    "compression", "value_bits", "gamma", "iters", "eval_every", "seeds",
+@dataclass(frozen=True)
+class Key:
+    """One suite key and CLI flag: the kinds that may hold it, its text parser (a ValueError
+    means not ``syntax``), default (None: unset or set by a builder), choices and help."""
+
+    kinds: tuple[str, ...]
+    parse: Callable[[str], object] = str
+    syntax: str = "text"
+    default: object = None
+    choices: tuple[str, ...] = ()
+    help: str | None = None
+
+
+_BOTH = ("consensus", "optimize")
+KEYS = {
+    "kind": Key(_BOTH, choices=_BOTH),
+    "topology": Key(_BOTH, str.lower, "a name in any letter case", "ring",
+                    ("ring", "torus", "full", "fully_connected", "complete", "custom")),
+    "n": Key(_BOTH, int, "an integer", help="node count"),
+    "d": Key(_BOTH, int, "an integer", help="vector dimension"),
+    "torus_rows": Key(_BOTH, int, "an integer"),
+    "torus_cols": Key(_BOTH, int, "an integer"),
+    "edges_file": Key(_BOTH, syntax="a path", help="custom topology: 'i j' pairs, 0-indexed"),
+    "compression": Key(_BOTH, syntax="an operator", help="identity | rand_k:<k|frac> | "
+                       "top_k:<k|frac> | qsgd:<s> | rand_gossip:<p> | unbiased:<inner>"),
+    "value_bits": Key(_BOTH, int, "an integer"),
+    "gamma": Key(_BOTH, lambda text: "auto" if text.strip().lower() == "auto" else float(text),
+                 "a number or auto", RunConfig.gamma, help="consensus stepsize or 'auto'"),
+    "iters": Key(_BOTH, int, "an integer", RunConfig.iters),
+    "eval_every": Key(_BOTH, int, "an integer", RunConfig.eval_every),
+    "seeds": Key(_BOTH, lambda text: [int(tok) for tok in text.replace(",", " ").split()],
+                 "integers", (0,), help="the run's one seed (default 0)"),
+    "scheme": Key(("consensus",), default="exact", choices=tuple(s.value for s in GossipScheme)),
+    "init_file": Key(("consensus",), syntax="a path",
+                     help="initial matrix, one node row per line (default: Gaussian)"),
+    "averaging": Key(("optimize",), default=SgdConfig.averaging,
+                     choices=tuple(s.value for s in AVERAGING)),
+    "objective": Key(("optimize",), default="quadratic", choices=("quadratic", "logistic")),
+    "data_path": Key(("optimize",), syntax="a path", help="LIBSVM file for the logistic objective"),
+    "partition": Key(("optimize",), default="shuffled", choices=("shuffled", "sorted")),
+    "schedule": Key(("optimize",), default="practical", choices=("practical", "theoretical")),
+    "a": Key(("optimize",), float, "a number"),
+    "b": Key(("optimize",), float, "a number"),
+    "noise_sigma": Key(("optimize",), float, "a number", 0.0),
+    "fstar_tol": Key(("optimize",), float, "a number", 1e-10),
+    "targets_seed": Key(("optimize",), int, "an integer"),
 }
-# The keys a section of each kind may hold; each is also a CLI flag of that name.
-SUITE_KEYS = {
-    "consensus": _COMMON_KEYS | {"scheme", "init_file"},
-    "optimize": _COMMON_KEYS | {
-        "averaging", "objective", "data_path", "partition", "schedule",
-        "a", "b", "noise_sigma", "fstar_tol", "targets_seed",
-    },
-}
-# The values each choice key may take, in suite files and as CLI flags.
-CHOICES = {
-    "topology": ("ring", "torus", "full", "fully_connected", "complete", "custom"),
-    "scheme": tuple(s.value for s in GossipScheme),
-    "averaging": tuple(s.value for s in AVERAGING),
-    "objective": ("quadratic", "logistic"),
-    "partition": ("shuffled", "sorted"),
-    "schedule": ("practical", "theoretical"),
-}
+SUITE_KEYS = {kind: {name for name, key in KEYS.items() if kind in key.kinds} for kind in _BOTH}
+_DEFAULTS = {name: key.default for name, key in KEYS.items() if key.default is not None}
 
 
 @dataclass(frozen=True)
@@ -260,8 +290,8 @@ def parse_suite_file(path: str | Path) -> list[ExperimentSpec]:
     for label in parser.sections():
         raw = dict(parser.items(label))
         kind = raw.get("kind")
-        if kind not in ("consensus", "optimize"):
-            raise ConfigError(f"[{label}]: kind must be consensus or optimize")
+        if kind not in KEYS["kind"].choices:
+            raise ConfigError(f"[{label}]: kind must be {' or '.join(KEYS['kind'].choices)}")
         unknown = set(raw) - SUITE_KEYS[kind]
         if unknown:
             raise ConfigError(f"[{label}]: unknown keys {sorted(unknown)}")
@@ -273,53 +303,33 @@ def parse_suite_file(path: str | Path) -> list[ExperimentSpec]:
 
 
 def _coerce_options(label: str, raw: dict) -> dict:
-    """Typed options; a value of the wrong syntax or outside the key's
-    ``CHOICES`` is a ConfigError naming its key.
+    """Typed options, parsed in ``KEYS`` order by their entries there; a value of
+    the wrong syntax or outside its key's choices is a ConfigError naming it.
 
     Range checks are left to the config dataclasses but for the seeds' and,
     once ``d`` is set, the operator's, which abort the suite before any run
     (a logistic section without ``d`` checks its operator per seed)."""
     opts = dict(raw)
-    if "topology" in opts:  # build_topology takes any letter case
-        opts["topology"] = opts["topology"].lower()
-    for key, choices in CHOICES.items():
-        if key in opts and opts[key] not in choices:
-            raise ConfigError(
-                f"[{label}]: {key} must be one of {', '.join(choices)}, got {opts[key]!r}"
-            )
-
-    def coerce(key, parse, expected):
+    for name in [name for name in KEYS if name in raw]:  # one order for flags and files
+        key, text = KEYS[name], raw[name]
         try:
-            return parse(opts[key])
+            opts[name] = key.parse(text)
         except ValueError:
-            raise ConfigError(f"[{label}]: {key} must be {expected}, got {opts[key]!r}") from None
-
-    for key in ("n", "d", "torus_rows", "torus_cols", "iters", "eval_every", "value_bits",
-                "targets_seed"):
-        if key in opts:
-            opts[key] = coerce(key, int, "an integer")
+            raise ConfigError(f"[{label}]: {name} must be {key.syntax}, got {text!r}") from None
+        if key.choices and opts[name] not in key.choices:
+            raise ConfigError(
+                f"[{label}]: {name} must be one of {', '.join(key.choices)}, got {opts[name]!r}")
     if not 0 <= opts.get("targets_seed", 0) < 2**64:  # streams.stream's key range, as for seeds
         raise ConfigError(f"[{label}]: targets_seed must be a non-negative 64-bit integer, "
                           f"got {raw['targets_seed']!r}")
-    for key in ("a", "b", "noise_sigma", "fstar_tol"):
-        if key in opts:
-            opts[key] = coerce(key, float, "a number")
-    if "gamma" in opts:  # "auto" is resolved when the run is built
-        opts["gamma"] = coerce("gamma", lambda text: "auto" if text.strip().lower() == "auto"
-                               else float(text), "a number or auto")
-    if "seeds" in opts:
-        seeds = coerce("seeds", lambda text: [int(tok) for tok in text.replace(",", " ").split()],
-                       "integers")
-        if not seeds:
-            raise ConfigError(f"[{label}]: empty seeds list")
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError(f"[{label}]: seeds must be distinct")
-        if not all(0 <= seed < 2**64 for seed in seeds):  # streams.stream's key range
-            raise ConfigError(
-                f"[{label}]: seeds must be non-negative 64-bit integers, got {opts['seeds']!r}")
-        opts["seeds"] = seeds
-    else:
-        opts["seeds"] = [0]
+    seeds = opts.setdefault("seeds", [*KEYS["seeds"].default])
+    if not seeds:
+        raise ConfigError(f"[{label}]: empty seeds list")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"[{label}]: seeds must be distinct")
+    if not all(0 <= seed < 2**64 for seed in seeds):  # streams.stream's key range
+        raise ConfigError(
+            f"[{label}]: seeds must be non-negative 64-bit integers, got {raw['seeds']!r}")
     if opts.get("d", 0) >= 1:  # the operator's own checks, as the run's builder makes them
         try:
             parse_compression(opts.get("compression"), opts["d"], opts.get("value_bits"))
@@ -330,34 +340,34 @@ def _coerce_options(label: str, raw: dict) -> dict:
 
 def _build_matrix(o: dict) -> GossipMatrix:
     return build_topology(
-        o.get("topology", "ring"), o.get("n"),
+        o["topology"], o.get("n"),
         o.get("torus_rows"), o.get("torus_cols"), o.get("edges_file"),
     )
 
 
 def _gossip_options(o: dict, matrix: GossipMatrix, d: int, seed: int) -> dict:
-    """The config fields consensus and SGD runs share, with their defaults."""
+    """The config fields consensus and SGD runs share."""
     cspec = parse_compression(o.get("compression"), d, o.get("value_bits"))
-    gamma = o.get("gamma", 1.0)
+    gamma = o["gamma"]
     if gamma == "auto":
         gamma = tracking_stepsize(matrix.delta, cspec.omega(d), matrix.beta)
     return dict(
         matrix=matrix,
         gamma=gamma,
         compression=cspec,
-        iters=o.get("iters", 100),
+        iters=o["iters"],
         seed=seed,
-        eval_every=o.get("eval_every", 1),
+        eval_every=o["eval_every"],
     )
 
 
 def build_consensus(spec: ExperimentSpec, seed: int):
-    """Config and initial matrix of one consensus run; every default lives here."""
-    o = spec.options
+    """Config and initial matrix of one consensus run; unset keys take their ``KEYS`` default."""
+    o = {**_DEFAULTS, **spec.options}
     d = _dimension(o)
     matrix = _build_matrix(o)
     config = ConsensusConfig(
-        scheme=GossipScheme(o.get("scheme", "exact")), **_gossip_options(o, matrix, d, seed)
+        scheme=GossipScheme(o["scheme"]), **_gossip_options(o, matrix, d, seed)
     )
     if "init_file" in o:
         x0 = load_init_file(o["init_file"], d, matrix.n)
@@ -367,10 +377,10 @@ def build_consensus(spec: ExperimentSpec, seed: int):
 
 
 def build_objective(o: dict, matrix: GossipMatrix, seed: int) -> Objective:
-    if o.get("objective", "quadratic") == "quadratic":
+    if o["objective"] == "quadratic":
         targets = stream(o.get("targets_seed", seed), tag="targets").standard_normal(
             (_dimension(o), matrix.n))
-        return QuadraticObjective(targets, noise_sigma=o.get("noise_sigma", 0.0))
+        return QuadraticObjective(targets, noise_sigma=o["noise_sigma"])
     path = _require(o.get("data_path"), "data_path")
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -379,18 +389,18 @@ def build_objective(o: dict, matrix: GossipMatrix, seed: int) -> Objective:
             raise ConfigError(f"{path}: {exc}") from exc
     if o.get("d", dataset.d) != dataset.d:
         raise ConfigError(f"{path} holds {dataset.d}-dimensional data, but d = {o['d']}")
-    shards = partition(dataset, matrix.n, o.get("partition", "shuffled"), seed=seed)
+    shards = partition(dataset, matrix.n, o["partition"], seed=seed)
     return LogisticObjective(dataset, shards)
 
 
 def build_optimize(spec: ExperimentSpec, seed: int):
-    """Config, objective and initial matrix of one SGD run; every default lives here."""
-    o = spec.options
+    """Config, objective and initial matrix of one SGD run; sets what ``KEYS`` leaves open."""
+    o = {**_DEFAULTS, **spec.options}
     matrix = _build_matrix(o)
     objective = build_objective(o, matrix, seed)
     d = objective.dim
     gossip = _gossip_options(o, matrix, d, seed)
-    if o.get("schedule", "practical") == "theoretical":
+    if o["schedule"] == "theoretical":
         if "a" in o:
             a = o["a"]
         else:  # the requirement run_optimization checks a against
@@ -399,9 +409,8 @@ def build_optimize(spec: ExperimentSpec, seed: int):
     else:
         m = objective.samples_per_node * matrix.n if isinstance(objective, LogisticObjective) else 1
         schedule = PracticalSchedule(a=o.get("a", 0.1), b=o.get("b", float(d)), m=m)
-    _, f_star = solve_reference(objective, o.get("fstar_tol", 1e-10))
-    config = SgdConfig(schedule=schedule, f_star=f_star, averaging=o.get("averaging", "exact"),
-                       **gossip)
+    _, f_star = solve_reference(objective, o["fstar_tol"])
+    config = SgdConfig(schedule=schedule, f_star=f_star, averaging=o["averaging"], **gossip)
     return config, objective, np.zeros((d, matrix.n))
 
 

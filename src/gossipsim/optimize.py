@@ -118,7 +118,7 @@ class ExactAveraging(Gossip):
     sets the bit count.
     """
 
-    def __init__(self, matrix: GossipMatrix, gamma: float = 1.0,
+    def __init__(self, matrix: GossipMatrix, gamma: float,
                  compression: CompressionSpec = Identity(), seed: int = 0):
         super().__init__(GossipScheme.EXACT, matrix, gamma, compression, seed)
 

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gossipsim import cli
-from gossipsim.harness import CHOICES
+from gossipsim.harness import KEYS
 
 SIZE = ["--n", "4", "--d", "3", "--iters", "5"]
 EDGE_VALUES = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e400", "1e-320", str(2**64),
@@ -51,7 +51,7 @@ def values_for(flag):
     if flag == "--compression":
         return st.one_of(numbers, st.tuples(st.sampled_from(OPERATORS), numbers).map("".join))
     if flag in ("--topology", "--scheme", "--averaging", "--partition", "--schedule"):
-        return st.sampled_from([*CHOICES[flag[2:]], "bogus", ""])
+        return st.sampled_from([*KEYS[flag[2:]].choices, "bogus", ""])
     return numbers
 
 

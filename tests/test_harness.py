@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gossipsim import cli
 from gossipsim.compression import Identity, Qsgd, RandGossip, RandK, RescaledUnbiased, TopK
 from gossipsim.harness import (
-    CHOICES,
+    KEYS,
     SUITE_KEYS,
     CheckOutcome,
     ConfigError,
@@ -228,11 +228,11 @@ class TestSuiteFile:
         # the flag's text goes through the same coercion: see its row in tests/exit2_cases.tsv
         path = tmp_path / "suite.ini"
         path.write_text(f"[x]\nkind = {kind}\n{key} = banana\n")
-        choices = ", ".join(CHOICES[key])
+        choices = ", ".join(KEYS[key].choices)
         with pytest.raises(ConfigError, match=rf"^\[x\]: {key} must be one of {choices}, got 'banana'$"):
             parse_suite_file(path)
-        path.write_text(f"[x]\nkind = {kind}\n{key} = {CHOICES[key][-1]}\n")
-        assert parse_suite_file(path)[0].options[key] == CHOICES[key][-1]
+        path.write_text(f"[x]\nkind = {kind}\n{key} = {KEYS[key].choices[-1]}\n")
+        assert parse_suite_file(path)[0].options[key] == KEYS[key].choices[-1]
 
     def test_topology_in_any_letter_case(self, tmp_path):
         path = tmp_path / "suite.ini"
@@ -966,5 +966,5 @@ def test_flags_are_suite_keys_without_defaults(kind):
     else:
         keys, own = SUITE_KEYS[kind], {"config", "out_dir", "out", "seed"}
     assert dests == keys - {"kind", "seeds"} | own
-    # every default of a suite key lives in the suite's builders
-    assert {key for key in dests & keys if args[key] is not None} == set()
+    # every default of a suite key lives in harness.KEYS, --seed's included
+    assert {key for key in dests & keys | {"seed"} if args[key] is not None} == set()
