@@ -253,6 +253,8 @@ class RescaledUnbiased(CompressionSpec):
             raise ValueError(
                 f"inner operator {type(self.inner).__name__} has no unbiased rescaling"
             )
+        if self.value_bits != self.inner.value_bits:  # message_bits bills the inner operator
+            raise ValueError(f"value_bits {self.value_bits}, but inner has {self.inner.value_bits}")
 
     @property
     def node_major(self):

@@ -61,7 +61,7 @@ from .optimize import (
     sgd_round,
     theoretical_a,
 )
-from .records import write_records_csv, write_rows_csv
+from .records import data_lines, write_records_csv, write_rows_csv
 from .streams import stream
 from .topology import (
     FullyConnected,
@@ -196,17 +196,22 @@ def gaussian_init(d: int, n: int, seed: int) -> np.ndarray:
 
 def load_init_file(path, d: int, n: int) -> np.ndarray:
     """Initial d x n matrix from a text file holding one node's d finite values per line."""
-    x0 = np.loadtxt(path, ndmin=2).T
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, tokens in data_lines(fh):
+            where = f"init file {path} line {lineno}"
+            try:
+                rows.append([float(token) for token in tokens])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if len(tokens) != len(rows[0]):
+                raise ConfigError(f"{where}: {len(tokens)} values after lines of {len(rows[0])}")
+            if not all(map(math.isfinite, rows[-1])):
+                raise ConfigError(f"{where}: values must be finite")
+    x0 = np.array(rows).reshape(len(rows), len(rows[0]) if rows else 0).T  # empty: 0 x 0
     if x0.shape != (d, n):
-        raise ConfigError(
-            f"init file {path} must be d x n = {d} x {n} ({n} lines of {d} values), "
-            f"got {x0.shape[0]} x {x0.shape[1]}"
-        )
-    if not np.isfinite(x0).all():
-        node = int(np.flatnonzero(~np.isfinite(x0).all(axis=0))[0])
-        with open(path, encoding="utf-8") as fh:  # node i is the i-th line holding values
-            rows = [k for k, line in enumerate(fh, start=1) if line.split("#", 1)[0].strip()]
-        raise ConfigError(f"init file {path} line {rows[node]}: values must be finite")
+        raise ConfigError(f"init file {path} must be d x n = {d} x {n} ({n} lines of {d} values), "
+                          f"got {x0.shape[0]} x {x0.shape[1]}")
     return x0
 
 

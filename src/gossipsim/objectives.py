@@ -56,6 +56,7 @@ from typing import IO, TYPE_CHECKING, Iterable
 import numpy as np
 
 from .compression import RngFor
+from .records import data_lines
 from .streams import stream
 
 if TYPE_CHECKING:
@@ -115,11 +116,7 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
     data, labels = array("d"), array("d")
     indices, indptr = array("q"), array("q", [0])  # 1-based until the end
     max_index = 0
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in data_lines(source):
         labels.append(_parse_label(parts[0], lineno))
         prev = 0
         for token in parts[1:]:

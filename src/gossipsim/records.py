@@ -1,15 +1,17 @@
-"""Per-iteration metric records and deterministic CSV emission."""
+"""Per-iteration metric records, deterministic CSV emission and the line rule of text inputs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 __all__ = [
     "ConsensusRecord",
     "OptimizeRecord",
+    "data_lines",
     "format_value",
     "write_records_csv",
     "write_rows_csv",
@@ -32,6 +34,13 @@ class OptimizeRecord:
     dispersion: float
     bits: int
     eta: float
+
+
+def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line number from 1, tokens)`` of each line holding a token; ``#`` starts a comment."""
+    for lineno, line in enumerate(lines, start=1):
+        if tokens := line.split("#", 1)[0].split():
+            yield lineno, tokens
 
 
 def format_value(v) -> str:

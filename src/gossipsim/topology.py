@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .records import data_lines
+
 __all__ = [
     "Graph",
     "Ring",
@@ -174,17 +176,11 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
     defaults to one more than the largest node id."""
     edges = []
     max_node = -1
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'i j', got {raw!r}")
+    for lineno, parts in data_lines(Path(path).read_text().splitlines()):
         try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer node id in {raw!r}") from exc
+            i, j = map(int, parts)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'i j', got {' '.join(parts)!r}") from None
         if i < 0 or j < 0:
             raise ValueError(f"{path}:{lineno}: node ids must be >= 0")
         edges.append((i, j))

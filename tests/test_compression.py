@@ -327,6 +327,13 @@ class TestSpecValidation:
                 RescaledUnbiased(inner)
         assert RescaledUnbiased(Qsgd(4)).omega(16) == 1.0 / qsgd_tau(4, 16)
 
+    def test_rescaling_keeps_the_inner_value_bits(self):
+        # the wrapper bills its inner operator's message, so a second width would go unused
+        with pytest.raises(ValueError, match="^value_bits 8, but inner has 32$"):
+            RescaledUnbiased(Qsgd(16), value_bits=8)
+        spec = RescaledUnbiased(Qsgd(16, value_bits=8), value_bits=8)
+        assert spec.message_bits(100) == Qsgd(16, value_bits=8).message_bits(100) == 508
+
     def test_top_k_has_no_natural_tau(self):
         with pytest.raises(ValueError, match="no unbiased rescaling for TopK"):
             TopK(2).natural_tau(8)

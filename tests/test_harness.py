@@ -1,5 +1,7 @@
 import math
 import re
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from gossipsim.harness import (
     build_optimize,
     build_topology,
     grid_search,
+    load_init_file,
     parse_compression,
     parse_suite_file,
     run_experiment,
@@ -648,6 +651,17 @@ class TestCli:
         assert cli.main(args) == 2
         assert capsys.readouterr().err == f"error: init file {init} line 5: values must be finite\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 2 3\n4 5\n6 7 8\n9 1 2\n", "line 2: 2 values after lines of 3"),
+        ("# x y z\n1 2 x\n4 5 6\n", "line 2: could not convert string to float: 'x'"),
+    ], ids=["ragged", "word"])
+    def test_malformed_init_line_names_its_line(self, tmp_path, capsys, text, message):
+        init = tmp_path / "init.txt"
+        init.write_text(text)
+        args = ["consensus", "--n", "4", "--d", "3", "--init-file", str(init), "--iters", "5"]
+        assert cli.main(args) == 2
+        assert capsys.readouterr() == ("", f"error: init file {init} {message}\n")
+
     @pytest.mark.parametrize("d", ["2", "7"])
     def test_logistic_d_must_match_the_data(self, tmp_path, capsys, d):
         data = tmp_path / "train.svm"
@@ -968,3 +982,55 @@ def test_flags_are_suite_keys_without_defaults(kind):
     assert dests == keys - {"kind", "seeds"} | own
     # every default of a suite key lives in harness.KEYS, --seed's included
     assert {key for key in dests & keys | {"seed"} if args[key] is not None} == set()
+
+
+# numbers as written by hand or by np.savetxt: signs, exponents, and values at
+# and beyond the float limits (1.8e308 reads as inf, 2e-324 as 0)
+INIT_VALUES = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0", "+.5", "5.", "-1E-5", "+2.5e+3", "1e308", "1.7976931348623157e308",
+                     "-1.8e308", "4.9e-324", "2e-324", "2.2250738585072014e-308", "nan"]),
+)
+INIT_FILLERS = ["", " ", "\t", "#", "# node values", "\t# 1 2 x"]
+
+
+@st.composite
+def init_files(draw):
+    """``(d, n)`` and the text of an init file of n lines of d values, some of
+    them ragged, among blank and comment lines, with space and tab separators
+    and trailing comments; the ``(d, n)`` asked for may differ from the file's."""
+    d, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    lines, seps = [], st.sampled_from([" ", "\t", "  ", " \t"])
+    for _ in range(n):
+        lines += draw(st.lists(st.sampled_from(INIT_FILLERS), max_size=2))
+        width = draw(st.sampled_from([d] * 24 + [d - 1, d + 1])) or 1
+        values = draw(st.lists(INIT_VALUES, min_size=width, max_size=width))
+        line = values[0] + "".join(draw(seps) + value for value in values[1:])
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line
+                     + draw(st.sampled_from(["", " ", "# node", "\t#", " #1 2"])))
+    asked = draw(st.sampled_from([(d, n)] * 4 + [(d + 1, n), (d, n + 1), (n, d)]))
+    return asked, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(init_files())
+def test_init_file_reads_as_loadtxt_does(case):
+    # np.loadtxt is the reference: a file it reads to the asked shape with finite values
+    # gives the same float64 bytes, and every other file is one ConfigError naming it
+    (d, n), text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "init.txt"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file that holds no values
+            try:
+                want = np.loadtxt(path, ndmin=2).T
+            except ValueError:  # ragged
+                want = None
+        if want is not None and want.shape == (d, n) and np.isfinite(want).all():
+            got = load_init_file(path, d, n)
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+        else:
+            with pytest.raises(ConfigError, match=f"^init file {re.escape(str(path))} "):
+                load_init_file(path, d, n)

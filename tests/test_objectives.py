@@ -109,8 +109,8 @@ def parse_libsvm_per_token(source, n_features=None):
     data, indices, indptr, labels = [], [], [0], []
     max_index = 0
     for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()  # a comment runs from '#' to the end of the line
+        if not line:
             continue
         parts = line.split()
         label = parse_label(parts[0], lineno)
@@ -166,7 +166,8 @@ BAD_TOKENS = ["1:2:3", "3:", ":4", ":", "5", "0:1", "-2:1", "x:1", "2:abc", "2:1
 @st.composite
 def libsvm_lines(draw):
     """One LIBSVM line: blank, a comment, or a sample with features whose
-    tokens may be corrupted, joined by spaces and tabs."""
+    tokens may be corrupted, joined by spaces and tabs, and maybe followed by a
+    comment."""
     kind = draw(st.sampled_from(["blank", "comment", "sample", "sample", "sample"]))
     if kind == "blank":
         return draw(st.sampled_from(["", " ", "\t"]))
@@ -188,7 +189,9 @@ def libsvm_lines(draw):
             tokens[at], tokens[at + 1] = tokens[at + 1], tokens[at]
     seps = st.sampled_from([" ", "\t", "  ", " \t "])
     line = label + "".join(draw(seps) + token for token in tokens)
-    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " ", "\t"]))
+    comment = draw(st.sampled_from(["", "", "#", " # info", "\t#1:x", "# 0:1 spam"]))
+    return (draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " ", "\t"]))
+            + comment)
 
 
 def parsed_or_error(parse, lines, n_features):
@@ -295,8 +298,8 @@ class TestParseLibsvm:
         assert ds.features.data.tolist() == [1e308, 1e308]
 
     def test_comments_and_blanks_skipped(self):
-        ds = parse_libsvm(io.StringIO("# header\n\n+1 1:1.0\n"))
-        assert ds.m == 1
+        ds = parse_libsvm(io.StringIO("# header\n\n+1 1:1.0 # qid:3\n-1 2:2.0#\n"))
+        assert ds.m == 2 and ds.features.data.tolist() == [1.0, 2.0]
 
 
 class TestDataset:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipsim.harness import theory_check
 from gossipsim.topology import (
     FullyConnected,
     GossipMatrix,
@@ -218,12 +219,21 @@ class TestMixingContraction:
         with pytest.raises(ValueError, match="^power k must be >= 0, got -1$"):
             mixing_contraction(build_gossip_matrix(Ring(4)).weights, -1)
 
-    @pytest.mark.parametrize("kind", graphs((Ring, 4), (Ring, 8), (Ring, 16), (Torus, 3, 3),
-                                            (Torus, 4, 4), (FullyConnected, 9)))
-    def test_bounded_by_contraction_rate(self, kind):
-        m = build_gossip_matrix(kind)
-        for k in range(0, 51, 5):
-            assert mixing_contraction(m.weights, k) <= (1.0 - m.delta) ** k + 1e-9
+    @pytest.fixture(scope="class")
+    def mixing_outcomes(self):
+        return {outcome.name: outcome for outcome in theory_check("mixing")}
+
+    @pytest.mark.parametrize("name", [
+        pytest.param("ring4", id="Ring(n=4)"), pytest.param("ring8", id="Ring(n=8)"),
+        pytest.param("ring16", id="Ring(n=16)"),
+        pytest.param("torus9", id="Torus(rows=3, cols=3)"),
+        pytest.param("torus16", id="Torus(rows=4, cols=4)"),
+        pytest.param("fullyconnected9", id="FullyConnected(n=9)"),
+    ])
+    def test_bounded_by_contraction_rate(self, name, mixing_outcomes):
+        # the mixing check holds every power k <= 50 to (1 - delta)^k + 1e-9
+        outcome = mixing_outcomes[name]
+        assert outcome.passed, outcome.line()
 
 
 @st.composite
@@ -276,7 +286,7 @@ def test_edge_list_normalization(pair):
 
 def test_read_edge_list(tmp_path):
     path = tmp_path / "edges.txt"
-    path.write_text("# square\n0 1\n1 2\n2 3\n3 0\n")
+    path.write_text("# square\n0 1  # first edge\n1 2\t#\n\n2 3#\n3 0\n")
     kind = read_edge_list(path)
     assert kind == Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
     m = build_gossip_matrix(kind)
