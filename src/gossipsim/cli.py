@@ -13,11 +13,11 @@ Subcommands::
 
 A ``consensus`` or ``optimize`` run is a one-section suite: every suite
 key is a flag of the same name with ``-`` for ``_`` (``--data`` sets
-``data_path``, ``--seed`` is the one seed), and the flags' text, choices
-included, is checked only by the suite's own coercion, so a bad value is
-reported as in a suite file (``[consensus]: gamma must be a number or
-auto, got 'fast'``).  ``harness.KEYS`` holds every default, ``topology =
-ring`` and the ``seeds`` default ``0`` of ``--seed`` included.  Both
+``data_path``, ``--seed`` is the one seed), and the flags' text, choices and
+scope included, is checked only by the suite's own coercion, so a bad value
+is reported as in a suite file (``[consensus]: edges_file applies only with
+topology = custom, got topology = ring``).  ``harness.KEYS`` holds every
+default and scope, ``topology = ring`` and ``--seed``'s ``0`` included.  Both
 also accept ``--config suite.ini --out-dir results/`` to run every
 matching experiment section of a suite file (one CSV per seed plus a
 summary per experiment); the sections set everything else, so a
@@ -27,7 +27,7 @@ the ``optimize`` flags except those of the keys its grid sets (``iters``,
 ``eval_every``, ``schedule``, ``a``, ``b``), and writes nothing.
 
 Exit codes: 0 success, 1 failed assertion, divergence or partially failed
-suite, 2 configuration error.
+suite, 2 configuration error, argparse's included: one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ def _add_suite_flags(p: argparse.ArgumentParser, keys: set[str]) -> None:
     """One text flag per suite key; ``_spec`` parses them as a suite file's."""
     for name in sorted(keys - {"kind", "seeds"}):
         key = harness.KEYS[name]  # its choices are listed by --help, checked only by _spec
-        p.add_argument(_flag(name), dest=name, help=key.help,
+        scope = key.when and f"(only with {key.scope})"
+        p.add_argument(_flag(name), dest=name, help=" ".join(filter(None, (key.help, scope))),
                        metavar="{" + ",".join(key.choices) + "}" if key.choices else None)
     p.add_argument("--seed", help=harness.KEYS["seeds"].help)
 
@@ -133,8 +134,13 @@ def _run_suite(args, kind: str) -> int:
     return EXIT_FAILURE if outcome.failures else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a ConfigError, so that main prints one error line, not usage
+        raise harness.ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gossipsim", description=__doc__)
+    parser = _Parser(prog="gossipsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for kind, help_text in (("consensus", "run a gossip averaging experiment"),
@@ -161,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     shown = set()
 
     def show_warning(message, *_):  # once per distinct message, without a source line
@@ -173,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = show_warning
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
         except harness.RUN_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)

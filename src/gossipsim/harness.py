@@ -182,13 +182,6 @@ def _require(value, key):
     return value
 
 
-def _dimension(o: dict) -> int:
-    d = _require(o.get("d"), "d")
-    if d < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
-    return d
-
-
 def gaussian_init(d: int, n: int, seed: int) -> np.ndarray:
     """Standard normal d x n initial matrix from the run's init stream."""
     return stream(seed, tag="init").standard_normal((d, n))
@@ -221,7 +214,8 @@ def load_init_file(path, d: int, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Key:
     """One suite key and CLI flag: the kinds that may hold it, its text parser (a ValueError
-    means not ``syntax``), default (None: unset or set by a builder), choices and help."""
+    means not ``syntax``), default (None: unset or set by a builder), choices, help, and
+    ``when``: the key that governs it and the values that key must hold (None: always)."""
 
     kinds: tuple[str, ...]
     parse: Callable[[str], object] = str
@@ -229,18 +223,33 @@ class Key:
     default: object = None
     choices: tuple[str, ...] = ()
     help: str | None = None
+    when: tuple[str, tuple[str, ...]] | None = None
+
+    @property
+    def scope(self) -> str:  # ``when`` as text: ``topology = custom``
+        return f"{self.when[0]} = {' or '.join(self.when[1])}"
 
 
+def _checked(parse: Callable[[str], object], ok: Callable[[object], bool]):  # a KEYS parser
+    def checked(text: str):
+        if not ok(value := parse(text)):
+            raise ValueError(text)
+        return value
+    return checked
+
+
+_UINT64 = _checked(int, lambda value: 0 <= value < 2**64)  # streams.stream's key range
 _BOTH = ("consensus", "optimize")
 KEYS = {
     "kind": Key(_BOTH, choices=_BOTH),
     "topology": Key(_BOTH, str.lower, "a name in any letter case", "ring",
                     ("ring", "torus", "full", "fully_connected", "complete", "custom")),
     "n": Key(_BOTH, int, "an integer", help="node count"),
-    "d": Key(_BOTH, int, "an integer", help="vector dimension"),
-    "torus_rows": Key(_BOTH, int, "an integer"),
-    "torus_cols": Key(_BOTH, int, "an integer"),
-    "edges_file": Key(_BOTH, syntax="a path", help="custom topology: 'i j' pairs, 0-indexed"),
+    "d": Key(_BOTH, _checked(int, lambda d: d >= 1), "a positive integer", help="vector dimension"),
+    "torus_rows": Key(_BOTH, int, "an integer", when=("topology", ("torus",))),
+    "torus_cols": Key(_BOTH, int, "an integer", when=("topology", ("torus",))),
+    "edges_file": Key(_BOTH, syntax="a path", help="'i j' pairs, 0-indexed",
+                      when=("topology", ("custom",))),
     "compression": Key(_BOTH, syntax="an operator", help="identity | rand_k:<k|frac> | "
                        "top_k:<k|frac> | qsgd:<s> | rand_gossip:<p> | unbiased:<inner>"),
     "value_bits": Key(_BOTH, int, "an integer"),
@@ -248,22 +257,27 @@ KEYS = {
                  "a number or auto", RunConfig.gamma, help="consensus stepsize or 'auto'"),
     "iters": Key(_BOTH, int, "an integer", RunConfig.iters),
     "eval_every": Key(_BOTH, int, "an integer", RunConfig.eval_every),
-    "seeds": Key(_BOTH, lambda text: [int(tok) for tok in text.replace(",", " ").split()],
-                 "integers", (0,), help="the run's one seed (default 0)"),
+    "seeds": Key(_BOTH, _checked(lambda text: [*map(_UINT64, text.replace(",", " ").split())],
+                                 lambda seeds: seeds and len(set(seeds)) == len(seeds)),
+                 "distinct non-negative 64-bit integers", (0,),
+                 help="the run's one seed (default 0)"),
     "scheme": Key(("consensus",), default="exact", choices=tuple(s.value for s in GossipScheme)),
     "init_file": Key(("consensus",), syntax="a path",
                      help="initial matrix, one node row per line (default: Gaussian)"),
     "averaging": Key(("optimize",), default=SgdConfig.averaging,
                      choices=tuple(s.value for s in AVERAGING)),
     "objective": Key(("optimize",), default="quadratic", choices=("quadratic", "logistic")),
-    "data_path": Key(("optimize",), syntax="a path", help="LIBSVM file for the logistic objective"),
-    "partition": Key(("optimize",), default="shuffled", choices=("shuffled", "sorted")),
+    "data_path": Key(("optimize",), syntax="a path", help="LIBSVM data file",
+                     when=("objective", ("logistic",))),
+    "partition": Key(("optimize",), default="shuffled", choices=("shuffled", "sorted"),
+                     when=("objective", ("logistic",))),
     "schedule": Key(("optimize",), default="practical", choices=("practical", "theoretical")),
     "a": Key(("optimize",), float, "a number"),
-    "b": Key(("optimize",), float, "a number"),
-    "noise_sigma": Key(("optimize",), float, "a number", 0.0),
+    "b": Key(("optimize",), float, "a number", when=("schedule", ("practical",))),
+    "noise_sigma": Key(("optimize",), float, "a number", 0.0, when=("objective", ("quadratic",))),
     "fstar_tol": Key(("optimize",), float, "a number", 1e-10),
-    "targets_seed": Key(("optimize",), int, "an integer"),
+    "targets_seed": Key(("optimize",), _UINT64, "a non-negative 64-bit integer",
+                        when=("objective", ("quadratic",))),
 }
 SUITE_KEYS = {kind: {name for name, key in KEYS.items() if kind in key.kinds} for kind in _BOTH}
 _DEFAULTS = {name: key.default for name, key in KEYS.items() if key.default is not None}
@@ -308,12 +322,11 @@ def parse_suite_file(path: str | Path) -> list[ExperimentSpec]:
 
 
 def _coerce_options(label: str, raw: dict) -> dict:
-    """Typed options, parsed in ``KEYS`` order by their entries there; a value of
-    the wrong syntax or outside its key's choices is a ConfigError naming it.
-
-    Range checks are left to the config dataclasses but for the seeds' and,
-    once ``d`` is set, the operator's, which abort the suite before any run
-    (a logistic section without ``d`` checks its operator per seed)."""
+    """Typed options, parsed in ``KEYS`` order by their entries there: a value of
+    the wrong syntax or outside its choices, then a key set where its ``when`` does
+    not hold, is a ConfigError naming it.  Beyond the parsers' own ranges, only the
+    operator is checked here, once ``d`` is set (a logistic section without ``d``
+    checks it per seed); the config dataclasses check the rest."""
     opts = dict(raw)
     for name in [name for name in KEYS if name in raw]:  # one order for flags and files
         key, text = KEYS[name], raw[name]
@@ -324,18 +337,13 @@ def _coerce_options(label: str, raw: dict) -> dict:
         if key.choices and opts[name] not in key.choices:
             raise ConfigError(
                 f"[{label}]: {name} must be one of {', '.join(key.choices)}, got {opts[name]!r}")
-    if not 0 <= opts.get("targets_seed", 0) < 2**64:  # streams.stream's key range, as for seeds
-        raise ConfigError(f"[{label}]: targets_seed must be a non-negative 64-bit integer, "
-                          f"got {raw['targets_seed']!r}")
-    seeds = opts.setdefault("seeds", [*KEYS["seeds"].default])
-    if not seeds:
-        raise ConfigError(f"[{label}]: empty seeds list")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"[{label}]: seeds must be distinct")
-    if not all(0 <= seed < 2**64 for seed in seeds):  # streams.stream's key range
-        raise ConfigError(
-            f"[{label}]: seeds must be non-negative 64-bit integers, got {raw['seeds']!r}")
-    if opts.get("d", 0) >= 1:  # the operator's own checks, as the run's builder makes them
+    for name in [name for name in KEYS if name in raw and KEYS[name].when]:
+        governor, values = KEYS[name].when
+        if (value := opts.get(governor, KEYS[governor].default)) not in values:
+            raise ConfigError(f"[{label}]: {name} applies only with {KEYS[name].scope}, "
+                              f"got {governor} = {value}")
+    opts.setdefault("seeds", [*KEYS["seeds"].default])
+    if "d" in opts:  # the operator's own checks, as the run's builder makes them
         try:
             parse_compression(opts.get("compression"), opts["d"], opts.get("value_bits"))
         except ValueError as exc:
@@ -369,7 +377,7 @@ def _gossip_options(o: dict, matrix: GossipMatrix, d: int, seed: int) -> dict:
 def build_consensus(spec: ExperimentSpec, seed: int):
     """Config and initial matrix of one consensus run; unset keys take their ``KEYS`` default."""
     o = {**_DEFAULTS, **spec.options}
-    d = _dimension(o)
+    d = _require(o.get("d"), "d")
     matrix = _build_matrix(o)
     config = ConsensusConfig(
         scheme=GossipScheme(o["scheme"]), **_gossip_options(o, matrix, d, seed)
@@ -384,7 +392,7 @@ def build_consensus(spec: ExperimentSpec, seed: int):
 def build_objective(o: dict, matrix: GossipMatrix, seed: int) -> Objective:
     if o["objective"] == "quadratic":
         targets = stream(o.get("targets_seed", seed), tag="targets").standard_normal(
-            (_dimension(o), matrix.n))
+            (_require(o.get("d"), "d"), matrix.n))
         return QuadraticObjective(targets, noise_sigma=o["noise_sigma"])
     path = _require(o.get("data_path"), "data_path")
     with open(path, "r", encoding="utf-8") as fh:

@@ -43,8 +43,8 @@ CHOICE_FLAGS = {
 }
 
 
-# Integer text only: argparse rejects other text with a usage error, the path
-# that test_harness.py's test_sweep_rejects_flags_it_ignores checks.
+# Integer text only: argparse rejects other text with one error line, the path
+# that the `sweep ... --epochs x` row of tests/exit2_cases.tsv checks.
 EXPONENTS = [-(10**20), -400, -324, -323, -322, -3, 0, 1, 307, 308, 309, 2**64, 10**20]
 SWEEP_FLAGS = ["--gamma", "--noise-sigma", "--value-bits", "--seed", "--averaging",
                "--compression"]

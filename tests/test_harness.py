@@ -171,7 +171,8 @@ class TestSuiteFile:
     def test_empty_seeds_rejected(self, tmp_path):
         path = tmp_path / "suite.ini"
         path.write_text("[x]\nkind = consensus\nseeds =\n")
-        with pytest.raises(ConfigError, match=re.escape("[x]: empty seeds list")):
+        with pytest.raises(ConfigError, match=re.escape(
+                "[x]: seeds must be distinct non-negative 64-bit integers, got ''")):
             parse_suite_file(path)
 
     @pytest.mark.parametrize("value", ["-1", str(2**64)])
@@ -198,10 +199,10 @@ class TestSuiteFile:
     @pytest.mark.parametrize("key, text, expected", [
         ("n", "abc", "an integer"),
         ("noise_sigma", "high", "a number"),
-        ("seeds", "1 x", "integers"),
+        ("seeds", "1 x", "distinct non-negative 64-bit integers"),
         ("gamma", "fast", "a number or auto"),
-        ("targets_seed", "1.5", "an integer"),
-        ("seeds", "-1", "non-negative 64-bit integers"),
+        ("targets_seed", "1.5", "a non-negative 64-bit integer"),
+        ("seeds", "-1", "distinct non-negative 64-bit integers"),
     ])
     def test_coercion_error_names_section_and_key(self, tmp_path, capsys, key, text, expected):
         path = tmp_path / "suite.ini"
@@ -234,7 +235,9 @@ class TestSuiteFile:
         choices = ", ".join(KEYS[key].choices)
         with pytest.raises(ConfigError, match=rf"^\[x\]: {key} must be one of {choices}, got 'banana'$"):
             parse_suite_file(path)
-        path.write_text(f"[x]\nkind = {kind}\n{key} = {KEYS[key].choices[-1]}\n")
+        # partition applies only with objective = logistic: its when, written out
+        scope = "{} = {}\n".format(KEYS[key].when[0], KEYS[key].when[1][0]) if KEYS[key].when else ""
+        path.write_text(f"[x]\nkind = {kind}\n{scope}{key} = {KEYS[key].choices[-1]}\n")
         assert parse_suite_file(path)[0].options[key] == KEYS[key].choices[-1]
 
     def test_topology_in_any_letter_case(self, tmp_path):
@@ -841,10 +844,10 @@ class TestCli:
     def test_sweep_rejects_flags_it_ignores(self, flag, capsys):
         # the grid sets its own schedule and round budget and writes nothing;
         # --a is left only as an ambiguous prefix of --a-exp-min/--a-exp-max
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", "--n", "4", "--d", "4", flag])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert cli.main(["sweep", "--n", "4", "--d", "4", flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert flag in err
 
     def test_runtime_error_exit_code(self, capsys):
         code = cli.main([

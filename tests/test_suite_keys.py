@@ -1,9 +1,10 @@
 """``harness.KEYS`` is the one statement of each suite key: its kinds,
-syntax, default, choices and help.
+syntax, default, choices, help and the ``when`` it applies under.
 
-An omitted key runs as its default written out; a CLI flag and a suite
-line coerce one text alike, over generated values; and README's key table
-states what ``KEYS`` holds, row for row.
+An omitted key runs as its default written out; a key set where its
+``when`` does not hold is one error, from a suite line and a flag alike; a
+CLI flag and a suite line coerce one text alike, over generated values; and
+README's key table states what ``KEYS`` holds, row for row.
 """
 
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from gossipsim import cli
 from gossipsim.harness import KEYS, SUITE_KEYS, ConfigError, parse_suite_file, run_suite
+from gossipsim.objectives import serialize_libsvm, synthetic_classification
 from test_cli_boundary import EDGE_VALUES, OPERATORS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,17 +28,36 @@ def text(value) -> str:
     return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-@pytest.mark.parametrize("kind", ["consensus", "optimize"])
-def test_an_omitted_key_runs_as_its_default_written_out(kind, tmp_path):
-    defaults = {name: key.default for name, key in KEYS.items()
-                if kind in key.kinds and key.default is not None}
-    assert {"gamma", "iters", "eval_every", "seeds"} <= set(defaults)
-    written = "".join(f"{name} = {text(value)}\n" for name, value in defaults.items())
+# The head of a section of each kind and objective; "{data}" is a generated LIBSVM file.
+HEADS = {
+    "consensus": "kind = consensus\nn = 4\nd = 3\n",
+    "optimize": "kind = optimize\nn = 4\nd = 3\n",
+    "optimize-logistic": "kind = optimize\nn = 4\nobjective = logistic\ndata_path = {data}\n",
+}
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_an_omitted_key_runs_as_its_default_written_out(head, tmp_path):
+    data = tmp_path / "train.svm"
+    data.write_text(serialize_libsvm(synthetic_classification(24, 3, seed=1)))
     path = tmp_path / "suite.ini"
-    path.write_text(f"[omitted]\nkind = {kind}\nn = 4\nd = 3\n\n"
-                    f"[written]\nkind = {kind}\nn = 4\nd = 3\n{written}")
+    path.write_text(f"[omitted]\n{HEADS[head].format(data=data)}")
+    (omitted,) = parse_suite_file(path)
+    given = set(omitted.options) - {"seeds"}
+
+    def holds(when):  # as _coerce_options reads it: the section's value, else the default
+        governor, values = when
+        return omitted.options.get(governor, KEYS[governor].default) in values
+
+    defaults = {name: key.default for name, key in KEYS.items()
+                if omitted.kind in key.kinds and key.default is not None and name not in given
+                and (key.when is None or holds(key.when))}
+    assert {"gamma", "iters", "eval_every", "seeds"} <= set(defaults)
+    assert ("partition" in defaults) == (head == "optimize-logistic")
+    written = "".join(f"{name} = {text(value)}\n" for name, value in defaults.items())
+    path.write_text(f"{path.read_text()}\n[written]\n{HEADS[head].format(data=data)}{written}")
     omitted, spelled = parse_suite_file(path)
-    assert set(omitted.options) == {"kind", "n", "d", "seeds"}
+    assert set(omitted.options) == given | {"seeds"}
     for name, value in defaults.items():  # each text reads back as its default, type and all
         assert repr(spelled.options[name]) == repr([*value] if name == "seeds" else value)
 
@@ -47,16 +68,47 @@ def test_an_omitted_key_runs_as_its_default_written_out(kind, tmp_path):
         assert omitted_csv == (tmp_path / "out" / f"written_{suffix}.csv").read_bytes()
 
 
+# (kind, key) for each kind that may hold a key with a ``when``
+SCOPED = [(kind, name) for name, key in KEYS.items() if key.when for kind in key.kinds]
+
+
+@pytest.mark.parametrize("kind, name", SCOPED)
+def test_a_key_applies_only_where_its_when_holds(kind, name, tmp_path, capsys):
+    key = KEYS[name]
+    governor, values = key.when
+    value = key.choices[-1] if key.choices else "3"  # an integer, a number and a path
+    path = tmp_path / "suite.ini"
+    for other in [*KEYS[governor].choices, None]:  # None: the governing key's default
+        line = "" if other is None else f"{governor} = {other}\n"
+        path.write_text(f"[x]\nkind = {kind}\n{line}{name} = {value}\n")
+        got = KEYS[governor].default if other is None else other
+        if got in values:
+            assert parse_suite_file(path)[0].options[name] == key.parse(value)
+            continue
+        message = f"{name} applies only with {key.scope}, got {governor} = {got}"
+        with pytest.raises(ConfigError) as raised:
+            parse_suite_file(path)
+        assert str(raised.value) == f"[x]: {message}"
+        flags = [] if other is None else [f"{cli._flag(governor)}={other}"]
+        assert cli.main([kind, *flags, f"{cli._flag(name)}={value}"]) == 2
+        assert capsys.readouterr() == ("", f"error: [{kind}]: {message}\n")
+
+
 @st.composite
 def sections(draw):
     """One kind's non-sizing keys, each with a value from its choices, its
-    default's text or the CLI boundary's edge values."""
+    default's text or the CLI boundary's edge values, and the governing key of
+    each that has a ``when``."""
     kind = draw(st.sampled_from(KEYS["kind"].choices))
     names = draw(st.lists(st.sampled_from(sorted(SUITE_KEYS[kind] - SIZING - {"kind"})),
                           unique=True, max_size=5))
     values = {}
     for name in names:
         key = KEYS[name]
+        if key.when:  # its governing key too, most often with a value where it applies
+            governor, scope = key.when
+            values.setdefault(governor, draw(st.sampled_from(
+                [*scope, *scope, *KEYS[governor].choices])))
         pool = [*key.choices, *EDGE_VALUES, *(OPERATORS if name == "compression" else [])]
         if key.default is not None:
             pool.append(text(key.default))
@@ -93,7 +145,7 @@ def test_flags_and_a_section_coerce_alike(section):
 
 def readme_key_table() -> list[list[str]]:
     lines = README.read_text().splitlines()
-    start = lines.index("| key | kinds | syntax | default | choices |") + 2
+    start = lines.index("| key | kinds | syntax | default | choices | applies when |") + 2
     rows = []
     for line in lines[start:]:
         if not line.startswith("|"):
@@ -105,7 +157,7 @@ def readme_key_table() -> list[list[str]]:
 def test_readme_key_table_is_keys():
     rows = readme_key_table()
     assert [row[0] for row in rows] == [f"`{name}`" for name in KEYS]
-    for (_, kinds, syntax, default, choices), key in zip(rows, KEYS.values()):
+    for (_, kinds, syntax, default, choices, when), key in zip(rows, KEYS.values()):
         assert kinds == ", ".join(key.kinds)
         assert syntax == key.syntax
         if key.default is None:  # unset, or set by a builder from other keys
@@ -113,6 +165,7 @@ def test_readme_key_table_is_keys():
         else:
             assert default == f"`{text(key.default)}`"
         assert choices == ", ".join(key.choices)
+        assert when == (key.scope if key.when else "")
 
 
 def test_a_kind_outside_its_choices_aborts_the_suite(tmp_path):
