@@ -252,6 +252,8 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     x = np.array(initial_x, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != matrix.n:
         raise ValueError(f"initial X must be d x {matrix.n}, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise ValueError(f"initial X must have d >= 1 rows, got shape {x.shape}")
 
     gossip = Gossip(config.scheme, matrix, config.gamma, config.compression, config.seed)
     work = gossip.work_like(x)  # every evaluation runs in it

@@ -29,10 +29,21 @@ once for each node that draws, in node order, and that node's draws are
 done before the next call, so a re-keyed :class:`~gossipsim.streams.StreamPool`
 handle is safe and node ``i``'s gradient depends only on its own stream.
 The noiseless quadratic draws nothing and never calls ``rng_for``.  The
-logistic oracle gathers the features of every node's sampled row from
-``X`` in one gather, takes one BLAS dot per row on its slice of that
-gather (so each margin keeps its summation order) and adds every row's
-loss gradient to ``G`` in one scatter.
+logistic oracle draws one shard row per node, then takes one of two paths,
+chosen once when the objective is built:
+
+* when every CSR row stores the same number ``w >= 1`` of entries (dense
+  data, such as ``synthetic_classification`` or any dense LIBSVM file),
+  ``(m, w)`` views of the CSR index and value arrays give the sampled rows
+  with two fancy indexes.  Their features are one ``X.take`` at flat
+  C-order positions, all margins are one stacked ``np.matmul`` of ``1 x w``
+  by ``w x 1``, and every row's loss gradient is added to a C-ordered
+  ``G`` by one scatter through ``G.ravel()``.  The stacked product calls
+  one BLAS dot per row, the same call ``vals @ x[idx]`` makes, so each
+  margin keeps its summation order;
+* otherwise (rows of differing lengths, or all empty), one gather over the
+  concatenated rows, one BLAS dot per row on its slice of that gather and
+  one scatter do the same work.
 
 The logistic oracles take ``sigma(-t) = 1 / (1 + exp(t))`` from the C
 library's ``exp`` through ``math.exp``, the ``exp`` SciPy's float64
@@ -266,7 +277,8 @@ class LogisticObjective:
     def __init__(self, dataset: Dataset, shards: list[np.ndarray]):
         if not shards:
             raise ValueError("at least one shard is required")
-        covered = np.sort(np.concatenate(shards))
+        shard_rows = np.concatenate(shards)  # node i's rows start at _starts[i]
+        covered = np.sort(shard_rows)
         if len(covered) != dataset.m or not np.array_equal(covered, np.arange(dataset.m)):
             raise ValueError("shards must partition the sample indices")
         if any(len(s) == 0 for s in shards):
@@ -275,12 +287,22 @@ class LogisticObjective:
         self.shards = shards
         self.l2 = 1.0 / (2 * dataset.m)
         self._constants: tuple[float, float] | None = None
+        self._sizes = [len(s) for s in shards]
+        self._shard_rows = shard_rows
+        self._starts = np.cumsum([0, *self._sizes[:-1]])
         csr = dataset.features
         self._features_t = csr.T  # a CSC view sharing the CSR arrays
-        self._rows = [
-            (csr.indices[csr.indptr[j]:csr.indptr[j + 1]], csr.data[csr.indptr[j]:csr.indptr[j + 1]])
-            for j in range(dataset.m)
-        ]
+        counts = np.diff(csr.indptr)
+        width = int(counts[0])
+        if width >= 1 and (counts == width).all():  # (m, w) views of the CSR arrays
+            lo, hi = csr.indptr[0], csr.indptr[-1]
+            self._table = (csr.indices[lo:hi].reshape(-1, width), csr.data[lo:hi].reshape(-1, width))
+        else:
+            self._table = None
+            self._rows = [
+                (csr.indices[csr.indptr[j]:csr.indptr[j + 1]], csr.data[csr.indptr[j]:csr.indptr[j + 1]])
+                for j in range(dataset.m)
+            ]
 
     @property
     def dim(self) -> int:
@@ -313,13 +335,29 @@ class LogisticObjective:
 
     def stochastic_gradients(self, X: np.ndarray, rng_for: RngFor) -> np.ndarray:
         """Column i is node i's stochastic gradient at ``X[:, i]``."""
-        return self._sample_gradients(X, [self._draw(i, rng_for(i)) for i in range(X.shape[1])])
+        n = X.shape[1]
+        picks = np.fromiter(
+            (rng_for(i).integers(size) for i, size in enumerate(self._sizes)), np.intp, n
+        )
+        samples = self._shard_rows[self._starts + picks]
+        if self._table is None:
+            return self._sample_gradients(X, samples)
+        indices, data = self._table
+        flat = np.multiply(indices[samples], n, dtype=np.intp)  # C-order positions in X
+        flat += np.arange(n)[:, None]
+        vals = data[samples]
+        feats = X.take(flat)  # every sample's features, one gather
+        # one BLAS dot per sample, as ``vals @ x[idx]`` takes, keeps each
+        # margin's summation order
+        margins = np.matmul(vals[:, None, :], feats[:, :, None]).reshape(n)
+        labels = self.dataset.labels[samples]
+        sig = np.fromiter(map(_sigmoid_neg, (labels * margins).tolist()), float, n)
+        G = np.multiply(2.0 * self.l2, X, order="C")
+        # the positions are distinct, so one scatter adds each once
+        G.ravel()[flat] += (-labels * sig)[:, None] * vals  # -b * sigma(-b a.x) * a
+        return G
 
-    def _draw(self, node: int, rng: np.random.Generator) -> int:
-        idx = self.shards[node]
-        return int(idx[rng.integers(len(idx))])
-
-    def _sample_gradients(self, X: np.ndarray, samples: list[int]) -> np.ndarray:
+    def _sample_gradients(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Column c is the gradient at ``X[:, c]`` of sample ``samples[c]``'s
         loss plus the full regularizer."""
         G = 2.0 * self.l2 * X

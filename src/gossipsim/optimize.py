@@ -206,6 +206,8 @@ def run_optimization(
     x = np.array(initial_x, dtype=float, order="C")
     if x.ndim != 2 or x.shape[1] != matrix.n:
         raise ValueError(f"initial X must be d x {matrix.n}, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise ValueError(f"initial X must have d >= 1 rows, got shape {x.shape}")
     d = x.shape[0]
     if (objective.n_nodes, objective.dim) != (matrix.n, d):
         raise ValueError(

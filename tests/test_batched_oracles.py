@@ -4,14 +4,17 @@ The reference below computes one node's stochastic gradient at a time, the
 way the simulator did before the oracles were batched.  Column i of
 ``stochastic_gradients`` must reproduce it bit for bit, drawing from
 ``rng_for(i)`` only, in node order, exactly as many numbers as one node
-needs.
+needs.  The logistic oracle has two paths, one for datasets whose rows
+differ in length and one for datasets whose rows all hold the same number
+of entries; each has its own cases, and the second runs on ``X`` in every
+memory layout.
 """
 
 import math
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
@@ -87,6 +90,18 @@ def test_noisy_quadratic_matches_per_node_reference(case):
     check_columns(objective, X, reference_quadratic, seed)
 
 
+def labeled_and_sharded(draw, features, n):
+    """An objective over ``features`` with drawn labels and n shards, each a
+    contiguous slice of a permutation, cut at arbitrary points."""
+    m = features.shape[0]
+    labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+    order = np.array(draw(st.permutations(range(m))))
+    cuts = []
+    if n > 1:
+        cuts = sorted(draw(st.sets(st.integers(1, m - 1), min_size=n - 1, max_size=n - 1)))
+    return LogisticObjective(Dataset(features=features, labels=labels), np.split(order, cuts))
+
+
 @st.composite
 def logistic_cases(draw):
     d = draw(st.integers(1, 6))
@@ -95,20 +110,61 @@ def logistic_cases(draw):
     # each row keeps a random subset of the features, possibly none
     mask = draw(arrays(np.bool_, (m, d)))
     dense = np.where(mask, draw(arrays(np.float64, (m, d), elements=FLOATS)), 0.0)
-    labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
-    dataset = Dataset(features=sp.csr_matrix(dense), labels=labels)
-    # contiguous slices of a permutation, cut at arbitrary points
-    order = np.array(draw(st.permutations(range(m))))
-    cuts = []
-    if n > 1:
-        cuts = sorted(draw(st.sets(st.integers(1, m - 1), min_size=n - 1, max_size=n - 1)))
-    shards = np.split(order, cuts)
+    objective = labeled_and_sharded(draw, sp.csr_matrix(dense), n)
     X = draw(arrays(np.float64, (d, n), elements=st.floats(-5, 5)))
-    return LogisticObjective(dataset, shards), X, draw(st.integers(0, 2**32))
+    return objective, X, draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=300, deadline=None)
 @given(logistic_cases())
 def test_logistic_matches_per_node_reference(case):
+    objective, X, seed = case
+    check_columns(objective, X, reference_logistic, seed)
+
+
+def laid_out(X, layout):
+    if layout == "strided":
+        wide = np.zeros((X.shape[0], 2 * X.shape[1]))
+        wide[:, ::2] = X
+        return wide[:, ::2]
+    return np.asarray(X, order=layout)
+
+
+@st.composite
+def equal_length_logistic_cases(draw):
+    """Every row stores the same number ``w >= 1`` of entries, explicit zero
+    values included, at sorted or unsorted columns; ``X`` is C-ordered,
+    F-ordered or a strided view.  Rows of 17 to 40 entries, with values
+    scaled by 1/3 so that their products round, show a dot that sums in
+    another order than the BLAS one."""
+    d = draw(st.one_of(st.integers(1, 6), st.integers(17, 40)))
+    w = draw(st.integers(1, d))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 12))
+    columns = st.permutations(range(d)).map(lambda p: p[:w])
+    indices = np.array([draw(columns) for _ in range(m)], dtype=np.int32)
+    values = draw(arrays(np.float64, (m, w), elements=st.one_of(st.just(0.0), FLOATS)))
+    values *= draw(st.sampled_from([1.0, 1 / 3]))
+    features = sp.csr_matrix((values.ravel(), indices.ravel(), np.arange(m + 1) * w), shape=(m, d))
+    assert features.nnz == m * w  # the CSR keeps its explicit zeros
+    objective = labeled_and_sharded(draw, features, n)
+    X = draw(arrays(np.float64, (d, n), elements=st.floats(-5, 5)))
+    return objective, laid_out(X, draw(st.sampled_from(["C", "F", "strided"]))), draw(
+        st.integers(0, 2**32))
+
+
+def one_node_case(layout):
+    features = sp.csr_matrix(([0.5, 0.0, -1.5, 2.0], [2, 0, 1, 2], [0, 2, 4]), shape=(2, 3))
+    objective = LogisticObjective(Dataset(features=features, labels=np.array([1.0, -1.0])),
+                                  [np.array([1, 0])])
+    return objective, laid_out(np.array([[1.0], [-2.0], [3.0]]), layout), 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_length_logistic_cases())
+@example(one_node_case("C"))
+@example(one_node_case("F"))
+@example(one_node_case("strided"))
+def test_equal_length_logistic_matches_per_node_reference(case):
     objective, X, seed = case
     check_columns(objective, X, reference_logistic, seed)

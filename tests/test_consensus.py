@@ -318,6 +318,11 @@ class TestRunConsensus:
         with pytest.raises(ValueError, match=re.escape(f"initial X must be d x 9, got shape {shape}")):
             run_consensus(config, np.zeros(shape))
 
+    def test_initial_x_must_have_rows(self):
+        config = ConsensusConfig(scheme=EXACT, matrix=RING9, iters=5)
+        with pytest.raises(ValueError, match=re.escape("d >= 1 rows, got shape (0, 9)")):
+            run_consensus(config, np.zeros((0, 9)))
+
     def test_rejects_gamma_out_of_range(self):
         with pytest.raises(ValueError):
             ConsensusConfig(scheme=GossipScheme.EXACT, matrix=RING9, gamma=0.0)

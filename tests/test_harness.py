@@ -119,6 +119,13 @@ class TestParseCompression:
         assert records[-1].error < 0.8 * records[0].error
         assert max(rec.mean_drift for rec in records) < 1e-12
 
+    def test_spec_without_dimension_is_refused(self):
+        # the `d` parser refuses d = 0 at the suite and CLI boundary; an
+        # ExperimentSpec built in code meets the run loop's own check
+        spec = ExperimentSpec("a", "consensus", {"n": 4, "d": 0, "seeds": [0]})
+        with pytest.raises(ValueError, match=re.escape("got shape (0, 4)")):
+            run_experiment(spec, 0)
+
     def test_rejects_unknown(self):
         with pytest.raises(ConfigError):
             parse_compression("zipzap:3", 10)

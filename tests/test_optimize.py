@@ -282,6 +282,12 @@ class TestRunOptimization:
         with pytest.raises(ValueError, match=re.escape(f"initial X must be d x 9, got shape {shape}")):
             run_optimization(config, QuadraticObjective(np.zeros((5, 9))), np.zeros(shape))
 
+    def test_initial_x_must_have_rows(self):
+        config = SgdConfig(matrix=RING9, schedule=PracticalSchedule(0.1, 5.0, 1),
+                           iters=5, f_star=0.0)
+        with pytest.raises(ValueError, match=re.escape("d >= 1 rows, got shape (0, 9)")):
+            run_optimization(config, QuadraticObjective(np.zeros((0, 9))), np.zeros((0, 9)))
+
     def test_monotone_trend_quadratic(self):
         # suboptimality at T=2000 is below its value at T=1000, averaged
         # over 5 seeds, with the theoretical schedule

@@ -114,9 +114,15 @@ def test_top_k_threshold_equals_argpartition_selection(case):
 
 
 def per_column_logistic(objective, X, rng_for):
-    samples = [objective._draw(i, rng_for(i)) for i in range(X.shape[1])]
+    samples = []
+    for i, shard in enumerate(objective.shards):
+        samples.append(int(shard[rng_for(i).integers(len(shard))]))
     G = 2.0 * objective.l2 * X
-    rows = [objective._rows[j] for j in samples]
+    csr = objective.dataset.features
+    rows = [
+        (csr.indices[csr.indptr[j]:csr.indptr[j + 1]], csr.data[csr.indptr[j]:csr.indptr[j + 1]])
+        for j in samples
+    ]
     dots = np.array([vals @ X[idx, c] for c, (idx, vals) in enumerate(rows)])
     b = objective.dataset.labels[samples]
     coef = -b * expit(-b * dots)
