@@ -17,14 +17,14 @@ key is a flag of the same name with ``-`` for ``_`` (``--data`` sets
 scope included, is checked only by the suite's own coercion, so a bad value
 is reported as in a suite file (``[consensus]: edges_file applies only with
 topology = custom, got topology = ring``).  ``harness.KEYS`` holds every
-default and scope, ``topology = ring`` and ``--seed``'s ``0`` included.  Both
-also accept ``--config suite.ini --out-dir results/`` to run every
-matching experiment section of a suite file (one CSV per seed plus a
-summary per experiment); the sections set everything else, so a
-suite-key flag, ``--out`` or ``--seed`` next to ``--config`` is a
-configuration error, and so is ``--out-dir`` without it.  ``sweep`` takes
-the ``optimize`` flags except those of the keys its grid sets (``iters``,
-``eval_every``, ``schedule``, ``a``, ``b``), and writes nothing.
+default, scope and requirement, ``topology = ring`` and ``--seed``'s ``0``
+included.  Both also accept ``--config suite.ini --out-dir results/`` to run
+every matching experiment section of a suite file (one CSV per seed plus a
+summary per experiment); the sections set everything else, so a suite-key
+flag, ``--out`` or ``--seed`` next to ``--config`` is a configuration error,
+and so is ``--out-dir`` without it.  ``sweep`` takes the ``optimize`` flags
+except those of the keys its grid sets (``iters``, ``eval_every``,
+``schedule``, ``a``, ``b``), and writes nothing.
 
 Exit codes: 0 success, 1 failed assertion, divergence or partially failed
 suite, 2 configuration error, argparse's included: one ``error:`` line.

@@ -231,6 +231,16 @@ def _squared_error(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
     return float(np.sum(work))
 
 
+def _initial_iterates(initial_x: np.ndarray, n: int) -> np.ndarray:
+    """A C-ordered float copy of a run's initial ``d x n`` iterates, d >= 1."""
+    x = np.array(initial_x, dtype=float, order="C")
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"initial X must be d x {n}, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise ValueError(f"initial X must have d >= 1 rows, got shape {x.shape}")
+    return x
+
+
 def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusResult:
     """Run one gossip experiment and collect per-iteration metrics.
 
@@ -249,11 +259,7 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
     which ``final_x`` holds.
     """
     matrix = config.matrix
-    x = np.array(initial_x, dtype=float, order="C")
-    if x.ndim != 2 or x.shape[1] != matrix.n:
-        raise ValueError(f"initial X must be d x {matrix.n}, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise ValueError(f"initial X must have d >= 1 rows, got shape {x.shape}")
+    x = _initial_iterates(initial_x, matrix.n)
 
     gossip = Gossip(config.scheme, matrix, config.gamma, config.compression, config.seed)
     work = gossip.work_like(x)  # every evaluation runs in it

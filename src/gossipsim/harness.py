@@ -1,8 +1,8 @@
 """Experiment orchestration: config files, suites, sweeps, theory checks.
 
 Config files are INI-style with one section per experiment of flat keys,
-each one a ``KEYS`` entry and strictly validated -- an unknown key anywhere
-aborts the whole suite (exit code 2 from the CLI), which catches typos early::
+each one a ``KEYS`` entry and strictly validated -- an unknown or missing
+required key anywhere aborts the whole suite (exit code 2 from the CLI)::
 
     [ring-tracking-qsgd]
     kind = consensus
@@ -24,6 +24,7 @@ population standard deviation of every metric across the repeats.
 from __future__ import annotations
 
 import configparser
+import inspect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
@@ -214,8 +215,9 @@ def load_init_file(path, d: int, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Key:
     """One suite key and CLI flag: the kinds that may hold it, its text parser (a ValueError
-    means not ``syntax``), default (None: unset or set by a builder), choices, help, and
-    ``when``: the key that governs it and the values that key must hold (None: always)."""
+    means not ``syntax``), default (None: unset or set by a builder), choices, help, ``when``:
+    the key that governs it and the values that key must hold (None: always), and ``required``:
+    the same for where it must be set (None: never); an unset governing key holds its default."""
 
     kinds: tuple[str, ...]
     parse: Callable[[str], object] = str
@@ -224,6 +226,7 @@ class Key:
     choices: tuple[str, ...] = ()
     help: str | None = None
     when: tuple[str, tuple[str, ...]] | None = None
+    required: tuple[str, tuple[str, ...]] | None = None
 
     @property
     def scope(self) -> str:  # ``when`` as text: ``topology = custom``
@@ -238,18 +241,26 @@ def _checked(parse: Callable[[str], object], ok: Callable[[object], bool]):  # a
     return checked
 
 
+def _default(fn: Callable, name: str):  # a library default, so that KEYS does not restate it
+    return inspect.signature(fn).parameters[name].default
+
+
 _UINT64 = _checked(int, lambda value: 0 <= value < 2**64)  # streams.stream's key range
+_TORUS, _CUSTOM = ("topology", ("torus",)), ("topology", ("custom",))
+_QUADRATIC, _LOGISTIC = ("objective", ("quadratic",)), ("objective", ("logistic",))
 _BOTH = ("consensus", "optimize")
 KEYS = {
     "kind": Key(_BOTH, choices=_BOTH),
     "topology": Key(_BOTH, str.lower, "a name in any letter case", "ring",
                     ("ring", "torus", "full", "fully_connected", "complete", "custom")),
-    "n": Key(_BOTH, int, "an integer", help="node count"),
-    "d": Key(_BOTH, _checked(int, lambda d: d >= 1), "a positive integer", help="vector dimension"),
-    "torus_rows": Key(_BOTH, int, "an integer", when=("topology", ("torus",))),
-    "torus_cols": Key(_BOTH, int, "an integer", when=("topology", ("torus",))),
+    "n": Key(_BOTH, int, "an integer", help="node count",
+             required=("topology", ("ring", "full", "fully_connected", "complete"))),
+    "d": Key(_BOTH, _checked(int, lambda d: d >= 1), "a positive integer", help="vector dimension",
+             required=_QUADRATIC),  # so on every consensus section
+    "torus_rows": Key(_BOTH, int, "an integer", when=_TORUS, required=_TORUS),
+    "torus_cols": Key(_BOTH, int, "an integer", when=_TORUS, required=_TORUS),
     "edges_file": Key(_BOTH, syntax="a path", help="'i j' pairs, 0-indexed",
-                      when=("topology", ("custom",))),
+                      when=_CUSTOM, required=_CUSTOM),
     "compression": Key(_BOTH, syntax="an operator", help="identity | rand_k:<k|frac> | "
                        "top_k:<k|frac> | qsgd:<s> | rand_gossip:<p> | unbiased:<inner>"),
     "value_bits": Key(_BOTH, int, "an integer"),
@@ -268,16 +279,16 @@ KEYS = {
                      choices=tuple(s.value for s in AVERAGING)),
     "objective": Key(("optimize",), default="quadratic", choices=("quadratic", "logistic")),
     "data_path": Key(("optimize",), syntax="a path", help="LIBSVM data file",
-                     when=("objective", ("logistic",))),
+                     when=_LOGISTIC, required=_LOGISTIC),
     "partition": Key(("optimize",), default="shuffled", choices=("shuffled", "sorted"),
-                     when=("objective", ("logistic",))),
+                     when=_LOGISTIC),
     "schedule": Key(("optimize",), default="practical", choices=("practical", "theoretical")),
     "a": Key(("optimize",), float, "a number"),
     "b": Key(("optimize",), float, "a number", when=("schedule", ("practical",))),
-    "noise_sigma": Key(("optimize",), float, "a number", 0.0, when=("objective", ("quadratic",))),
-    "fstar_tol": Key(("optimize",), float, "a number", 1e-10),
-    "targets_seed": Key(("optimize",), _UINT64, "a non-negative 64-bit integer",
-                        when=("objective", ("quadratic",))),
+    "noise_sigma": Key(("optimize",), float, "a number",
+                       _default(QuadraticObjective, "noise_sigma"), when=_QUADRATIC),
+    "fstar_tol": Key(("optimize",), float, "a number", _default(solve_reference, "tolerance")),
+    "targets_seed": Key(("optimize",), _UINT64, "a non-negative 64-bit integer", when=_QUADRATIC),
 }
 SUITE_KEYS = {kind: {name for name, key in KEYS.items() if kind in key.kinds} for kind in _BOTH}
 _DEFAULTS = {name: key.default for name, key in KEYS.items() if key.default is not None}
@@ -324,9 +335,10 @@ def parse_suite_file(path: str | Path) -> list[ExperimentSpec]:
 def _coerce_options(label: str, raw: dict) -> dict:
     """Typed options, parsed in ``KEYS`` order by their entries there: a value of
     the wrong syntax or outside its choices, then a key set where its ``when`` does
-    not hold, is a ConfigError naming it.  Beyond the parsers' own ranges, only the
-    operator is checked here, once ``d`` is set (a logistic section without ``d``
-    checks it per seed); the config dataclasses check the rest."""
+    not hold, then a key left out where its ``required`` holds, is a ConfigError
+    naming it.  Beyond the parsers' own ranges, only the operator is checked here,
+    once ``d`` is set (a logistic section without ``d`` checks it per seed); the
+    config dataclasses check the rest."""
     opts = dict(raw)
     for name in [name for name in KEYS if name in raw]:  # one order for flags and files
         key, text = KEYS[name], raw[name]
@@ -342,6 +354,10 @@ def _coerce_options(label: str, raw: dict) -> dict:
         if (value := opts.get(governor, KEYS[governor].default)) not in values:
             raise ConfigError(f"[{label}]: {name} applies only with {KEYS[name].scope}, "
                               f"got {governor} = {value}")
+    for name in [name for name in KEYS if name not in raw and KEYS[name].required]:
+        governor, values = KEYS[name].required
+        if opts.get(governor, KEYS[governor].default) in values:
+            raise ConfigError(f"[{label}]: missing required key {name!r}")
     opts.setdefault("seeds", [*KEYS["seeds"].default])
     if "d" in opts:  # the operator's own checks, as the run's builder makes them
         try:

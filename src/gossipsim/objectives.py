@@ -29,21 +29,18 @@ once for each node that draws, in node order, and that node's draws are
 done before the next call, so a re-keyed :class:`~gossipsim.streams.StreamPool`
 handle is safe and node ``i``'s gradient depends only on its own stream.
 The noiseless quadratic draws nothing and never calls ``rng_for``.  The
-logistic oracle draws one shard row per node, then takes one of two paths,
-chosen once when the objective is built:
-
-* when every CSR row stores the same number ``w >= 1`` of entries (dense
-  data, such as ``synthetic_classification`` or any dense LIBSVM file),
-  ``(m, w)`` views of the CSR index and value arrays give the sampled rows
-  with two fancy indexes.  Their features are one ``X.take`` at flat
-  C-order positions, all margins are one stacked ``np.matmul`` of ``1 x w``
-  by ``w x 1``, and every row's loss gradient is added to a C-ordered
-  ``G`` by one scatter through ``G.ravel()``.  The stacked product calls
-  one BLAS dot per row, the same call ``vals @ x[idx]`` makes, so each
-  margin keeps its summation order;
-* otherwise (rows of differing lengths, or all empty), one gather over the
-  concatenated rows, one BLAS dot per row on its slice of that gather and
-  one scatter do the same work.
+logistic oracle draws one shard row per node and has one body: one
+``X.take`` gathers the sampled features at flat C-order positions
+``indices * n + owner``, the sigmoid maps the margins, and one scatter
+through ``G.ravel()`` adds every row's loss gradient to a C-ordered ``G``.
+Where every CSR row stores the same number ``w >= 1`` of entries (dense
+data, such as ``synthetic_classification`` or any dense LIBSVM file), the
+sampled rows come from ``(m, w)`` views of the CSR arrays, with ``owner =
+arange(n)[:, None]``, and the margins from one stacked ``np.matmul`` of
+``1 x w`` by ``w x 1``; otherwise the rows are read end to end at their
+CSR positions, with ``owner = repeat(arange(n), sizes)``, and each margin
+is one dot on its slice.  Either way a margin is one BLAS dot, the call
+``vals @ x[idx]`` makes, so it keeps its summation order.
 
 The logistic oracles take ``sigma(-t) = 1 / (1 + exp(t))`` from the C
 library's ``exp`` through ``math.exp``, the ``exp`` SciPy's float64
@@ -294,15 +291,10 @@ class LogisticObjective:
         self._features_t = csr.T  # a CSC view sharing the CSR arrays
         counts = np.diff(csr.indptr)
         width = int(counts[0])
-        if width >= 1 and (counts == width).all():  # (m, w) views of the CSR arrays
+        self._table = None  # or (m, w) views of the CSR arrays when every row holds w >= 1
+        if width >= 1 and (counts == width).all():
             lo, hi = csr.indptr[0], csr.indptr[-1]
             self._table = (csr.indices[lo:hi].reshape(-1, width), csr.data[lo:hi].reshape(-1, width))
-        else:
-            self._table = None
-            self._rows = [
-                (csr.indices[csr.indptr[j]:csr.indptr[j + 1]], csr.data[csr.indptr[j]:csr.indptr[j + 1]])
-                for j in range(dataset.m)
-            ]
 
     @property
     def dim(self) -> int:
@@ -340,43 +332,31 @@ class LogisticObjective:
             (rng_for(i).integers(size) for i, size in enumerate(self._sizes)), np.intp, n
         )
         samples = self._shard_rows[self._starts + picks]
-        if self._table is None:
-            return self._sample_gradients(X, samples)
-        indices, data = self._table
-        flat = np.multiply(indices[samples], n, dtype=np.intp)  # C-order positions in X
-        flat += np.arange(n)[:, None]
-        vals = data[samples]
+        if self._table is not None:  # row i of (n, w) arrays is node i's sample
+            indices, vals = (part[samples] for part in self._table)
+            owner = np.arange(n)[:, None]
+        else:  # the samples end to end: entry k is node owner[k]'s
+            csr = self.dataset.features
+            lo, hi = csr.indptr[samples], csr.indptr[samples + 1]
+            owner = np.repeat(np.arange(n), hi - lo)
+            ends = np.cumsum(hi - lo)  # sample i's entries end at ends[i]
+            at = np.arange(len(owner)) + (hi - ends)[owner]  # each entry's CSR position
+            indices, vals = csr.indices[at], csr.data[at]
+        flat = np.multiply(indices, n, dtype=np.intp)  # C-order positions in X
+        flat += owner
         feats = X.take(flat)  # every sample's features, one gather
-        # one BLAS dot per sample, as ``vals @ x[idx]`` takes, keeps each
+        # one BLAS dot per sample, the call ``vals @ x[idx]`` makes, keeps each
         # margin's summation order
-        margins = np.matmul(vals[:, None, :], feats[:, :, None]).reshape(n)
+        if self._table is not None:
+            margins = np.matmul(vals[:, None, :], feats[:, :, None]).reshape(n)
+        else:
+            bounds = zip((ends - hi + lo).tolist(), ends.tolist())
+            margins = np.fromiter((vals[a:b] @ feats[a:b] for a, b in bounds), float, n)
         labels = self.dataset.labels[samples]
         sig = np.fromiter(map(_sigmoid_neg, (labels * margins).tolist()), float, n)
         G = np.multiply(2.0 * self.l2, X, order="C")
         # the positions are distinct, so one scatter adds each once
-        G.ravel()[flat] += (-labels * sig)[:, None] * vals  # -b * sigma(-b a.x) * a
-        return G
-
-    def _sample_gradients(self, X: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Column c is the gradient at ``X[:, c]`` of sample ``samples[c]``'s
-        loss plus the full regularizer."""
-        G = 2.0 * self.l2 * X
-        rows = [self._rows[j] for j in samples]
-        sizes = [idx.size for idx, _ in rows]
-        idx_all = np.concatenate([idx for idx, _ in rows])
-        vals_all = np.concatenate([vals for _, vals in rows])
-        cols_all = np.repeat(np.arange(X.shape[1]), sizes)
-        feats = X[idx_all, cols_all]  # every sample's features, one gather
-        # one BLAS dot per sample on its contiguous slice keeps each
-        # margin's summation order
-        coef, lo = np.empty(len(rows)), 0
-        labels = self.dataset.labels[samples].tolist()
-        for c, ((_, vals), b) in enumerate(zip(rows, labels)):
-            hi = lo + vals.size
-            coef[c] = -b * _sigmoid_neg(b * (vals @ feats[lo:hi]))  # -b * sigma(-b a.x)
-            lo = hi
-        # (row, column) pairs are distinct, so one scatter adds each once
-        G[idx_all, cols_all] += np.repeat(coef, sizes) * vals_all
+        G.ravel()[flat] += (-labels * sig)[owner] * vals  # -b * sigma(-b a.x) * a
         return G
 
     def constants(self) -> tuple[float, float]:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .compression import CompressionSpec, Identity
 from .consensus import DIVERGENCE_FACTOR, DivergenceError, Gossip, GossipScheme, RunConfig
-from .consensus import _squared_error
+from .consensus import _initial_iterates, _squared_error
 from .objectives import Objective
 from .records import OptimizeRecord
 from .streams import tag_code
@@ -203,11 +203,7 @@ def run_optimization(
     rounds, and the stepsize ``eta_t``.
     """
     matrix = config.matrix
-    x = np.array(initial_x, dtype=float, order="C")
-    if x.ndim != 2 or x.shape[1] != matrix.n:
-        raise ValueError(f"initial X must be d x {matrix.n}, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise ValueError(f"initial X must have d >= 1 rows, got shape {x.shape}")
+    x = _initial_iterates(initial_x, matrix.n)
     d = x.shape[0]
     if (objective.n_nodes, objective.dim) != (matrix.n, d):
         raise ValueError(

@@ -244,14 +244,20 @@ class TestSuiteFile:
             parse_suite_file(path)
         # partition applies only with objective = logistic: its when, written out
         scope = "{} = {}\n".format(KEYS[key].when[0], KEYS[key].when[1][0]) if KEYS[key].when else ""
-        path.write_text(f"[x]\nkind = {kind}\n{scope}{key} = {KEYS[key].choices[-1]}\n")
+        section = f"[x]\nkind = {kind}\nn = 4\nd = 3\n{scope}{key} = {KEYS[key].choices[-1]}\n"
+        if "logistic" in section:  # and the keys that its values require
+            section += "data_path = train.svm\n"
+        if "custom" in section:
+            section += "edges_file = edges.txt\n"
+        path.write_text(section)
         assert parse_suite_file(path)[0].options[key] == KEYS[key].choices[-1]
 
     def test_topology_in_any_letter_case(self, tmp_path):
         path = tmp_path / "suite.ini"
-        path.write_text("[x]\nkind = consensus\ntopology = Fully_Connected\n")
+        path.write_text("[x]\nkind = consensus\nn = 4\nd = 3\ntopology = Fully_Connected\n")
         assert parse_suite_file(path)[0].options["topology"] == "fully_connected"
-        args = cli.build_parser().parse_args(["consensus", "--topology", "Ring"])
+        args = cli.build_parser().parse_args(
+            ["consensus", "--topology", "Ring", "--n", "4", "--d", "3"])
         assert cli._spec(args, "consensus")[0].options["topology"] == "ring"
 
     def test_build_topology_rejects_unknown_name(self):
@@ -266,7 +272,8 @@ class TestSuiteFile:
 
     def test_gamma_text_is_kept_for_the_builders(self, tmp_path):
         path = tmp_path / "suite.ini"
-        path.write_text("[x]\nkind = consensus\ngamma = Auto\n\n[y]\nkind = consensus\ngamma = 0.5\n")
+        path.write_text("[x]\nkind = consensus\nn = 4\nd = 3\ngamma = Auto\n\n"
+                        "[y]\nkind = consensus\nn = 4\nd = 3\ngamma = 0.5\n")
         assert [s.options["gamma"] for s in parse_suite_file(path)] == ["auto", 0.5]
 
 
@@ -741,6 +748,19 @@ class TestCli:
                          "--out-dir", str(tmp_path / "res")]) == 2
         assert capsys.readouterr() == ("", f"error: [x]: {message}\n")
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("kind = optimize\nn = 4\n", "d"),
+        ("kind = consensus\ntopology = torus\ntorus_cols = 3\nd = 3\n", "torus_rows"),
+    ])
+    def test_missing_required_key_in_suite_fails_once_at_parse_time(self, section, key,
+                                                                    tmp_path, capsys):
+        config = tmp_path / "suite.ini"
+        config.write_text(f"[x]\n{section}seeds = 1 2 3\n")
+        kind = section.split()[2]
+        assert cli.main([kind, "--config", str(config), "--out-dir", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr() == ("", f"error: [x]: missing required key {key!r}\n")
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_empty_compression_flag_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         # an empty token, which no exit-2 table row can hold

@@ -4,13 +4,16 @@ set, and the same bytes as the allocating code.
 ``Gossip`` owns every ``d x n`` array a round touches and the operators
 write into them, so after round 0 a round allocates nothing of that size.
 tracemalloc sees numpy's array data, so the guards below count the bytes a
-round or a whole run allocates in units of one ``d x n`` float array.
+round or a whole run allocates in units of one ``d x n`` float array.  The
+logistic objective likewise keeps no Python object per dataset row: what it
+holds beyond its dataset is a few arrays of one entry per row.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -27,6 +30,7 @@ from gossipsim.compression import (
 )
 from gossipsim.consensus import ConsensusConfig, Gossip, GossipScheme, run_consensus
 from gossipsim.harness import build_topology, gaussian_init, parse_compression
+from gossipsim.objectives import Dataset, LogisticObjective, partition
 from gossipsim.streams import stream
 
 EXACT, DIRECT, PAIRED, TRACKING = GossipScheme
@@ -183,3 +187,23 @@ def test_qsgd_norms_equal_linalg_norm(X):
         norms = _column_norms(X, np.empty(X.shape[::-1]))
         want = np.array([np.linalg.norm(X[:, i]) for i in range(X.shape[1])])
     assert same_bits(norms, want)
+
+
+def test_logistic_objective_keeps_no_object_per_row():
+    # 60k rows of 0 to 3 entries, which no (m, w) table holds
+    m, d = 60_000, 8
+    sizes = np.arange(m) % 4
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1], sizes)  # columns 0, 1, ...
+    features = sp.csr_matrix((np.ones(indptr[-1]), indices, indptr), shape=(m, d))
+    dataset = Dataset(features=features, labels=np.where(sizes % 2, 1.0, -1.0))
+    shards = partition(dataset, 9, "sorted")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        objective = LogisticObjective(dataset, shards)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert objective.stochastic_gradients(np.zeros((d, 9)), lambda i: stream(1)).shape == (d, 9)
+    assert kept <= 2**20  # the concatenated shards are 8 bytes a row, 480 kB here

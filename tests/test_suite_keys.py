@@ -1,10 +1,12 @@
 """``harness.KEYS`` is the one statement of each suite key: its kinds,
-syntax, default, choices, help and the ``when`` it applies under.
+syntax, default, choices, help, the ``when`` it applies under and the
+``required`` it must be set under.
 
 An omitted key runs as its default written out; a key set where its
-``when`` does not hold is one error, from a suite line and a flag alike; a
-CLI flag and a suite line coerce one text alike, over generated values; and
-README's key table states what ``KEYS`` holds, row for row.
+``when`` does not hold, or left out where its ``required`` holds, is one
+error, from a suite line and a flag alike; a CLI flag and a suite line
+coerce one text alike, over generated values; and README's key table
+states what ``KEYS`` holds, row for row.
 """
 
 import tempfile
@@ -21,6 +23,26 @@ from test_cli_boundary import EDGE_VALUES, OPERATORS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SIZING = {"n", "d", "iters", "torus_rows", "torus_cols"}  # huge values would run without end
+# A value of each key that a section may require; parsing a section opens no file.
+FILLS = {"n": "4", "d": "3", "torus_rows": "2", "torus_cols": "2",
+         "edges_file": "edges.txt", "data_path": "train.svm"}
+
+
+def holds(condition, options: dict) -> bool:
+    """A ``when`` or ``required`` as _coerce_options reads it: the section's
+    value of the governing key, else that key's default."""
+    governor, values = condition
+    return options.get(governor, KEYS[governor].default) in values
+
+
+def required(options: dict) -> dict:
+    """The keys that a section of ``options`` requires and leaves out, each with its ``FILLS``."""
+    return {name: FILLS[name] for name, key in KEYS.items()
+            if key.required and name not in options and holds(key.required, options)}
+
+
+def lines(options: dict) -> str:
+    return "".join(f"{name} = {value}\n" for name, value in options.items())
 
 
 def text(value) -> str:
@@ -44,14 +66,9 @@ def test_an_omitted_key_runs_as_its_default_written_out(head, tmp_path):
     path.write_text(f"[omitted]\n{HEADS[head].format(data=data)}")
     (omitted,) = parse_suite_file(path)
     given = set(omitted.options) - {"seeds"}
-
-    def holds(when):  # as _coerce_options reads it: the section's value, else the default
-        governor, values = when
-        return omitted.options.get(governor, KEYS[governor].default) in values
-
     defaults = {name: key.default for name, key in KEYS.items()
                 if omitted.kind in key.kinds and key.default is not None and name not in given
-                and (key.when is None or holds(key.when))}
+                and (key.when is None or holds(key.when, omitted.options))}
     assert {"gamma", "iters", "eval_every", "seeds"} <= set(defaults)
     assert ("partition" in defaults) == (head == "optimize-logistic")
     written = "".join(f"{name} = {text(value)}\n" for name, value in defaults.items())
@@ -80,11 +97,13 @@ def test_a_key_applies_only_where_its_when_holds(kind, name, tmp_path, capsys):
     path = tmp_path / "suite.ini"
     for other in [*KEYS[governor].choices, None]:  # None: the governing key's default
         line = "" if other is None else f"{governor} = {other}\n"
-        path.write_text(f"[x]\nkind = {kind}\n{line}{name} = {value}\n")
         got = KEYS[governor].default if other is None else other
-        if got in values:
+        if got in values:  # with the keys that the section requires
+            fills = lines(required({governor: got, name: value}))
+            path.write_text(f"[x]\nkind = {kind}\n{line}{name} = {value}\n{fills}")
             assert parse_suite_file(path)[0].options[name] == key.parse(value)
             continue
+        path.write_text(f"[x]\nkind = {kind}\n{line}{name} = {value}\n")
         message = f"{name} applies only with {key.scope}, got {governor} = {got}"
         with pytest.raises(ConfigError) as raised:
             parse_suite_file(path)
@@ -92,6 +111,29 @@ def test_a_key_applies_only_where_its_when_holds(kind, name, tmp_path, capsys):
         flags = [] if other is None else [f"{cli._flag(governor)}={other}"]
         assert cli.main([kind, *flags, f"{cli._flag(name)}={value}"]) == 2
         assert capsys.readouterr() == ("", f"error: [{kind}]: {message}\n")
+
+
+# (kind, key) for each kind that may hold a key with a ``required``
+REQUIRED = [(kind, name) for name, key in KEYS.items() if key.required for kind in key.kinds]
+
+
+@pytest.mark.parametrize("kind, name", REQUIRED)
+def test_a_key_is_required_where_its_required_holds(kind, name, tmp_path, capsys):
+    governor, values = KEYS[name].required
+    path = tmp_path / "suite.ini"
+    message = f"missing required key {name!r}"
+    for value in values:  # a governing key that the kind lacks holds its default
+        options = {governor: value} if kind in KEYS[governor].kinds else {}
+        others = {**options, **required({**options, name: FILLS[name]})}
+        path.write_text(f"[x]\nkind = {kind}\n{lines(others)}")
+        with pytest.raises(ConfigError) as raised:
+            parse_suite_file(path)
+        assert str(raised.value) == f"[x]: {message}"
+        flags = [f"{cli._flag(key)}={setting}" for key, setting in others.items()]
+        assert cli.main([kind, *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: [{kind}]: {message}\n")
+        path.write_text(f"[x]\nkind = {kind}\n{lines(others)}{name} = {FILLS[name]}\n")
+        assert parse_suite_file(path)[0].options[name] == KEYS[name].parse(FILLS[name])
 
 
 @st.composite
