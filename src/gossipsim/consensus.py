@@ -85,10 +85,18 @@ class RunConfig:
 
     def _check(self, scheme: GossipScheme) -> None:
         _check_gossip(scheme, self.gamma, self.compression)
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        _check_count("iters", self.iters)
+        _check_count("eval_every", self.eval_every)
+
+
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -100,8 +108,7 @@ class ConsensusConfig(RunConfig):
 
 
 def _check_gossip(scheme: GossipScheme, gamma: float, compression: CompressionSpec) -> None:
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    _check_gamma(gamma)
     if scheme == GossipScheme.EXACT and not isinstance(compression, Identity):
         raise ValueError(f"exact gossip takes the identity operator, got {compression}")
     if scheme in (GossipScheme.DIRECT, GossipScheme.PAIRED) and not compression.unbiased:

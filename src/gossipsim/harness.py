@@ -30,6 +30,7 @@ grid's best point by final mean error or suboptimality is reported.
 from __future__ import annotations
 
 import configparser
+import functools
 import inspect
 import itertools
 import math
@@ -45,6 +46,8 @@ from .consensus import (
     ConsensusResult,
     GossipScheme,
     RunConfig,
+    _check_count,
+    _check_gamma,
     run_consensus,
     tracking_stepsize,
 )
@@ -52,6 +55,8 @@ from .objectives import (
     LogisticObjective,
     Objective,
     QuadraticObjective,
+    _check_fstar_tol,
+    _check_noise_sigma,
     parse_libsvm,
     partition,
     solve_reference,
@@ -64,6 +69,7 @@ from .optimize import (
     SgdConfig,
     TheoreticalSchedule,
     TrackingAveraging,
+    _check_positive,
     run_optimization,
     sgd_round,
     theoretical_a,
@@ -223,8 +229,10 @@ def load_init_file(path, d: int, n: int) -> np.ndarray:
 class Key:
     """One suite key and CLI flag: the kinds that may hold it, its text parser (a ValueError
     means not ``syntax``), default (None: unset or set by a builder), choices, help, ``when``:
-    the key that governs it and the values that key must hold (None: always), and ``required``:
-    the same for where it must be set (None: never); an unset governing key holds its default."""
+    the key that governs it and the values that key must hold (None: always), ``required``:
+    the same for where it must be set (None: never; an unset governing key holds its default),
+    and ``check``: the run's own range check of a parsed value, which a suite file's values
+    pass before any run (a flag's value meets it when its run is built)."""
 
     kinds: tuple[str, ...]
     parse: Callable[[str], object] = str
@@ -234,6 +242,7 @@ class Key:
     help: str | None = None
     when: tuple[str, tuple[str, ...]] | None = None
     required: tuple[str, tuple[str, ...]] | None = None
+    check: Callable[[object], object] | None = None
 
     @property
     def scope(self) -> str:  # ``when`` as text: ``topology = custom``
@@ -272,9 +281,12 @@ KEYS = {
                        "top_k:<k|frac> | qsgd:<s> | rand_gossip:<p> | unbiased:<inner>"),
     "value_bits": Key(_BOTH, int, "an integer"),
     "gamma": Key(_BOTH, lambda text: "auto" if text.strip().lower() == "auto" else float(text),
-                 "a number or auto", RunConfig.gamma, help="consensus stepsize or 'auto'"),
-    "iters": Key(_BOTH, int, "an integer", RunConfig.iters),
-    "eval_every": Key(_BOTH, int, "an integer", RunConfig.eval_every),
+                 "a number or auto", RunConfig.gamma, help="consensus stepsize or 'auto'",
+                 check=lambda gamma: gamma == "auto" or _check_gamma(gamma)),
+    "iters": Key(_BOTH, int, "an integer", RunConfig.iters,
+                 check=functools.partial(_check_count, "iters")),
+    "eval_every": Key(_BOTH, int, "an integer", RunConfig.eval_every,
+                      check=functools.partial(_check_count, "eval_every")),
     "seeds": Key(_BOTH, _checked(lambda text: [*map(_UINT64, text.replace(",", " ").split())],
                                  lambda seeds: seeds and len(set(seeds)) == len(seeds)),
                  "distinct non-negative 64-bit integers", (0,),
@@ -290,11 +302,14 @@ KEYS = {
     "partition": Key(("optimize",), default="shuffled", choices=("shuffled", "sorted"),
                      when=_LOGISTIC),
     "schedule": Key(("optimize",), default="practical", choices=("practical", "theoretical")),
-    "a": Key(("optimize",), float, "a number"),
-    "b": Key(("optimize",), float, "a number", when=("schedule", ("practical",))),
+    "a": Key(("optimize",), float, "a number", check=functools.partial(_check_positive, "a")),
+    "b": Key(("optimize",), float, "a number", when=("schedule", ("practical",)),
+             check=functools.partial(_check_positive, "b")),
     "noise_sigma": Key(("optimize",), float, "a number",
-                       _default(QuadraticObjective, "noise_sigma"), when=_QUADRATIC),
-    "fstar_tol": Key(("optimize",), float, "a number", _default(solve_reference, "tolerance")),
+                       _default(QuadraticObjective, "noise_sigma"), when=_QUADRATIC,
+                       check=_check_noise_sigma),
+    "fstar_tol": Key(("optimize",), float, "a number", _default(solve_reference, "tolerance"),
+                     check=_check_fstar_tol),
     "targets_seed": Key(("optimize",), _UINT64, "a non-negative 64-bit integer", when=_QUADRATIC),
 }
 SUITE_KEYS = {kind: {name for name, key in KEYS.items() if kind in key.kinds} for kind in _BOTH}
@@ -335,7 +350,7 @@ def parse_suite_file(path: str | Path) -> list[ExperimentSpec]:
         unknown = set(raw) - SUITE_KEYS[kind]
         if unknown:
             raise ConfigError(f"[{label}]: unknown keys {sorted(unknown)}")
-        options = _coerce_options(label, raw)
+        options = _check_ranges(label, _coerce_options(label, raw))
         specs.append(ExperimentSpec(label=label, kind=kind, options=options))
     if not specs:
         raise ConfigError("no experiments in config file")
@@ -357,8 +372,9 @@ def _coerce_options(label: str, raw: dict) -> dict:
     the wrong syntax or outside its choices, then a key set where its ``when`` does
     not hold, then a key left out where its ``required`` holds, is a ConfigError
     naming it.  Beyond the parsers' own ranges, only the operator is checked here,
-    once ``d`` is set (a logistic section without ``d`` checks it per seed); the
-    config dataclasses check the rest."""
+    once ``d`` is set (a logistic section without ``d`` checks it per seed); a suite
+    file's values then meet their keys' ``check``, and the config dataclasses check
+    the rest."""
     opts = dict(raw)
     for name in [name for name in KEYS if name in raw]:  # one order for flags and files
         key, text = KEYS[name], raw[name]
@@ -388,6 +404,19 @@ def _coerce_options(label: str, raw: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"[{label}]: {exc}") from None
     return opts
+
+
+def _check_ranges(label: str, options: dict) -> dict:
+    """``options``, once each value, a grid's each included, passes its key's ``check``
+    in ``KEYS`` order; a value that fails is a ConfigError in the run's own words."""
+    for name in [name for name in KEYS if name in options and KEYS[name].check]:
+        value = options[name]
+        for each in value.values() if isinstance(value, dict) else [value]:
+            try:
+                KEYS[name].check(each)
+            except ValueError as exc:
+                raise ConfigError(f"[{label}]: {exc}") from None
+    return options
 
 
 def _build_matrix(o: dict) -> GossipMatrix:

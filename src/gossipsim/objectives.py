@@ -45,8 +45,17 @@ is one dot on its slice.  Either way a margin is one BLAS dot, the call
 The logistic oracles take ``sigma(-t) = 1 / (1 + exp(t))`` from the C
 library's ``exp`` through ``math.exp``, the ``exp`` SciPy's float64
 ``expit`` calls, so their bits are ``expit``'s without loading
-``scipy.special``.  ``parse_libsvm`` streams its lines into typed buffers,
-8 bytes per value and per index.
+``scipy.special``.
+
+``parse_libsvm`` stores each value as ``float`` reads it and each index as
+``int`` does, about 32 KiB of feature text at a time.  One C scan reads a
+chunk's plain ``index:decimal`` tokens as int64 indices, mantissas and
+exponents, and ``mantissa * 10**exponent``, rounded once in a 64-bit long
+double, rounds to ``float``'s double (Clinger 1990) unless it lies on a
+float64 tie.  Ties, exponents past 27, mantissas of 20 digits and platforms
+without such a long double read that value with ``float``; lines holding any
+other token, or an error, are read token by token.  The parse holds one chunk
+beyond the typed buffers it fills, 8 bytes per value and per index.
 
 SciPy serves only the logistic objective, so it loads on first use there:
 ``scipy.sparse``, where ``parse_libsvm`` and ``synthetic_classification``
@@ -57,6 +66,7 @@ quadratic objective never load it, and nothing loads ``scipy.special``.
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable
@@ -107,7 +117,21 @@ class Dataset:
         return self.features.shape[1]
 
 
-_MAX_INDEX = 2**63 - 1  # the int64 buffer holds indices 1-based
+_MAX_INDEX = 2**63 - 1  # the largest 1-based index an int64 holds
+_CHUNK_CHARS = 1 << 15  # feature text per bulk scan; it bounds the scan's temporaries
+# every int64 mantissa and 10**k, k <= 27, is exact in a 64-bit long double significand
+_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
+_MAX_POW10 = 27
+_POW10 = np.cumprod(np.array([1] + [10] * _MAX_POW10, np.longdouble))  # each product exact
+# The symbols other than digits that a simple token ``digits:[sign]mantissa[e[sign]digits]``
+# holds, in the order they come: a sign after ``e`` is _EXP_SIGN and a space ends each
+# token, so a chunk's symbols rise within a token and fall from a space to a colon only.
+_COLON, _SIGN, _DOT, _EXP, _EXP_SIGN, _SPACE, _OTHER = 0, 1, 2, 3, 4, 5, 100
+_SYMBOL = np.full(256, _OTHER, np.uint8)
+for _chars, _symbol in ((b":", _COLON), (b"+-", _SIGN), (b".", _DOT), (b"eE", _EXP), (b" ", _SPACE)):
+    _SYMBOL[list(_chars)] = _symbol
+_FRACTION = np.int64(2**52 - 1)  # a float64's fraction bits
+_NUMBERS = bytes.maketrans(b":eE", b"   ")  # with ``.`` deleted: index mantissa [exponent]
 
 
 def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None) -> Dataset:
@@ -115,39 +139,29 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
 
     Labels must parse to +/-1 (0/1 files are remapped to -1/+1); feature
     indices are 1-based, strictly increasing within a line and at most
-    ``2**63 - 1``, and are stored 0-based; values must be finite.  The
-    dimension is the largest index seen unless ``n_features`` overrides it.
-    Malformed input raises with the offending line number, a non-finite
-    value once the rest of its line has passed.  Lines stream into typed
-    buffers, 8 bytes per value and per index.
+    ``2**63 - 1``, and are stored 0-based; values must be finite and are
+    stored as ``float`` reads them.  The dimension is the largest index seen
+    unless ``n_features`` overrides it.  Malformed input raises with the
+    offending line number, a non-finite value once the rest of its line has
+    passed.
+
+    A chunk of about 32 KiB of feature text is scanned at once, with the
+    exact rounding of the module docstring.  A line that the scan cannot
+    vouch for is read token by token by :func:`_parse_line`, which raises its
+    message, so errors come in line order as a token-by-token read meets
+    them.  Beyond the typed buffers it fills, the parse holds one chunk.
     """
     data, labels = array("d"), array("d")
-    indices, indptr = array("q"), array("q", [0])  # 1-based until the end
+    indices, indptr = array("q"), array("q", [0])
     max_index = 0
-    for lineno, parts in data_lines(source):
-        labels.append(_parse_label(parts[0], lineno))
-        prev = 0
-        for token in parts[1:]:
-            try:
-                idx_s, val_s = token.split(":", 1)
-                idx = int(idx_s)
-                data.append(float(val_s))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: malformed feature {token!r}") from exc
-            if idx < 1:
-                raise ValueError(f"line {lineno}: indices are 1-based, got {idx}")
-            if idx <= prev:
-                raise ValueError(f"line {lineno}: indices must be strictly increasing")
-            if idx > _MAX_INDEX:
-                raise ValueError(f"line {lineno}: index {idx} is above {_MAX_INDEX}")
-            prev = idx
-            indices.append(idx)
-        if not math.isfinite(sum(data[indptr[-1]:])):  # finite values may still overflow it
-            for token in parts[1:]:
-                if not math.isfinite(float(token.split(":", 1)[1])):
-                    raise ValueError(f"line {lineno}: non-finite feature value {token!r}")
-        max_index = max(max_index, prev)
-        indptr.append(len(data))
+    # each chunk's text is freed before the buffers grow, which leaves fewer holes in the heap
+    for chunk_labels, counts, idx, vals in map(_parse_chunk, _chunks(source)):
+        labels.extend(chunk_labels)
+        max_index = max(max_index, int(idx.max(initial=0)))
+        idx -= 1
+        indices.frombytes(idx.data.cast("B"))
+        data.frombytes(vals.data.cast("B"))
+        indptr.frombytes((np.cumsum(counts) + indptr[-1]).data.cast("B"))
     if not labels:
         raise ValueError("empty LIBSVM stream")
     d = n_features if n_features is not None else max_index
@@ -157,13 +171,180 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
         raise ValueError("dataset has no features; pass n_features")
     import scipy.sparse as sp  # see the module docstring on SciPy
 
-    zero_based = np.frombuffer(indices, dtype=np.int64)
-    zero_based -= 1
     features = sp.csr_matrix(
-        (np.frombuffer(data), zero_based, np.frombuffer(indptr, dtype=np.int64)),
+        (np.frombuffer(data), np.frombuffer(indices, dtype=np.int64),
+         np.frombuffer(indptr, dtype=np.int64)),
         shape=(len(labels), d),
     )
     return Dataset(features=features, labels=np.frombuffer(labels))
+
+
+def _chunks(source: IO[str] | Iterable[str]):
+    """Lists of ``(line number, label, feature count, feature text)``, each
+    about ``_CHUNK_CHARS`` of feature text; the text joins the features by spaces."""
+    chunk, chars = [], 0
+    for lineno, parts in data_lines(source):
+        text = " ".join(parts[1:])
+        chunk.append((lineno, parts[0], len(parts) - 1, text))
+        chars += len(text) + 1
+        if chars >= _CHUNK_CHARS:
+            yield chunk
+            chunk, chars = [], 0
+    if chunk:
+        yield chunk
+
+
+def _parse_chunk(lines: list[tuple[int, str, int, str]]):
+    """Labels, feature counts, 1-based indices and values of consecutive lines."""
+    counts = np.fromiter((count for _, _, count, _ in lines), np.int64, len(lines))
+    labels, good = [], np.ones(len(lines), bool)
+    for k, (lineno, label, _, _) in enumerate(lines):
+        try:
+            labels.append(_parse_label(label, lineno))
+        except ValueError:
+            labels.append(0.0)
+            good[k] = False
+    simple, idx, vals = _scan_lines([text for _, _, _, text in lines])
+    # each scanned token's line, and the tokens that send their line to be re-read
+    line_of = np.repeat(np.flatnonzero(simple), counts[simple])
+    redo = (idx < 1) | (idx >= _MAX_INDEX) | ~np.isfinite(vals)
+    redo[1:] |= (idx[1:] <= idx[:-1]) & (line_of[1:] == line_of[:-1])
+    good &= simple
+    good[line_of[redo]] = False
+    if good.all():
+        return labels, counts, idx, vals
+    # each scanned token's place among all the lines' tokens; the other lines are
+    # re-read in line order, so the first bad line raises
+    starts = np.cumsum(counts) - counts
+    scanned = counts * simple
+    shift = starts - (np.cumsum(scanned) - scanned)
+    all_idx, all_vals = np.empty(counts.sum(), np.int64), np.empty(counts.sum())
+    place = np.arange(len(idx)) + shift[line_of]
+    all_idx[place], all_vals[place] = idx, vals
+    for k in np.flatnonzero(~good).tolist():
+        lineno, label, count, text = lines[k]
+        at = slice(starts[k], starts[k] + count)
+        labels[k], all_idx[at], all_vals[at] = _parse_line(lineno, [label, *text.split()])
+    return labels, counts, all_idx, all_vals
+
+
+def _parse_line(lineno: int, parts: list[str]) -> tuple[float, list[int], list[float]]:
+    """One line's label, 1-based indices and values, read token by token."""
+    label = _parse_label(parts[0], lineno)
+    indices, data = [], []
+    prev = 0
+    for token in parts[1:]:
+        try:
+            idx_s, val_s = token.split(":", 1)
+            idx = int(idx_s)
+            data.append(float(val_s))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: malformed feature {token!r}") from exc
+        if idx < 1:
+            raise ValueError(f"line {lineno}: indices are 1-based, got {idx}")
+        if idx <= prev:
+            raise ValueError(f"line {lineno}: indices must be strictly increasing")
+        if idx > _MAX_INDEX:
+            raise ValueError(f"line {lineno}: index {idx} is above {_MAX_INDEX}")
+        prev = idx
+        indices.append(idx)
+    if not math.isfinite(sum(data)):  # finite values may still overflow it
+        for token in parts[1:]:
+            if not math.isfinite(float(token.split(":", 1)[1])):
+                raise ValueError(f"line {lineno}: non-finite feature value {token!r}")
+    return label, indices, data
+
+
+def _scan_lines(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which lines' feature texts scan, and the indices and values of their
+    tokens.  The lines that hold a refused token leave and the rest scan again,
+    at most three times: out-of-order symbols, then digits, then the C scan."""
+    simple = np.ones(len(texts), bool)
+    while True:
+        kept = [k for k, text in enumerate(texts) if text and simple[k]]
+        raw = "".join(texts[k] + " " for k in kept).encode("ascii", "replace")
+        got = _scan_features(raw)
+        if isinstance(got, tuple):
+            return simple, *got
+        ends = np.cumsum([len(texts[k]) + 1 for k in kept])  # each line's text and space
+        simple[np.take(kept, np.searchsorted(ends, got, side="right"))] = False
+
+
+def _scan_features(raw: bytes) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+    """1-based indices and values of simple tokens, each followed by one
+    space, or the positions of the tokens that are not simple.
+
+    A simple token, ``digits:[sign]mantissa[e[sign]digits]`` with a digit
+    and at most one ``.`` in the mantissa, is a form that ``int`` and
+    ``float`` read.  Its symbols other than digits rise in code order.  With
+    the ``.`` dropped, one C scan reads each token's index, mantissa and
+    exponent as int64, and the digits after the ``.`` lower the exponent.
+    ``m * 10**e`` (``m / 10**-e``) in long double is then exact before one
+    rounding, and a tie is an offset of half the gap to the next double on
+    its side (not ``np.spacing``, the gap above).
+    """
+    if not raw:
+        return np.zeros(0, np.int64), np.zeros(0)
+    u = np.frombuffer(raw, np.uint8)
+    at = (np.subtract(u, 48, dtype=np.uint8) > 9).nonzero()[0]  # each symbol's position
+    symbols = _SYMBOL[u[at]]
+    signs = (symbols == _SIGN).nonzero()[0]
+    symbols[signs[symbols[signs - 1] == _EXP]] = _EXP_SIGN
+    rise = np.diff(symbols.view(np.int8), prepend=np.int8(_SPACE))
+    wrong = (rise <= 0) & (rise != _COLON - _SPACE)  # out of order after the symbol before
+    wrong[signs[at[signs] - 1 != at[signs - 1]]] = True  # a sign not right after ':' or 'e'
+    if wrong.any():
+        return at[np.concatenate((wrong[1:], [False])) | wrong]
+    # each token's symbols: colon, [sign], [dot], [e, [sign]], space
+    colon = (symbols == _COLON).nonzero()[0]
+    signed = symbols[colon + 1] == _SIGN
+    dot = colon + 1 + signed  # the dot if there is one
+    has_dot = symbols[dot] == _DOT
+    end = dot + has_dot  # the mantissa's end: 'e' or the space
+    has_exp = symbols[end] == _EXP
+    exp_at = end[has_exp]
+    exp_end = exp_at + 1 + (symbols[exp_at + 1] == _EXP_SIGN)
+    index_at = at[colon - 1] + 1
+    index_at[0] = 0
+    empty = (at[colon] <= index_at) | (at[end] - at[colon] - 1 <= signed + has_dot)
+    empty[has_exp] |= at[exp_end] - at[exp_at] <= exp_end - exp_at
+    if empty.any():
+        return at[colon[empty]]  # an index, mantissa or exponent without a digit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy's partial-read signal
+        try:
+            numbers = np.fromstring(raw.translate(_NUMBERS, b"."), np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return at[colon]
+    if len(numbers) != 2 * len(colon) + len(exp_at):
+        return at[colon]
+    first = 2 * np.arange(len(colon)) + has_exp.cumsum() - has_exp  # each token's index
+    idx, mantissa = numbers[first], numbers[first + 1]
+    exponent = np.zeros(len(colon), np.int64)
+    exponent[has_exp] = numbers[first[has_exp] + 2]
+    clamped = (numbers >= _MAX_INDEX) | (numbers <= -_MAX_INDEX)
+    reread = clamped[first + 1]
+    reread[has_exp] |= clamped[first[has_exp] + 2]
+    exponent -= (at[end] - at[dot] - 1) * has_dot  # the digits after '.'
+    reread |= np.abs(exponent) > _MAX_POW10
+    if _EXACT_LONG_DOUBLE:
+        exponent[reread] = 0
+        exact = mantissa.astype(np.longdouble)
+        exact *= _POW10[np.maximum(exponent, 0)]
+        exact /= _POW10[np.maximum(-exponent, 0)]  # one of the two is by 1: one rounding
+        vals = exact.astype(float)
+        off = (exact - vals).astype(float)  # exact: 11 significant bits at most
+        # a tie is an offset of half the gap on its side: a power of two, which few are
+        maybe = ((off.view(np.int64) & _FRACTION == 0) & (off != 0)).nonzero()[0]
+        gap = np.abs(np.nextafter(vals[maybe], np.copysign(np.inf, off[maybe])) - vals[maybe])
+        reread[maybe[2 * np.abs(off[maybe]) == gap]] = True
+        vals[(mantissa == 0) & (u[at[colon] + 1] == ord("-"))] = -0.0
+    else:
+        vals = np.empty(len(colon))
+        reread[:] = True
+    for t in reread.nonzero()[0].tolist():
+        vals[t] = float(raw[at[colon[t]] + 1:at[colon[t + 1] - 1 if t + 1 < len(colon) else -1]])
+    return idx, vals
 
 
 def _parse_label(token: str, lineno: int) -> float:
@@ -227,9 +408,8 @@ class QuadraticObjective:
         if targets.ndim != 2:
             raise ValueError(f"targets must be d x n, got shape {targets.shape}")
         self.targets = targets
+        _check_noise_sigma(noise_sigma)
         self.noise_sigma = float(noise_sigma)
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
     @property
     def dim(self) -> int:
@@ -266,6 +446,11 @@ class QuadraticObjective:
 
     def constants(self) -> tuple[float, float]:
         return 1.0, 1.0
+
+
+def _check_noise_sigma(noise_sigma: float) -> None:
+    if not 0.0 <= float(noise_sigma) < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
 
 class LogisticObjective:
@@ -406,8 +591,7 @@ def solve_reference(objective: Objective, tolerance: float = 1e-10) -> tuple[np.
     """Minimizer and optimal value by full-gradient descent with step 1/L,
     stopped once ``||grad|| <= tolerance``, within ``10**6`` steps."""
     max_iters = 10**6
-    if not 0 < tolerance < math.inf:  # unmeetable spins max_iters; inf stops at x = 0
-        raise ValueError(f"fstar_tol must be finite and > 0, got {tolerance}")
+    _check_fstar_tol(tolerance)
     _, big_l = objective.constants()
     x = np.zeros(objective.dim)
     step = 1.0 / big_l
@@ -418,6 +602,11 @@ def solve_reference(objective: Objective, tolerance: float = 1e-10) -> tuple[np.
         x = x - step * g
     raise RuntimeError(f"reference solve did not reach ||grad|| <= {tolerance} "
                        f"in {max_iters} iterations")
+
+
+def _check_fstar_tol(tolerance: float) -> None:
+    if not 0 < tolerance < math.inf:  # unmeetable spins max_iters; inf stops at x = 0
+        raise ValueError(f"fstar_tol must be finite and > 0, got {tolerance}")
 
 
 def synthetic_classification(m: int, d: int, seed: int = 0) -> Dataset:

@@ -815,6 +815,32 @@ class TestCli:
         assert "[bad-scheme]: scheme must be one of" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("section, message", [
+        ("kind = consensus\nd = 3\ngamma = 0.5 1 2\n", "gamma must lie in (0, 1], got 2.0"),
+        ("kind = consensus\nd = 3\ngamma = 0\n", "gamma must lie in (0, 1], got 0.0"),
+        ("kind = consensus\nd = 3\niters = 0\n", "iters must be >= 1"),
+        ("kind = optimize\nd = 3\neval_every = 0\n", "eval_every must be >= 1"),
+        ("kind = optimize\nd = 3\na = 0.1 -1\n",
+         "schedule parameter a must be finite and > 0, got -1.0"),
+        ("kind = optimize\nd = 3\nschedule = theoretical\na = 0\n",
+         "schedule parameter a must be finite and > 0, got 0.0"),
+        ("kind = optimize\nd = 3\nb = inf\n", "schedule parameter b must be finite and > 0, got inf"),
+        ("kind = optimize\nd = 3\nnoise_sigma = -1\n", "noise_sigma must be finite and >= 0, got -1.0"),
+        ("kind = optimize\nd = 3\nfstar_tol = 0\n", "fstar_tol must be finite and > 0, got 0.0"),
+        # KEYS order, as the flags and the runs check them
+        ("kind = optimize\nd = 3\nfstar_tol = 0\niters = 0\n", "iters must be >= 1"),
+    ])
+    def test_value_a_run_rejects_stops_the_suite_before_any_run(self, section, message,
+                                                                tmp_path, capsys):
+        # the run's own message under the section's name, once: not a FAILED line per
+        # seed and grid point after the good sections have run
+        config = tmp_path / "suite.ini"
+        config.write_text(SUITE + f"\n[x]\nn = 4\nseeds = 1 2\n{section}")
+        kind = section.split()[2]
+        assert cli.main([kind, "--config", str(config), "--out-dir", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr() == ("", f"error: [x]: {message}\n")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_partial_suite_failure_exit_code(self, tmp_path, capsys):
         config = tmp_path / "suite.ini"
         config.write_text(

@@ -1,14 +1,16 @@
 import io
 import math
 import re
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from gossipsim import objectives
 from gossipsim.objectives import (
     Dataset,
     LogisticObjective,
@@ -153,10 +155,55 @@ def parse_libsvm_per_token(source, n_features=None):
 
 LABELS = ["+1", "-1", "1", "0", "1.0", "-1e0", "0.0"]
 BAD_LABELS = ["+2", "spam", "nan", "1:1"]
+EXACT = Context(prec=2000)  # holds the sum of any two doubles exactly
+
+
+def halfway(x):
+    """The decimal exactly halfway between the double ``x`` and the next one up."""
+    return EXACT.divide(EXACT.add(Decimal(x), Decimal(math.nextafter(x, math.inf))), 2)
+
+
+# Decimals that float64 rounding finds hard: those exactly halfway between two
+# doubles (ties, rounded to even), and those 17-20 significant digits from it,
+# where one rounding to a wider format can land on the tie.  Below a power of
+# two the gap to the next double down is half the gap up.
+HALFWAY = st.one_of(
+    st.floats(0.0, 1e308),
+    st.floats(2.0**53, 2.0**64),  # halfway points of at most 20 digits
+    st.integers(-100, 200).map(lambda k: math.nextafter(2.0**k, 0.0)),  # just below 2**k
+).map(halfway)
+NEAR_HALFWAY = st.builds(lambda h, digits, rounding: Context(digits, rounding).plus(h),
+                         HALFWAY, st.integers(17, 20), st.sampled_from([ROUND_FLOOR, ROUND_CEILING]))
+
+
+@st.composite
+def long_decimals(draw):
+    """17-20 significant digits, a point anywhere and an exponent from -30 to 30."""
+    digits = str(draw(st.integers(1, 9))) + draw(st.text("0123456789", min_size=16, max_size=19))
+    point = draw(st.integers(0, len(digits)))
+    return f"{digits[:point]}.{digits[point:]}e{draw(st.integers(-30, 30))}"
+
+
+# each a value that a wider-format rounding once got wrong, or a corner of the syntax
+HARD_DECIMALS = [
+    "-0.09528073502",  # one rounding to long double lands on a float64 tie
+    "9007199254740993",  # an exact tie, 2**53 + 1
+    "0.06249999999999999653",  # just below the tie under 2**-4
+    "8589934591.999999523",  # ... under 2**33
+    "8.112963841460667719E+31",  # ... under 2**106
+    "12345678901234567890", "1e-30", "1e30", "-0", "1E+5", "+.5e-3", "5.", "007.50",
+    "-000.25e1", "0e0",
+]
+# values outside the plain ``[sign]digits.digits[e[sign]digits]`` form, that float
+# reads or rejects
+ODD_VALUES = ["1_0", "\u0661\u0662", "infinity", "1.2.3", "--1", "+-1", "1-1", "1e", "e5", ".",
+              "+", "1e+", ".e1", "1e1.5", "1e+-1", "1e5e5", "0x10", "1__0", "5:6"]
 VALUES = st.one_of(
     st.floats().map(repr),
     st.integers(-9, 9).map(str),
-    st.sampled_from(["-0", ".5", "1e3", "-inf", "1_0", "+2.5E-3"]),
+    st.sampled_from(["-0", ".5", "1e3", "-inf", "+2.5E-3", *HARD_DECIMALS, *ODD_VALUES]),
+    st.builds("{}{}".format, st.sampled_from(["", "-", "+"]), long_decimals()),
+    st.builds("{}{}".format, st.sampled_from(["", "-"]), st.one_of(HALFWAY, NEAR_HALFWAY)),
 )
 # each replaces or joins a well-formed token: extra or missing halves and
 # colons, a zero or negative index, an unparsable index or value
@@ -210,6 +257,55 @@ class TestParseLibsvm:
         # the same Dataset bytes, or the same first error message
         assert (parsed_or_error(parse_libsvm, lines, n_features)
                 == parsed_or_error(parse_libsvm_per_token, lines, n_features))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(VALUES)
+    @example("1_0")
+    def test_stores_what_float_reads(self, text):
+        line = ["+1 1:" + text]
+        try:
+            want = float(text)
+        except ValueError:
+            with pytest.raises(ValueError, match=f"^line 1: malformed feature {re.escape(repr(line[0][3:]))}$"):
+                parse_libsvm(line)
+            return
+        if not math.isfinite(want):
+            with pytest.raises(ValueError, match="^line 1: non-finite feature value"):
+                parse_libsvm(line)
+            return
+        assert parse_libsvm(line).features.data.tobytes() == np.array([want]).tobytes()
+
+    @pytest.mark.parametrize("token", ["+5:1", "\u0663:1", "1_0:1", "0005:1", "5:1_0", "5:inf",
+                                       "5:\u0661", "5:1e-400", "5:-0", "9223372036854775807:1"])
+    def test_tokens_outside_the_plain_form_read_as_one_at_a_time(self, token):
+        line = [f"+1 {token}"]
+        assert parsed_or_error(parse_libsvm, line, None) == parsed_or_error(
+            parse_libsvm_per_token, line, None)
+
+    @pytest.mark.parametrize("text", HARD_DECIMALS)
+    def test_stores_what_float_reads_for_hard_decimals(self, text):
+        assert parse_libsvm(["+1 1:" + text]).features.data.tobytes() == np.float64(text).tobytes()
+
+    def test_without_a_64_bit_long_double_the_same_bytes(self, monkeypatch):
+        # a platform whose long double is shorter reads every value with float
+        lines = serialize_libsvm(synthetic_classification(40, 6, seed=2)).splitlines()
+        lines += [f"-1 {i + 1}:{text}" for i, text in enumerate(HARD_DECIMALS)]
+        want = parsed_or_error(parse_libsvm, lines, None)
+        monkeypatch.setattr(objectives, "_EXACT_LONG_DOUBLE", False)
+        assert parsed_or_error(parse_libsvm, lines, None) == want
+
+    @pytest.mark.parametrize("line, message", [
+        ("-1 2:1 2:2", "indices must be strictly increasing"),
+        ("+1 1:0.5 3:x", "malformed feature '3:x'"),
+        ("+2 1:1", "label must be +/-1 or 0, got '+2'"),
+        ("+1 1:1e999", "non-finite feature value '1:1e999'"),
+        ("+1 0:1", "indices are 1-based, got 0"),
+    ])
+    def test_bad_line_after_ten_thousand_good_ones_is_named(self, line, message):
+        # a comment, 10,000 good lines and a blank one come first; a later bad line is not read
+        good = ["+1 1:0.5 3:-1.25e-3 7:12345678901234567890", "-1 2:7", "0"] * 3334
+        with pytest.raises(ValueError, match=f"^line 10003: {re.escape(message)}$"):
+            parse_libsvm(["# header", *good[:10_000], "", line, "+1 x"])
 
     def test_index_beyond_int64_rejected(self):
         # the per-token parser raised numpy's OverflowError once the file ended

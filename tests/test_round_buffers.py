@@ -6,7 +6,8 @@ write into them, so after round 0 a round allocates nothing of that size.
 tracemalloc sees numpy's array data, so the guards below count the bytes a
 round or a whole run allocates in units of one ``d x n`` float array.  The
 logistic objective likewise keeps no Python object per dataset row: what it
-holds beyond its dataset is a few arrays of one entry per row.
+holds beyond its dataset is a few arrays of one entry per row.  And
+``parse_libsvm`` holds one chunk of the file beyond the arrays it builds.
 """
 
 import tracemalloc
@@ -30,7 +31,13 @@ from gossipsim.compression import (
 )
 from gossipsim.consensus import ConsensusConfig, Gossip, GossipScheme, run_consensus
 from gossipsim.harness import build_topology, gaussian_init, parse_compression
-from gossipsim.objectives import Dataset, LogisticObjective, partition
+from gossipsim.objectives import (
+    Dataset,
+    LogisticObjective,
+    parse_libsvm,
+    partition,
+    serialize_libsvm,
+)
 from gossipsim.streams import stream
 
 EXACT, DIRECT, PAIRED, TRACKING = GossipScheme
@@ -207,3 +214,27 @@ def test_logistic_objective_keeps_no_object_per_row():
         tracemalloc.stop()
     assert objective.stochastic_gradients(np.zeros((d, 9)), lambda i: stream(1)).shape == (d, 9)
     assert kept <= 2**20  # the concatenated shards are 8 bytes a row, 480 kB here
+
+
+# Measured 138 kB on the file below: the growth margin of the typed buffers and
+# one 32 KiB chunk's scan.  Chunks of 64 KiB peak at 257 kB, of 128 KiB at 712 kB.
+PARSE_ALLOWANCE = 384 * 1024
+
+
+def test_parse_libsvm_holds_one_chunk_beyond_its_arrays():
+    # 20,000 rows of 0 to 20 features at 17 digits: 4.6 MB of text, 198k entries
+    rng = stream(3, tag="test")
+    m, d = 20_000, 500
+    sizes = rng.integers(0, 21, m)
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    indices = np.concatenate([np.sort(rng.choice(d, s, replace=False)) for s in sizes])
+    features = sp.csr_matrix((rng.standard_normal(indptr[-1]), indices, indptr), shape=(m, d))
+    labels = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    lines = serialize_libsvm(Dataset(features=features, labels=labels)).splitlines()
+    parse_libsvm(lines[:10])  # first-call imports are not part of a parse
+    parsed = []
+    peak = traced_peak(lambda: parsed.append(parse_libsvm(lines)))
+    f = parsed[0].features
+    final = sum(a.nbytes for a in (f.data, f.indices, f.indptr, parsed[0].labels))
+    assert f.indices.dtype == np.int32  # built in int64 buffers, which scipy narrows
+    assert peak <= final + 8 * (f.nnz + m + 1) + PARSE_ALLOWANCE

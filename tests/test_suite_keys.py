@@ -17,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipsim import cli
-from gossipsim.harness import KEYS, SUITE_KEYS, ConfigError, parse_suite_file, run_suite
+from gossipsim.harness import (
+    KEYS,
+    SUITE_KEYS,
+    ConfigError,
+    _check_ranges,
+    parse_suite_file,
+    run_suite,
+)
 from gossipsim.objectives import serialize_libsvm, synthetic_classification
 from test_cli_boundary import EDGE_VALUES, OPERATORS
 
@@ -174,7 +181,8 @@ def test_flags_and_a_section_coerce_alike(section):
     flags = [f"{'--seed' if name == 'seeds' else cli._flag(name)}={value}"
              for name, value in values.items()]
     args = cli.build_parser().parse_args([kind, "--n=4", "--d=3", "--iters=5", *flags])
-    from_flags = coerced(lambda: cli._spec(args)[0].options)
+    # a flag's value meets its key's range check when the run is built, a section's at parse
+    from_flags = coerced(lambda: _check_ranges(kind, cli._spec(args)[0].options))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "suite.ini"
         lines = "".join(f"{name} = {value}\n" for name, value in values.items())
