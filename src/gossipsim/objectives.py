@@ -53,9 +53,10 @@ chunk's plain ``index:decimal`` tokens as int64 indices, mantissas and
 exponents, and ``mantissa * 10**exponent``, rounded once in a 64-bit long
 double, rounds to ``float``'s double (Clinger 1990) unless it lies on a
 float64 tie.  Ties, exponents past 27, mantissas of 20 digits and platforms
-without such a long double read that value with ``float``; lines holding any
-other token, or an error, are read token by token.  The parse holds one chunk
-beyond the typed buffers it fills, 8 bytes per value and per index.
+without such a long double read that value with ``float``; a chunk holding
+any other token, or an error, is read line by line, token by token.  The parse
+holds one chunk beyond the typed buffers it fills, 8 bytes per value and per
+index.
 
 SciPy serves only the logistic objective, so it loads on first use there:
 ``scipy.sparse``, where ``parse_libsvm`` and ``synthetic_classification``
@@ -119,8 +120,10 @@ class Dataset:
 
 _MAX_INDEX = 2**63 - 1  # the largest 1-based index an int64 holds
 _CHUNK_CHARS = 1 << 15  # feature text per bulk scan; it bounds the scan's temporaries
-# every int64 mantissa and 10**k, k <= 27, is exact in a 64-bit long double significand
-_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
+# every int64 mantissa and 10**k, k <= 27, is exact in an IEEE long double (x87 extended
+# or quad: a 15-bit exponent) of 64 significand bits or more, whose products round once;
+# a double-double (11-bit exponent) does not round once, so it reads with ``float``
+_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63 and np.finfo(np.longdouble).nexp == 15
 _MAX_POW10 = 27
 _POW10 = np.cumprod(np.array([1] + [10] * _MAX_POW10, np.longdouble))  # each product exact
 # The symbols other than digits that a simple token ``digits:[sign]mantissa[e[sign]digits]``
@@ -146,10 +149,11 @@ def parse_libsvm(source: IO[str] | Iterable[str], n_features: int | None = None)
     passed.
 
     A chunk of about 32 KiB of feature text is scanned at once, with the
-    exact rounding of the module docstring.  A line that the scan cannot
-    vouch for is read token by token by :func:`_parse_line`, which raises its
-    message, so errors come in line order as a token-by-token read meets
-    them.  Beyond the typed buffers it fills, the parse holds one chunk.
+    exact rounding of the module docstring.  A chunk holding a line that the
+    scan cannot vouch for is read line by line, token by token, by
+    :func:`_parse_line`, which raises its message, so errors come in line
+    order as a token-by-token read meets them.  Beyond the typed buffers it
+    fills, the parse holds one chunk.
     """
     data, labels = array("d"), array("d")
     indices, indptr = array("q"), array("q", [0])
@@ -197,35 +201,27 @@ def _chunks(source: IO[str] | Iterable[str]):
 def _parse_chunk(lines: list[tuple[int, str, int, str]]):
     """Labels, feature counts, 1-based indices and values of consecutive lines."""
     counts = np.fromiter((count for _, _, count, _ in lines), np.int64, len(lines))
-    labels, good = [], np.ones(len(lines), bool)
-    for k, (lineno, label, _, _) in enumerate(lines):
-        try:
-            labels.append(_parse_label(label, lineno))
-        except ValueError:
-            labels.append(0.0)
-            good[k] = False
-    simple, idx, vals = _scan_lines([text for _, _, _, text in lines])
-    # each scanned token's line, and the tokens that send their line to be re-read
-    line_of = np.repeat(np.flatnonzero(simple), counts[simple])
-    redo = (idx < 1) | (idx >= _MAX_INDEX) | ~np.isfinite(vals)
-    redo[1:] |= (idx[1:] <= idx[:-1]) & (line_of[1:] == line_of[:-1])
-    good &= simple
-    good[line_of[redo]] = False
-    if good.all():
-        return labels, counts, idx, vals
-    # each scanned token's place among all the lines' tokens; the other lines are
-    # re-read in line order, so the first bad line raises
-    starts = np.cumsum(counts) - counts
-    scanned = counts * simple
-    shift = starts - (np.cumsum(scanned) - scanned)
-    all_idx, all_vals = np.empty(counts.sum(), np.int64), np.empty(counts.sum())
-    place = np.arange(len(idx)) + shift[line_of]
-    all_idx[place], all_vals[place] = idx, vals
-    for k in np.flatnonzero(~good).tolist():
-        lineno, label, count, text = lines[k]
-        at = slice(starts[k], starts[k] + count)
-        labels[k], all_idx[at], all_vals[at] = _parse_line(lineno, [label, *text.split()])
-    return labels, counts, all_idx, all_vals
+    raw = "".join(text + " " for _, _, _, text in lines if text).encode("ascii", "replace")
+    got = _scan_features(raw)
+    if got is not None:
+        idx, vals = got
+        line_of = np.repeat(np.arange(len(lines)), counts)
+        redo = (idx < 1) | (idx >= _MAX_INDEX) | ~np.isfinite(vals)
+        redo[1:] |= (idx[1:] <= idx[:-1]) & (line_of[1:] == line_of[:-1])
+        if not redo.any():
+            try:
+                labels = [_parse_label(label, lineno) for lineno, label, _, _ in lines]
+                return labels, counts, idx, vals
+            except ValueError:
+                pass
+    # the scan cannot vouch for every line: read them all in order, so the first bad one raises
+    labels, idx, vals = [], [], []
+    for lineno, label, _, text in lines:
+        line_label, line_idx, line_vals = _parse_line(lineno, [label, *text.split()])
+        labels.append(line_label)
+        idx += line_idx
+        vals += line_vals
+    return labels, counts, np.array(idx, np.int64), np.array(vals, float)
 
 
 def _parse_line(lineno: int, parts: list[str]) -> tuple[float, list[int], list[float]]:
@@ -255,24 +251,9 @@ def _parse_line(lineno: int, parts: list[str]) -> tuple[float, list[int], list[f
     return label, indices, data
 
 
-def _scan_lines(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which lines' feature texts scan, and the indices and values of their
-    tokens.  The lines that hold a refused token leave and the rest scan again,
-    at most three times: out-of-order symbols, then digits, then the C scan."""
-    simple = np.ones(len(texts), bool)
-    while True:
-        kept = [k for k, text in enumerate(texts) if text and simple[k]]
-        raw = "".join(texts[k] + " " for k in kept).encode("ascii", "replace")
-        got = _scan_features(raw)
-        if isinstance(got, tuple):
-            return simple, *got
-        ends = np.cumsum([len(texts[k]) + 1 for k in kept])  # each line's text and space
-        simple[np.take(kept, np.searchsorted(ends, got, side="right"))] = False
-
-
-def _scan_features(raw: bytes) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+def _scan_features(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """1-based indices and values of simple tokens, each followed by one
-    space, or the positions of the tokens that are not simple.
+    space, or None if any token is not simple.
 
     A simple token, ``digits:[sign]mantissa[e[sign]digits]`` with a digit
     and at most one ``.`` in the mantissa, is a form that ``int`` and
@@ -294,7 +275,7 @@ def _scan_features(raw: bytes) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
     wrong = (rise <= 0) & (rise != _COLON - _SPACE)  # out of order after the symbol before
     wrong[signs[at[signs] - 1 != at[signs - 1]]] = True  # a sign not right after ':' or 'e'
     if wrong.any():
-        return at[np.concatenate((wrong[1:], [False])) | wrong]
+        return None
     # each token's symbols: colon, [sign], [dot], [e, [sign]], space
     colon = (symbols == _COLON).nonzero()[0]
     signed = symbols[colon + 1] == _SIGN
@@ -309,15 +290,15 @@ def _scan_features(raw: bytes) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
     empty = (at[colon] <= index_at) | (at[end] - at[colon] - 1 <= signed + has_dot)
     empty[has_exp] |= at[exp_end] - at[exp_at] <= exp_end - exp_at
     if empty.any():
-        return at[colon[empty]]  # an index, mantissa or exponent without a digit
+        return None  # an index, mantissa or exponent without a digit
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # numpy's partial-read signal
         try:
             numbers = np.fromstring(raw.translate(_NUMBERS, b"."), np.int64, sep=" ")
         except (ValueError, DeprecationWarning):
-            return at[colon]
+            return None
     if len(numbers) != 2 * len(colon) + len(exp_at):
-        return at[colon]
+        return None
     first = 2 * np.arange(len(colon)) + has_exp.cumsum() - has_exp  # each token's index
     idx, mantissa = numbers[first], numbers[first + 1]
     exponent = np.zeros(len(colon), np.int64)
