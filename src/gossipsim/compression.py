@@ -294,6 +294,9 @@ def compress_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compress column ``i`` of ``X`` as node ``i``'s message, for every i.
 
+    Its ``ValueError`` checks of ``X`` serve callers outside the gossip kernel,
+    which calls ``spec.apply`` itself, after its own finiteness rule.
+
     Parameters
     ----------
     spec : CompressionSpec
@@ -334,10 +337,11 @@ def compress_columns(
     return q, np.where(sent, cost, 0)
 
 
-def _rng(rng_for: RngFor | None, i: int, spec: CompressionSpec) -> np.random.Generator:
+def _rng(rng_for: RngFor | None, i: int, who: object) -> np.random.Generator:
+    """Node ``i``'s generator for ``who``, an operator or oracle, which a ``ValueError`` names."""
     rng = None if rng_for is None else rng_for(i)
     if rng is None:
-        raise ValueError(f"{type(spec).__name__} is random; an rng is required")
+        raise ValueError(f"{who} needs an rng")
     return rng
 
 

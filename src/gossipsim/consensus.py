@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressionSpec, Identity, RngFor, compress_columns
+from .compression import CompressionSpec, Identity, RngFor
 from .records import ConsensusRecord
 from .streams import StreamPool, tag_code
 from .topology import GossipMatrix
@@ -64,6 +64,10 @@ class GossipScheme(str, enum.Enum):
 
 
 class DivergenceError(RuntimeError):
+    """Raised at ``iteration``, the first round whose sent vector (see :meth:`Gossip.exchange`)
+    or evaluated state is not finite, or whose evaluated error passes ``DIVERGENCE_FACTOR``
+    times its start; ``value`` is that error, or ``inf`` for a sent vector."""
+
     def __init__(self, iteration: int, value: float):
         super().__init__(f"run diverged at iteration {iteration} (error {value:.3e})")
         self.iteration = iteration
@@ -161,9 +165,9 @@ class Gossip:
     allocated on the first round: ``x_hat`` and ``s`` for tracking, one
     ``work`` array (:meth:`work_like`), and for the compressed schemes the
     message buffer and, if the operator is ``node_major``, its ``n x d``
-    scratch.  The arrays that :meth:`exchange` and :meth:`messages` return
-    -- the messages ``q``, ``x_hat``, ``s`` and ``received`` -- are these
-    buffers: the next round overwrites them, so copy what must outlive it.
+    scratch.  The arrays that :meth:`exchange` returns, ``x`` aside -- ``received``,
+    paired's messages ``q``, tracking's ``s`` and ``x_hat`` -- are these buffers:
+    the next round overwrites them, so copy what must outlive it.
     """
 
     def __init__(self, scheme: GossipScheme, matrix: GossipMatrix, gamma: float,
@@ -191,29 +195,28 @@ class Gossip:
         tag)`` stream, from the kernel's one pool; consume each before the next."""
         return lambda i: self._pool.get(self.seed, node=i, round_=t, tag=tag)
 
-    def messages(self, v: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every node's round-``t`` message ``Q(v_i)``, in the message buffer,
-        and its bits."""
-        if self._q is None or self._q.shape != v.shape:
-            self._q = np.empty(v.shape)
-            self._scratch = np.empty(v.shape[::-1]) if self.compression.node_major else None
-        return compress_columns(self.compression, v, self.streams(t, _COMPRESS_TAG),
-                                self._q, self._scratch)
-
     def exchange(self, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Round ``t``'s messages: ``(received, own, bits)``."""
+        """Round ``t``'s messages: ``(received, own, bits)``.  Node i sends ``x_i``, or
+        ``x_i - x_hat_i`` for tracking; an entry sent that is not finite is a divergence."""
         weights, work = self.matrix.weights, self.work_like(x)
+        tracking = self.scheme is GossipScheme.TRACKING
+        if tracking and self.x_hat is None:
+            self.x_hat, self.s = np.zeros(x.shape), np.zeros(x.shape)
+        v = np.subtract(x, self.x_hat, out=work) if tracking else x  # what each node sends
+        if not np.isfinite(v).all():
+            raise DivergenceError(t, float("inf"))
+        cost = self.compression.message_bits(x.shape[0])
         if self.scheme is GossipScheme.EXACT:
-            bits = np.full(x.shape[1], self.compression.message_bits(x.shape[0]))
-            return np.matmul(x, weights, out=work), x, bits
-        if self.scheme is GossipScheme.TRACKING:
-            if self.x_hat is None:
-                self.x_hat, self.s = np.zeros(x.shape), np.zeros(x.shape)
-            q, bits = self.messages(np.subtract(x, self.x_hat, out=work), t)
+            return np.matmul(x, weights, out=work), x, np.full(x.shape[1], cost)
+        if self._q is None or self._q.shape != x.shape:
+            self._q = np.empty(x.shape)
+            self._scratch = np.empty(x.shape[::-1]) if self.compression.node_major else None
+        q, sent = self.compression.apply(v, self.streams(t, _COMPRESS_TAG), self._q, self._scratch)
+        bits = np.where(sent, cost, 0)
+        if tracking:
             self.x_hat += q
             self.s += np.matmul(q, weights, out=work)
             return self.s, self.x_hat, bits
-        q, bits = self.messages(x, t)
         own = x if self.scheme is GossipScheme.DIRECT else q
         return np.matmul(q, weights, out=work), own, bits
 
@@ -290,7 +293,5 @@ def run_consensus(config: ConsensusConfig, initial_x: np.ndarray) -> ConsensusRe
             break
         x += gossip.move(received, own)
         bits += matrix.degree * int(payloads.sum())
-        if not np.isfinite(x).all():
-            raise DivergenceError(t, float("inf"))
 
     return ConsensusResult(records=records, final_x=x)

@@ -74,7 +74,7 @@ from typing import IO, TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .compression import RngFor
+from .compression import RngFor, _rng
 from .records import data_lines
 from .streams import stream
 
@@ -418,10 +418,7 @@ class QuadraticObjective:
         if self.noise_sigma > 0.0:
             Z = np.empty(G.shape[::-1])  # one row of draws per column of G
             for i in range(G.shape[1]):
-                rng = rng_for(i)
-                if rng is None:
-                    raise ValueError("noisy quadratic oracle needs an rng")
-                rng.standard_normal(out=Z[i])
+                _rng(rng_for, i, "noisy quadratic oracle").standard_normal(out=Z[i])
             G += self.noise_sigma * Z.T / math.sqrt(self.dim)
         return G
 
@@ -494,9 +491,8 @@ class LogisticObjective:
     def stochastic_gradients(self, X: np.ndarray, rng_for: RngFor) -> np.ndarray:
         """Column i is node i's stochastic gradient at ``X[:, i]``."""
         n = X.shape[1]
-        picks = np.fromiter(
-            (rng_for(i).integers(size) for i, size in enumerate(self._sizes)), np.intp, n
-        )
+        picks = np.fromiter((_rng(rng_for, i, "logistic oracle").integers(size)
+                             for i, size in enumerate(self._sizes)), np.intp, n)
         samples = self._shard_rows[self._starts + picks]
         if self._table is not None:  # row i of (n, w) arrays is node i's sample
             indices, vals = (part[samples] for part in self._table)

@@ -186,10 +186,7 @@ def sgd_round(x: np.ndarray, objective: Objective, eta: float, averaging: Gossip
     "grad")`` stream, all of them before its first compress draw.  Returns
     the new iterates and payload bits per node."""
     grads = objective.stochastic_gradients(x, averaging.streams(t, _GRAD_TAG))
-    x_half = x - eta * grads
-    if not np.isfinite(x_half).all():  # before it reaches a compressor, which rejects it
-        raise DivergenceError(t, float("inf"))
-    return averaging.apply(x_half, t)
+    return averaging.apply(x - eta * grads, t)
 
 
 def run_optimization(

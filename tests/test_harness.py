@@ -897,14 +897,42 @@ class TestCli:
 
     def test_overflow_between_evaluations_is_a_divergence(self, capsys):
         # paired gossip with rand_k:1 rescaled by d blows up; the only
-        # evaluations are rounds 0 and 3000, so the round's own check fires
+        # evaluations are rounds 0 and 3000, so the kernel's exchange fires:
+        # round 1888's move overflows, and round 1889 is the first to send
+        # a vector that is not finite
         code = cli.main([
             "consensus", "--scheme", "paired", "--compression", "unbiased:rand_k:1",
             "--gamma", "1.0", "--n", "9", "--d", "20", "--iters", "3000", "--eval-every", "100000",
         ])
         assert code == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert errors == ["error: run diverged at iteration 1888 (error inf)"]
+        assert errors == ["error: run diverged at iteration 1889 (error inf)"]
+
+    # top_k:1 tracking at gamma = 1 overflows in x - x_hat; the kernel's exchange
+    # makes that a divergence, exit 1, not a rejected operator input, exit 2
+    @pytest.mark.parametrize("argv", [
+        "consensus --n 4 --d 3 --scheme tracking --compression top_k:1 --gamma 1.0 "
+        "--iters 3000 --eval-every 3000",
+        "optimize --n 4 --d 3 --averaging tracking --compression top_k:1 --gamma 1.0 "
+        "--iters 3000 --eval-every 3000 --a 1 --b 1",
+    ])
+    def test_overflowing_tracking_run_is_a_divergence(self, argv, capsys):
+        assert cli.main(argv.split()) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: run diverged at iteration ")
+
+    def test_overflowing_tracking_section_fails_as_a_divergence(self, capsys, tmp_path):
+        config = tmp_path / "suite.ini"
+        config.write_text("[div]\nkind = consensus\nn = 4\nd = 3\nscheme = tracking\n"
+                          "compression = top_k:1\ngamma = 1.0\niters = 3000\neval_every = 3000\n")
+        code = cli.main(["consensus", "--config", str(config), "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        failed = [line for line in err.splitlines() if line.startswith("FAILED")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAILED div seed=0: run diverged at iteration ")
 
     def test_runtime_error_exit_code(self, capsys, tmp_path):
         # a grid whose every point diverges: a FAILED line each, exit 1 and no best line

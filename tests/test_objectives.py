@@ -507,6 +507,11 @@ class TestQuadratic:
 
 
 class TestLogistic:
+    def test_oracle_needs_an_rng(self):
+        obj = small_logistic()
+        with pytest.raises(ValueError, match="^logistic oracle needs an rng$"):
+            obj.stochastic_gradients(np.zeros((obj.dim, 2)), lambda i: None)
+
     def test_value_at_zero_is_log_two(self):
         obj = small_logistic()
         assert obj.value(np.zeros(obj.dim)) == pytest.approx(math.log(2.0), rel=1e-12)

@@ -3,12 +3,15 @@
 ``argpartition_top_k`` is the index-based selection that ``TopK.apply``
 replaced with a threshold; ``per_column_logistic`` is the logistic oracle
 with one scatter per column; ``reference_sgd_round`` and ``reference_run``
-spell the round and the loop with the ``mean`` and ``np.all`` calls and the
+spell the round and the loop with the ``mean`` calls and the
 ``AveragedIterate`` class they used before.  ``AllocatingGossip`` and ``allocating_run_consensus`` are the gossip
 kernel and the consensus loop from before the kernel owned its round
 buffers: every operator and every expression allocates its result.  The
 current code must match each byte for byte, memory order included, so no
-output of a run can move.
+output of a run can move.  Each reference keeps its arithmetic but fails
+by the kernel's one rule (:func:`sent`): a round whose sent vector is not
+finite diverged, and a run raises nothing else for a state that is not
+finite, so the diverging ``@example`` cases match the error as well.
 """
 
 import dataclasses
@@ -140,10 +143,7 @@ def reference_sgd_round(x, objective, eta, averaging, t):
     else:
         grads = objective.stochastic_gradients(x, rng_for)
     x_half = x - eta * grads
-    x_new, payloads = averaging.apply(x_half, t)
-    if not np.all(np.isfinite(x_new)):
-        raise DivergenceError(t, float("inf"))
-    return x_new, payloads
+    return averaging.apply(x_half, t)
 
 
 def averaging_for(config):
@@ -243,29 +243,53 @@ def with_argpartition_top_k(config):
     return config
 
 
+def diverging_sgd_case():
+    """``(config, objective, x0)`` whose round-0 gossip overflows: every node
+    holds its target ``5e307``, so the gradients are 0, and the rescaled
+    ``rand_k:1`` sends ``4 * 5e307``.  Round 1, not evaluated, is the first
+    to send a vector that is not finite."""
+    config = SgdConfig(
+        matrix=build_gossip_matrix(Ring(3)), schedule=PracticalSchedule(a=0.5, b=1.0, m=1),
+        averaging="tracking", gamma=1.0, compression=RescaledUnbiased(RandK(1)), iters=3,
+        seed=7, eval_every=3, f_star=0.0,
+    )
+    x0 = np.full((4, 3), 5e307)
+    return config, QuadraticObjective(x0), x0
+
+
 @settings(max_examples=200, deadline=None)
 @given(sgd_cases())
+@example(diverging_sgd_case())
 def test_sgd_round_matches_earlier_expressions(case):
     config, objective, x = case
     scheme = averaging_for(config)
     reference = averaging_for(with_argpartition_top_k(config))
     want_x = x
-    for t in range(config.iters):
-        eta = config.schedule.eta(t)
-        x, bits = sgd_round(x, objective, eta, scheme, t)
-        want_x, want_bits = reference_sgd_round(want_x, objective, eta, reference, t)
-        assert same_bits(x, want_x)
-        assert same_bits(bits, want_bits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.iters):
+            eta = config.schedule.eta(t)
+            got = outcome(sgd_round, x, objective, eta, scheme, t)
+            want = outcome(reference_sgd_round, want_x, objective, eta, reference, t)
+            if want[0] is DivergenceError:
+                assert got[0] is DivergenceError and got == want
+                return
+            (x, bits), (want_x, want_bits) = got, want
+            assert same_bits(x, want_x)
+            assert same_bits(bits, want_bits)
 
 
 @settings(max_examples=100, deadline=None)
 @given(sgd_cases())
+@example(diverging_sgd_case())
 def test_run_optimization_matches_earlier_loop(case):
     config, objective, x0 = case
-    result = run_optimization(config, objective, x0)
-    records, final_x, x_avg, avg_subopt, s_total = reference_run(
-        with_argpartition_top_k(config), objective, x0
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = outcome(run_optimization, config, objective, x0)
+        want = outcome(reference_run, with_argpartition_top_k(config), objective, x0)
+    if want[0] is DivergenceError:
+        assert result == want
+        return
+    records, final_x, x_avg, avg_subopt, s_total = want
     assert repr(result.records) == repr(records)
     assert same_bits(result.final_x, final_x)
     assert same_bits(result.x_avg, x_avg)
@@ -351,6 +375,14 @@ def test_operators_match_allocating_operators(data, seed):
     assert same_bits(q, want_q) and same_bits(bits, want_bits)
 
 
+def sent(v, t):
+    """``v``, what the nodes send in round ``t``, if every entry is finite;
+    otherwise the run diverged at round ``t``."""
+    if not np.isfinite(v).all():
+        raise DivergenceError(t, float("inf"))
+    return v
+
+
 class AllocatingGossip:
     def __init__(self, scheme, matrix, gamma, compression, seed):
         self.scheme, self.matrix, self.gamma = scheme, matrix, gamma
@@ -359,14 +391,15 @@ class AllocatingGossip:
 
     def messages(self, v, t):
         return allocating_compress(
-            self.compression, v, lambda i: stream(self.seed, node=i, round_=t, tag="compress")
+            self.compression, sent(v, t),
+            lambda i: stream(self.seed, node=i, round_=t, tag="compress"),
         )
 
     def exchange(self, x, t):
         weights = self.matrix.weights
         if self.scheme is GossipScheme.EXACT:
             bits = np.full(x.shape[1], x.shape[0] * self.compression.value_bits)
-            return x @ weights, x, bits
+            return sent(x, t) @ weights, x, bits
         if self.scheme is GossipScheme.TRACKING:
             if self.x_hat is None:
                 self.x_hat, self.s = np.zeros_like(x), np.zeros_like(x)
@@ -421,8 +454,6 @@ def allocating_run_consensus(config, initial_x):
                 lyap = error + float(np.sum((x - gossip.x_hat) ** 2))
             records.append(ConsensusRecord(t, error, lyap, bits, drift))
         bits += config.matrix.degree * int(payloads.sum())
-        if not np.all(np.isfinite(x_new)):
-            raise DivergenceError(t, float("inf"))
         x = x_new
     return records, x
 
@@ -450,24 +481,35 @@ def gossip_cases(draw):
     return config, laid_out(x0, draw(LAYOUTS))
 
 
+def diverging_gossip_case(scheme, layout="C"):
+    """``(config, x0)`` whose round-0 move overflows: every node holds
+    ``5e307``, so the consensus error is 0, and the rescaled ``rand_k:1``
+    sends ``4 * 5e307``.  Round 1, not evaluated, is the first to send a
+    vector that is not finite."""
+    config = ConsensusConfig(
+        scheme=scheme, matrix=build_gossip_matrix(Ring(3)), gamma=1.0,
+        compression=RescaledUnbiased(RandK(1)), iters=4, seed=5, eval_every=3,
+    )
+    return config, laid_out(np.full((4, 3), 5e307), layout)
+
+
 def outcome(run, *args):
-    """The run's result, or the error it raised: a divergence with its
-    round and value, a nonfinite message by its type alone."""
+    """The run's result, or the divergence it raised, with its round and value."""
     try:
         return run(*args)
     except DivergenceError as exc:
         return DivergenceError, str(exc)
-    except ValueError:
-        return ValueError, None
 
 
 @settings(max_examples=300, deadline=None)
 @given(gossip_cases())
+@example(diverging_gossip_case(GossipScheme.PAIRED))
 def test_run_consensus_matches_allocating_loop(case):
     config, x0 = case
-    got = outcome(lambda: run_consensus(config, x0))
-    want = outcome(allocating_run_consensus, config, x0)
-    if isinstance(want, tuple) and isinstance(want[0], type):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = outcome(run_consensus, config, x0)
+        want = outcome(allocating_run_consensus, config, x0)
+    if want[0] is DivergenceError:
         assert got == want
         return
     records, x = want
@@ -477,6 +519,7 @@ def test_run_consensus_matches_allocating_loop(case):
 
 @settings(max_examples=200, deadline=None)
 @given(gossip_cases())
+@example(diverging_gossip_case(GossipScheme.TRACKING))
 def test_gossip_and_tracking_averaging_rounds_match_allocating_kernel(case):
     config, x = case
     args = (config.matrix, config.gamma, config.compression)
@@ -489,13 +532,17 @@ def test_gossip_and_tracking_averaging_rounds_match_allocating_kernel(case):
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.iters):
             before = x.tobytes()
-            got_x, got_bits = gossip.apply(x, t)
-            want_x, want_bits = want.apply(x, t)
+            got, want_round = outcome(gossip.apply, x, t), outcome(want.apply, x, t)
+            if want_round[0] is DivergenceError:
+                assert got[0] is DivergenceError and got == want_round
+                if tracking:
+                    assert outcome(averaging.apply, x, t) == want_round
+                    assert outcome(want_averaging.averaging_apply, x, t) == want_round
+                return
+            (got_x, got_bits), (want_x, want_bits) = got, want_round
             assert same_bits(got_x, want_x) and same_bits(got_bits, want_bits)
             if tracking:
                 got_avg, _ = averaging.apply(x, t)
                 assert same_bits(got_avg, want_averaging.averaging_apply(x, t)[0])
             assert x.tobytes() == before
-            if not np.isfinite(want_x).all():
-                break
             x = want_x
