@@ -28,15 +28,14 @@ means lossless).  Implemented operators:
 
 Every simulation round compresses one message per node, so the operators
 work on a whole ``d x n`` matrix at once: :func:`compress_columns` treats
-column ``i`` as node ``i``'s message and returns the reconstructions,
-written into a buffer a simulator can reuse every round, and the bit cost
-of each message, 0 for a message that was not sent.  Random operators draw
-column ``i``'s numbers only from ``rng_for(i)``, one column after another
-in node order, exactly as many as one message needs.  The simulators key
-``rng_for(i)`` to the ``(seed, i, t, "compress")`` stream, so a node's
-message does not depend on the other columns or on batching them; a run of
-independent draws of one vector is one call over copies of it, with one
-generator for every column.
+column ``i`` as node ``i``'s message and returns the reconstructions and
+the bit cost of each message, 0 for a message that was not sent.  Random
+operators draw column ``i``'s numbers only from ``rng_for(i)``, one column
+after another in node order, exactly as many as one message needs.  The
+simulators key ``rng_for(i)`` to the ``(seed, i, t, "compress")`` stream,
+so a node's message does not depend on the other columns or on batching
+them; a run of independent draws of one vector is one call over copies of
+it, with one generator for every column.
 
 The bit cost of a message is modeled, not materialized: sparse formats pay
 ``ceil(log2 d)`` bits per transmitted index, quantized formats pay
@@ -74,9 +73,10 @@ class CompressionSpec:
 
     Subclasses implement ``omega(d)``, the contraction quality at dimension ``d``;
     ``message_bits(d)``, the modeled cost of one sent message at dimension ``d``, at least 1;
-    and ``apply(X, rng_for, out, scratch)``, which compresses every column of the finite
+    and ``apply(X, rng_for, out, scratch)``, which writes ``Q`` of every column of the finite
     ``d x n`` matrix ``X`` into ``out`` (``d x n``, contiguous, not overlapping ``X``), using
-    the ``n x d`` ``scratch`` if ``node_major``, and returns ``out`` and a per-column sent mask.
+    the ``n x d`` ``scratch`` if ``node_major``, leaves ``X`` as it was, and returns only the
+    per-column sent mask, a bool array of shape ``(n,)``.
     Those with ``E Q(x) = x`` set ``unbiased``, and those that work on the ``n x d`` scratch
     set ``node_major``.
     """
@@ -109,7 +109,7 @@ class Identity(CompressionSpec):
 
     def apply(self, X, rng_for, out, scratch):
         np.copyto(out, X)
-        return out, _all_sent(X)
+        return _all_sent(X)
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class RandK(_Sparsifier):
         cols = np.repeat(np.arange(n), self.k)
         out.fill(0.0)
         out[rows, cols] = X[rows, cols]
-        return out, _all_sent(X)
+        return _all_sent(X)
 
 
 class TopK(_Sparsifier):
@@ -172,7 +172,7 @@ class TopK(_Sparsifier):
             keep = above | (ties & (np.cumsum(ties, axis=1) <= room))
         out.fill(0.0)
         np.copyto(out, X, where=keep.T)
-        return out, _all_sent(X)
+        return _all_sent(X)
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ class Qsgd(CompressionSpec):
         q *= norms / (self.s * qsgd_tau(self.s, d))
         np.copysign(q, np.add(X.T, 0.0, out=scratch).T, out=q)
         q[:, ~live] = 0.0  # the norm also underflows to zero for tiny nonzero x
-        return q, _all_sent(X)
+        return _all_sent(X)
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ class RandGossip(CompressionSpec):
         sent = np.array([_rng(rng_for, i, self).random() < self.p for i in range(X.shape[1])])
         out.fill(0.0)
         np.copyto(out, X, where=sent)
-        return out, sent
+        return sent
 
 
 @dataclass(frozen=True)
@@ -267,9 +267,9 @@ class RescaledUnbiased(CompressionSpec):
         return self.inner.message_bits(d)
 
     def apply(self, X, rng_for, out, scratch):
-        q, sent = self.inner.apply(X, rng_for, out, scratch)
-        q *= self.inner.natural_tau(X.shape[0])
-        return q, sent
+        sent = self.inner.apply(X, rng_for, out, scratch)
+        out *= self.inner.natural_tau(X.shape[0])
+        return sent
 
 
 def qsgd_tau(s: int, d: int) -> float:
@@ -289,8 +289,7 @@ def _index_bits(d: int) -> int:
 
 
 def compress_columns(
-    spec: CompressionSpec, X: np.ndarray, rng_for: RngFor | None = None,
-    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+    spec: CompressionSpec, X: np.ndarray, rng_for: RngFor | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compress column ``i`` of ``X`` as node ``i``'s message, for every i.
 
@@ -307,17 +306,11 @@ def compress_columns(
         ``i -> Generator``; required for the random operators.  It is called
         once per column that draws, in column order, and the generator is
         used up before the next call, so a re-keyed pool handle is safe.
-    out, scratch : ndarray, optional
-        Float buffers the kernel writes into: ``out`` is a contiguous
-        ``d x n`` array and ``scratch`` an ``n x d`` array, neither
-        overlapping ``X``; only the ``node_major`` operators use
-        ``scratch``.  Allocated when omitted, ``out`` in the memory order
-        of ``X``; the results are the same bytes either way.
 
     Returns
     -------
     Q : ndarray
-        The ``d x n`` reconstructions in ``out``.
+        The ``d x n`` reconstructions, a new array in the memory order of ``X``.
     bits : ndarray
         Modeled cost of each column's message: ``spec.message_bits(d)``,
         which is at least 1, or 0 when the column sent nothing.
@@ -329,11 +322,8 @@ def compress_columns(
         column = np.flatnonzero(~np.isfinite(X).all(axis=0))[0]
         raise ValueError(f"x contains nonfinite entries (column {column})")
     cost = spec.message_bits(X.shape[0])
-    if out is None:
-        out = np.empty_like(X)
-    if scratch is None and spec.node_major:
-        scratch = np.empty(X.shape[::-1])
-    q, sent = spec.apply(X, rng_for, out, scratch)
+    q = np.empty_like(X)
+    sent = spec.apply(X, rng_for, q, np.empty(X.shape[::-1]) if spec.node_major else None)
     return q, np.where(sent, cost, 0)
 
 

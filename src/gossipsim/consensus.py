@@ -113,6 +113,10 @@ class ConsensusConfig(RunConfig):
 
 def _check_gossip(scheme: GossipScheme, gamma: float, compression: CompressionSpec) -> None:
     _check_gamma(gamma)
+    _check_operator(scheme, compression)
+
+
+def _check_operator(scheme: GossipScheme, compression: CompressionSpec) -> None:
     if scheme == GossipScheme.EXACT and not isinstance(compression, Identity):
         raise ValueError(f"exact gossip takes the identity operator, got {compression}")
     if scheme in (GossipScheme.DIRECT, GossipScheme.PAIRED) and not compression.unbiased:
@@ -211,8 +215,8 @@ class Gossip:
         if self._q is None or self._q.shape != x.shape:
             self._q = np.empty(x.shape)
             self._scratch = np.empty(x.shape[::-1]) if self.compression.node_major else None
-        q, sent = self.compression.apply(v, self.streams(t, _COMPRESS_TAG), self._q, self._scratch)
-        bits = np.where(sent, cost, 0)
+        sent = self.compression.apply(v, self.streams(t, _COMPRESS_TAG), self._q, self._scratch)
+        q, bits = self._q, np.where(sent, cost, 0)
         if tracking:
             self.x_hat += q
             self.s += np.matmul(q, weights, out=work)

@@ -48,6 +48,7 @@ from .consensus import (
     RunConfig,
     _check_count,
     _check_gamma,
+    _check_operator,
     run_consensus,
     tracking_stepsize,
 )
@@ -371,10 +372,10 @@ def _coerce_options(label: str, raw: dict) -> dict:
     """Typed options, parsed in ``KEYS`` order by their entries there: a value of
     the wrong syntax or outside its choices, then a key set where its ``when`` does
     not hold, then a key left out where its ``required`` holds, is a ConfigError
-    naming it.  Beyond the parsers' own ranges, only the operator is checked here,
-    once ``d`` is set (a logistic section without ``d`` checks it per seed); a suite
-    file's values then meet their keys' ``check``, and the config dataclasses check
-    the rest."""
+    naming it.  Beyond the parsers' own ranges, only the operator and the scheme or
+    averaging it serves are checked here, once ``d`` is set (a logistic section
+    without ``d`` checks them per seed); a suite file's values then meet their keys'
+    ``check``, and the config dataclasses check the rest."""
     opts = dict(raw)
     for name in [name for name in KEYS if name in raw]:  # one order for flags and files
         key, text = KEYS[name], raw[name]
@@ -398,9 +399,12 @@ def _coerce_options(label: str, raw: dict) -> dict:
         if opts.get(governor, KEYS[governor].default) in values:
             raise ConfigError(f"[{label}]: missing required key {name!r}")
     opts.setdefault("seeds", [*KEYS["seeds"].default])
-    if "d" in opts:  # the operator's own checks, as the run's builder makes them
+    if "d" in opts:  # the checks of the operator and its scheme, as the run's builder makes them
+        # a section holds at most one of scheme and averaging, whose defaults are both exact
+        scheme = opts.get("scheme", opts.get("averaging", KEYS["scheme"].default))
         try:
-            parse_compression(opts.get("compression"), opts["d"], opts.get("value_bits"))
+            cspec = parse_compression(opts.get("compression"), opts["d"], opts.get("value_bits"))
+            _check_operator(GossipScheme(scheme), cspec)
         except ValueError as exc:
             raise ConfigError(f"[{label}]: {exc}") from None
     return opts

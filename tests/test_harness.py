@@ -772,6 +772,28 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: [x]: {message}\n")
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("section, message", [
+        ("kind = consensus\nscheme = exact\ncompression = top_k:1\n",
+         "exact gossip takes the identity operator, got TopK(value_bits=32, k=1)"),
+        ("kind = consensus\nscheme = direct\ncompression = qsgd:4\n",
+         "direct gossip is only defined for unbiased compression "
+         "(Identity or a naturally rescaled primitive)"),
+        ("kind = consensus\nscheme = paired\ncompression = rand_k:1\ngamma = 0.5 1\n",
+         "paired gossip is only defined for unbiased compression "
+         "(Identity or a naturally rescaled primitive)"),
+        ("kind = optimize\ncompression = top_k:1\n",  # averaging's default is exact
+         "exact gossip takes the identity operator, got TopK(value_bits=32, k=1)"),
+    ])
+    def test_scheme_operator_mismatch_fails_once_at_parse_time(self, section, message,
+                                                               tmp_path, capsys):
+        # one error line and no file, not a FAILED line per seed and grid point
+        config = tmp_path / "suite.ini"
+        config.write_text(SUITE + f"\n[x]\nn = 4\nd = 3\nseeds = 1 2\n{section}")
+        kind = section.split()[2]
+        assert cli.main([kind, "--config", str(config), "--out-dir", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr() == ("", f"error: [x]: {message}\n")
+        assert list(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize("section, key", [
         ("kind = optimize\nn = 4\n", "d"),
         ("kind = consensus\ntopology = torus\ntorus_cols = 3\nd = 3\n", "torus_rows"),
@@ -802,6 +824,19 @@ class TestCli:
         assert cli.main(["optimize", "--config", str(config),
                          "--out-dir", str(tmp_path / "res")]) == 1
         failed = "identity takes no argument, got 'identity:5'"
+        assert capsys.readouterr().err.splitlines() == [
+            f"FAILED x seed={seed}: {failed}" for seed in (1, 2)]
+
+    def test_averaging_operator_mismatch_without_logistic_d_fails_per_seed(self, tmp_path,
+                                                                          capsys):
+        data = tmp_path / "train.svm"
+        data.write_text(serialize_libsvm(synthetic_classification(30, 4, seed=6)))
+        config = tmp_path / "suite.ini"
+        config.write_text(f"[x]\nkind = optimize\nn = 3\nobjective = logistic\n"
+                          f"data_path = {data}\ncompression = top_k:1\nseeds = 1 2\n")
+        assert cli.main(["optimize", "--config", str(config),
+                         "--out-dir", str(tmp_path / "res")]) == 1
+        failed = "exact gossip takes the identity operator, got TopK(value_bits=32, k=1)"
         assert capsys.readouterr().err.splitlines() == [
             f"FAILED x seed={seed}: {failed}" for seed in (1, 2)]
 

@@ -107,7 +107,7 @@ def test_run_consensus_peak_live_set(matrix, scheme, spec, gamma, bound):
 
 
 # ---------------------------------------------------------------------------
-# buffered and fresh compress_columns, byte for byte
+# an operator writing into dirty buffers and a fresh compress_columns, byte for byte
 
 # zeros of both signs, subnormals and magnitudes whose squares under- or
 # overflow next to ordinary values
@@ -157,17 +157,19 @@ def same_bits(a, b):
 
 
 def buffered_equals_fresh(spec, X, other, seed):
+    d, n = X.shape
     with np.errstate(over="ignore", invalid="ignore"):  # norms that overflow
         want, want_bits = compress_columns(spec, X, streams_for(seed))
         before = X.tobytes()
         out = np.full_like(X, np.nan)
         scratch = np.full(X.shape[::-1], np.nan)
         # buffers left dirty by an earlier call
-        compress_columns(spec, other, streams_for(seed + 1), out, scratch)
-        q, bits = compress_columns(spec, X, streams_for(seed), out, scratch)
-    assert q is out
-    assert same_bits(q, want)
-    assert same_bits(bits, want_bits)
+        spec.apply(other, streams_for(seed + 1), out, scratch)
+        sent = spec.apply(X, streams_for(seed), out, scratch)
+    # Q(X) lands in out; apply hands back only the sent mask
+    assert type(sent) is np.ndarray and sent.dtype == bool and sent.shape == (n,)
+    assert same_bits(out, want)
+    assert same_bits(np.where(sent, spec.message_bits(d), 0), want_bits)
     assert X.tobytes() == before  # the input is never a buffer
 
 
