@@ -84,7 +84,8 @@ def _cmd_run(args) -> int:
         return _run_suite(args)
     if args.out_dir is not None:
         raise harness.ConfigError("--out-dir needs --config")
-    result = harness.run_experiment(*_spec(args))
+    spec, seed = _spec(args)
+    result = harness.run_experiment(harness.build_plan(spec), seed)
     if args.out:
         write_records_csv(args.out, result.records)
     last = result.records[-1]

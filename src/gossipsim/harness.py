@@ -22,9 +22,9 @@ population standard deviation of every metric across the repeats.
 
 ``gamma``, ``a`` and ``b`` may each hold several values (``gamma = 0.5
 1.0``): the section is then a grid of one experiment per combination,
-labelled ``<label>_<key><value as written>...`` (``sgd_a0.1_b10``), whose
-graph, objective, f* and initial iterates are built once per seed.  The
-grid's best point by final mean error or suboptimality is reported.
+labelled ``<label>_<key><value as written>...`` (``sgd_a0.1_b10``).  The
+grid's best point by final mean error or suboptimality is reported.  Every
+section's ``Plan``, what no seed or point changes, is built before any run.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .consensus import (
     tracking_stepsize,
 )
 from .objectives import (
+    Dataset,
     LogisticObjective,
-    Objective,
     QuadraticObjective,
     _check_fstar_tol,
     _check_noise_sigma,
@@ -95,8 +95,8 @@ __all__ = [
     "SUITE_KEYS",
     "LIST_KEYS",
     "parse_suite_file",
-    "build_consensus",
-    "build_optimize",
+    "Plan",
+    "build_plan",
     "run_experiment",
     "grid_points",
     "run_suite",
@@ -314,8 +314,8 @@ KEYS = {
     "targets_seed": Key(("optimize",), _UINT64, "a non-negative 64-bit integer", when=_QUADRATIC),
 }
 SUITE_KEYS = {kind: {name for name, key in KEYS.items() if kind in key.kinds} for kind in _BOTH}
-# The keys a section may set to several values, in KEYS order; the graph, objective, f* and
-# initial iterates do not depend on them, so a grid's points share those at each seed.
+# The keys a section may set to several values, in KEYS order; a section's plan and what each
+# seed draws do not depend on them, so a grid's points share those.
 LIST_KEYS = ("gamma", "a", "b")
 _DEFAULTS = {name: key.default for name, key in KEYS.items() if key.default is not None}
 
@@ -372,10 +372,9 @@ def _coerce_options(label: str, raw: dict) -> dict:
     """Typed options, parsed in ``KEYS`` order by their entries there: a value of
     the wrong syntax or outside its choices, then a key set where its ``when`` does
     not hold, then a key left out where its ``required`` holds, is a ConfigError
-    naming it.  Beyond the parsers' own ranges, only the operator and the scheme or
-    averaging it serves are checked here, once ``d`` is set (a logistic section
-    without ``d`` checks them per seed); a suite file's values then meet their keys'
-    ``check``, and the config dataclasses check the rest."""
+    naming it.  Beyond the parsers' own ranges, nothing is checked here: a suite
+    file's values then meet their keys' ``check``, ``build_plan`` checks the operator
+    and the input files, and the config dataclasses check the rest."""
     opts = dict(raw)
     for name in [name for name in KEYS if name in raw]:  # one order for flags and files
         key, text = KEYS[name], raw[name]
@@ -399,14 +398,6 @@ def _coerce_options(label: str, raw: dict) -> dict:
         if opts.get(governor, KEYS[governor].default) in values:
             raise ConfigError(f"[{label}]: missing required key {name!r}")
     opts.setdefault("seeds", [*KEYS["seeds"].default])
-    if "d" in opts:  # the checks of the operator and its scheme, as the run's builder makes them
-        # a section holds at most one of scheme and averaging, whose defaults are both exact
-        scheme = opts.get("scheme", opts.get("averaging", KEYS["scheme"].default))
-        try:
-            cspec = parse_compression(opts.get("compression"), opts["d"], opts.get("value_bits"))
-            _check_operator(GossipScheme(scheme), cspec)
-        except ValueError as exc:
-            raise ConfigError(f"[{label}]: {exc}") from None
     return opts
 
 
@@ -423,95 +414,92 @@ def _check_ranges(label: str, options: dict) -> dict:
     return options
 
 
-def _build_matrix(o: dict) -> GossipMatrix:
-    return build_topology(
-        o["topology"], o.get("n"),
-        o.get("torus_rows"), o.get("torus_cols"), o.get("edges_file"),
-    )
+@dataclass(frozen=True)
+class Plan:
+    """What no seed changes in a section's runs, built once before any of them: the gossip
+    matrix, the operator, a consensus section's init-file start, and a logistic section's
+    dataset and f*.  ``at`` draws, for one seed, the rest."""
+
+    spec: ExperimentSpec
+    d: int
+    matrix: GossipMatrix
+    compression: comp.CompressionSpec
+    x0: np.ndarray | None  # from init_file; else Gaussian at each seed
+    dataset: Dataset | None  # logistic only, with
+    f_star: float | None  # its f*, which no partition of it changes
+
+    def at(self, seed: int) -> Callable[[ExperimentSpec], tuple]:
+        """A map from each point of the section to its run's arguments at ``seed``, those of
+        ``run_consensus`` or ``run_optimization``, unset keys at their ``KEYS`` default.  The
+        start, or the objective and its f*, are drawn here once for all the points."""
+        o, n = {**_DEFAULTS, **self.spec.options}, self.matrix.n
+        if self.spec.kind == "consensus":
+            x0 = gaussian_init(self.d, n, seed) if self.x0 is None else self.x0
+        elif self.dataset is None:
+            targets = stream(o.get("targets_seed", seed), tag="targets").standard_normal(
+                (self.d, n))
+            objective = QuadraticObjective(targets, noise_sigma=o["noise_sigma"])
+            f_star = solve_reference(objective, o["fstar_tol"])[1]
+        else:
+            objective = LogisticObjective(self.dataset,
+                                          partition(self.dataset, n, o["partition"], seed=seed))
+            f_star = self.f_star
+
+        def build(point: ExperimentSpec) -> tuple:
+            p = {**_DEFAULTS, **point.options}
+            gamma = p["gamma"] if p["gamma"] != "auto" else tracking_stepsize(
+                self.matrix.delta, self.compression.omega(self.d), self.matrix.beta)
+            gossip = dict(matrix=self.matrix, gamma=gamma, compression=self.compression,
+                          iters=p["iters"], seed=seed, eval_every=p["eval_every"])
+            if self.spec.kind == "consensus":
+                return ConsensusConfig(scheme=GossipScheme(p["scheme"]), **gossip), x0
+            if p["schedule"] == "theoretical":  # a defaults to what run_optimization checks
+                a = p["a"] if "a" in p else theoretical_a(objective, self.matrix, self.compression)
+                schedule = TheoreticalSchedule(mu=objective.constants()[0], a=a)
+            else:
+                m = 1 if self.dataset is None else objective.samples_per_node * n
+                schedule = PracticalSchedule(a=p.get("a", 0.1), b=p.get("b", float(self.d)), m=m)
+            config = SgdConfig(schedule=schedule, f_star=f_star, averaging=p["averaging"], **gossip)
+            return config, objective, np.zeros((self.d, n))
+        return build
 
 
-def _gossip_options(o: dict, matrix: GossipMatrix, d: int, seed: int) -> dict:
-    """The config fields consensus and SGD runs share."""
-    cspec = parse_compression(o.get("compression"), d, o.get("value_bits"))
-    gamma = o["gamma"]
-    if gamma == "auto":
-        gamma = tracking_stepsize(matrix.delta, cspec.omega(d), matrix.beta)
-    return dict(
-        matrix=matrix,
-        gamma=gamma,
-        compression=cspec,
-        iters=o["iters"],
-        seed=seed,
-        eval_every=o["eval_every"],
-    )
+def build_plan(spec: ExperimentSpec) -> Plan:
+    """The section's ``Plan``.  A fault in its inputs, the operator's rule included, is one
+    ConfigError naming the section; an unconverged power iteration or f* solve is the
+    RuntimeError it raises."""
+    o = {**_DEFAULTS, **spec.options}
+    try:
+        dataset = None
+        if o["objective"] == "logistic":
+            path = _require(o.get("data_path"), "data_path")
+            with open(path, encoding="utf-8") as fh:
+                try:
+                    dataset = parse_libsvm(fh)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: {exc}") from None
+            if o.get("d", dataset.d) != dataset.d:
+                raise ConfigError(f"{path} holds {dataset.d}-dimensional data, but d = {o['d']}")
+        d = _require(o.get("d"), "d") if dataset is None else dataset.d
+        compression = parse_compression(o.get("compression"), d, o.get("value_bits"))
+        _check_operator(GossipScheme(o["scheme" if spec.kind == "consensus" else "averaging"]),
+                        compression)
+        matrix = build_topology(o["topology"], o.get("n"), o.get("torus_rows"),
+                                o.get("torus_cols"), o.get("edges_file"))
+        x0 = load_init_file(o["init_file"], d, matrix.n) if "init_file" in o else None
+        f_star = None
+        if dataset is not None:  # on the sorted shards: seed-free, and n <= m is checked here
+            objective = LogisticObjective(dataset, partition(dataset, matrix.n, "sorted"))
+            f_star = solve_reference(objective, o["fstar_tol"])[1]
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"[{spec.label}]: {exc}") from None
+    return Plan(spec, d, matrix, compression, x0, dataset, f_star)
 
 
-def _once(shared: dict, name: str, build: Callable):
-    """``build()``, made once per ``shared``: what a section's points share at one seed."""
-    if name not in shared:
-        shared[name] = build()
-    return shared[name]
-
-
-def build_consensus(spec: ExperimentSpec, seed: int, shared: dict | None = None):
-    """Config and initial matrix of one consensus run; unset keys take their ``KEYS`` default.
-    The matrix and initial iterates are kept in ``shared`` for other points of the section."""
-    o, shared = {**_DEFAULTS, **spec.options}, {} if shared is None else shared
-    d = _require(o.get("d"), "d")
-    matrix = _once(shared, "matrix", lambda: _build_matrix(o))
-    config = ConsensusConfig(
-        scheme=GossipScheme(o["scheme"]), **_gossip_options(o, matrix, d, seed)
-    )
-    x0 = _once(shared, "x0", lambda: load_init_file(o["init_file"], d, matrix.n)
-               if "init_file" in o else gaussian_init(d, matrix.n, seed))
-    return config, x0
-
-
-def build_objective(o: dict, matrix: GossipMatrix, seed: int) -> Objective:
-    if o["objective"] == "quadratic":
-        targets = stream(o.get("targets_seed", seed), tag="targets").standard_normal(
-            (_require(o.get("d"), "d"), matrix.n))
-        return QuadraticObjective(targets, noise_sigma=o["noise_sigma"])
-    path = _require(o.get("data_path"), "data_path")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            dataset = parse_libsvm(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    if o.get("d", dataset.d) != dataset.d:
-        raise ConfigError(f"{path} holds {dataset.d}-dimensional data, but d = {o['d']}")
-    shards = partition(dataset, matrix.n, o["partition"], seed=seed)
-    return LogisticObjective(dataset, shards)
-
-
-def build_optimize(spec: ExperimentSpec, seed: int, shared: dict | None = None):
-    """Config, objective and initial matrix of one SGD run; sets what ``KEYS`` leaves open.
-    The matrix, objective and f* are kept in ``shared`` for other points of the section."""
-    o, shared = {**_DEFAULTS, **spec.options}, {} if shared is None else shared
-    matrix = _once(shared, "matrix", lambda: _build_matrix(o))
-    objective = _once(shared, "objective", lambda: build_objective(o, matrix, seed))
-    d = objective.dim
-    gossip = _gossip_options(o, matrix, d, seed)
-    if o["schedule"] == "theoretical":
-        if "a" in o:
-            a = o["a"]
-        else:  # the requirement run_optimization checks a against
-            a = theoretical_a(objective, matrix, gossip["compression"])
-        schedule = TheoreticalSchedule(mu=objective.constants()[0], a=a)
-    else:
-        m = objective.samples_per_node * matrix.n if isinstance(objective, LogisticObjective) else 1
-        schedule = PracticalSchedule(a=o.get("a", 0.1), b=o.get("b", float(d)), m=m)
-    f_star = _once(shared, "f_star", lambda: solve_reference(objective, o["fstar_tol"])[1])
-    config = SgdConfig(schedule=schedule, f_star=f_star, averaging=o["averaging"], **gossip)
-    return config, objective, np.zeros((d, matrix.n))
-
-
-def run_experiment(spec: ExperimentSpec, seed: int,
-                   shared: dict | None = None) -> ConsensusResult | OptimizationResult:
-    """One run of one point: a plain section, or one of a grid's ``grid_points``."""
-    if spec.kind == "consensus":
-        return run_consensus(*build_consensus(spec, seed, shared))
-    return run_optimization(*build_optimize(spec, seed, shared))
+def run_experiment(plan: Plan, seed: int) -> ConsensusResult | OptimizationResult:
+    """The one run at ``seed`` of a plan whose section is one point, not a grid."""
+    run = run_consensus if plan.spec.kind == "consensus" else run_optimization
+    return run(*plan.at(seed)(plan.spec))
 
 
 def grid_points(spec: ExperimentSpec) -> list[ExperimentSpec]:
@@ -566,19 +554,26 @@ def run_suite(
         specs = [s for s in specs if s.kind == kind]
         if not specs:
             raise ConfigError(f"no {kind} experiments in {config_path}")
+    plans = [build_plan(spec) for spec in specs]  # every section's inputs, before any run
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     failures: list[tuple[str, int, str]] = []
     best: list[tuple[str, str, str, float]] = []
-    for spec in specs:
+    for plan in plans:
+        spec = plan.spec
+        run = run_consensus if spec.kind == "consensus" else run_optimization
         points, seeds = grid_points(spec), spec.options["seeds"]
         runs = {point.label: [] for point in points}  # (seed, records) of each point
         for seed in seeds:
-            shared = {}  # what the points build once at this seed
+            try:
+                build = plan.at(seed)
+            except RUN_ERRORS as exc:  # such as a start too large to allocate: every point fails
+                failures += [(point.label, seed, str(exc)) for point in points]
+                continue
             for point in points:
                 try:
-                    runs[point.label].append((seed, run_experiment(point, seed, shared).records))
+                    runs[point.label].append((seed, run(*build(point)).records))
                 except RUN_ERRORS as exc:
                     failures.append((point.label, seed, str(exc)))
         ranked = []  # (final mean, tie break, label, metric) of each point that ran every seed

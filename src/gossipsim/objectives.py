@@ -66,6 +66,7 @@ quadratic objective never load it, and nothing loads ``scipy.special``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from array import array
@@ -116,6 +117,13 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+    @functools.cached_property
+    def gram_max_eigenvalue(self) -> float:
+        """``lambda_max((1/m) A^T A)`` by power iteration, once per dataset, so the
+        objectives of its every partition share it."""
+        a, a_t = self.features, self.features.T
+        return power_iteration(lambda v: np.asarray(a_t @ (a @ v)).ravel() / self.m, self.d)
 
 
 _MAX_INDEX = 2**63 - 1  # the largest 1-based index an int64 holds
@@ -446,7 +454,6 @@ class LogisticObjective:
         self.dataset = dataset
         self.shards = shards
         self.l2 = 1.0 / (2 * dataset.m)
-        self._constants: tuple[float, float] | None = None
         self._sizes = [len(s) for s in shards]
         self._shard_rows = shard_rows
         self._starts = np.cumsum([0, *self._sizes[:-1]])
@@ -522,14 +529,8 @@ class LogisticObjective:
         return G
 
     def constants(self) -> tuple[float, float]:
-        if self._constants is None:
-            a, a_t = self.dataset.features, self._features_t
-            lam = power_iteration(
-                lambda v: np.asarray(a_t @ (a @ v)).ravel() / self.dataset.m, self.dataset.d
-            )
-            mu = 2.0 * self.l2
-            self._constants = (mu, mu + 0.25 * lam)
-        return self._constants
+        mu = 2.0 * self.l2
+        return mu, mu + 0.25 * self.dataset.gram_max_eigenvalue
 
 
 def _sigmoid_neg(margin: float) -> float:

@@ -19,7 +19,7 @@ Suboptimality is measured at the node average ``f(xbar) - f*`` -- a
 simulator-only observable that is never fed back into node updates -- and
 a weighted averaged iterate ``x_avg = (1/S_T) sum_t (a+t)^2 xbar_t`` is
 maintained alongside.  ``f*`` is an input, ``SgdConfig.f_star``, resolved
-before the run like the stepsizes (``harness.build_optimize`` takes it
+before the run like the stepsizes (a ``harness.Plan`` takes it
 from :func:`gossipsim.objectives.solve_reference`); ``run_optimization``
 never solves for it.
 """

@@ -120,12 +120,13 @@ def test_every_generated_grid_suite_ends_in_a_clean_exit(case):
 # names line ``{k}`` of the file.
 FILE_FORMATS = {
     "edges": ("consensus --topology custom --edges-file {path} --d 3 --iters 5",
-              ["1 2 3", "1 x", "4", "-1 2", "0 1.5", "a b"], "{path}:{k}: "),
+              ["1 2 3", "1 x", "4", "-1 2", "0 1.5", "a b"], "[consensus]: {path}:{k}: "),
     "init": ("consensus --n {n} --d {d} --iters 5 --init-file {path}",
-             ["1 x 2", "spam", "1,5", "nan", "inf 0", "1 2 3 4 5 6"], "init file {path} line {k}: "),
+             ["1 x 2", "spam", "1,5", "nan", "inf 0", "1 2 3 4 5 6"],
+             "[consensus]: init file {path} line {k}: "),
     "libsvm": ("optimize --objective logistic --data {path} --n 2 --iters 5",
                ["spam 1:1", "+1 1:x", "+1 2:1 1:1", "+1 0:1", "+2 1:1", "+1 1:nan", "1:1"],
-               "{path}: line {k}: "),
+               "[optimize]: {path}: line {k}: "),
 }
 SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t"])
 SMALL_VALUES = st.sampled_from(["0", "1", "-2", "0.5", "-1e-3", "+3E-1", ".25"])

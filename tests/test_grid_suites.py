@@ -2,7 +2,7 @@
 
 Its points expand in ``KEYS`` order, labelled ``<section>_<key><value as
 written>...``; each writes the bytes of a plain section holding its values;
-what they share is built once per seed; and one ``best`` line names the
+what they share is built once per section or seed; and one ``best`` line names the
 point of least final mean.  Labels name files, so a label that would leave
 the output directory, or that two points share, is one error before any run.
 """
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gossipsim import cli, harness
+from gossipsim import cli, harness, objectives
 from gossipsim.consensus import DivergenceError, tracking_stepsize
 from gossipsim.harness import ConfigError, grid_points, parse_suite_file, run_suite
 from gossipsim.objectives import serialize_libsvm, synthetic_classification
@@ -75,31 +75,44 @@ def test_points_expand_in_keys_order_with_values_as_written(tmp_path):
         (0.1, 10.0), (0.1, 1.0), (1.0, 10.0), (1.0, 1.0)]
 
 
-def count_calls(monkeypatch, *names) -> dict:
-    """Calls of each of the ``harness`` functions ``names`` from here on."""
+def count_calls(monkeypatch, *names, module=harness) -> dict:
+    """Calls of each of the ``module`` functions ``names`` from here on."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, _name=name, _call=getattr(harness, name), **kwargs):
+        def counted(*args, _name=name, _call=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _call(*args, **kwargs)
-        monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_a_logistic_grid_parses_and_solves_once_per_seed(tmp_path, monkeypatch):
+def test_a_logistic_grid_parses_and_solves_once(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, "parse_libsvm", "solve_reference")
-    text = GRIDS["logistic"][0].format(data=write_data(tmp_path)) + "a = 0.2 0.5\nb = 8 16\nseeds = 3\n"
+    powers = count_calls(monkeypatch, "power_iteration", module=objectives)
+    text = (GRIDS["logistic"][0].format(data=write_data(tmp_path))
+            + "a = 0.2 0.5\nb = 8 16\nseeds = 3 5\n")
     outcome = run_suite(suite(tmp_path, f"[g]\n{text}"), tmp_path / "out")
-    assert not outcome.failures and len(outcome.written) == 8
-    assert calls == {"parse_libsvm": 1, "solve_reference": 1}
+    assert not outcome.failures and len(outcome.written) == 12
+    assert (calls, powers) == ({"parse_libsvm": 1, "solve_reference": 1}, {"power_iteration": 1})
 
 
-def test_a_consensus_grid_builds_its_graph_and_start_once_per_seed(tmp_path, monkeypatch):
+def test_a_theoretical_logistic_section_runs_its_power_iteration_once(tmp_path, monkeypatch):
+    # mu, the default a and run_optimization's check of a each read the constants
+    calls = count_calls(monkeypatch, "power_iteration", module=objectives)
+    text = (GRIDS["logistic"][0].format(data=write_data(tmp_path))
+            + "schedule = theoretical\nseeds = 3 5\n")
+    outcome = run_suite(suite(tmp_path, f"[t]\n{text}"), tmp_path / "out")
+    assert not outcome.failures and len(outcome.written) == 3
+    assert calls == {"power_iteration": 1}
+
+
+def test_a_consensus_grid_builds_its_graph_once_and_its_start_once_per_seed(tmp_path,
+                                                                            monkeypatch):
     calls = count_calls(monkeypatch, "build_topology", "gaussian_init")
     text = GRIDS["consensus"][0] + "gamma = 0.2 auto 1.0\nseeds = 1 7\n"
     outcome = run_suite(suite(tmp_path, f"[g]\n{text}"), tmp_path / "out")
     assert not outcome.failures and len(outcome.written) == 9
-    assert calls == {"build_topology": 2, "gaussian_init": 2}
+    assert calls == {"build_topology": 1, "gaussian_init": 2}
 
 
 def best_line(capsys, tmp_path, section: str, kind: str = "optimize") -> list[str]:
@@ -142,14 +155,14 @@ def test_one_best_line_per_grid_after_the_wrote_lines(capsys, tmp_path):
 
 def test_a_point_with_a_failed_seed_is_not_ranked(tmp_path, monkeypatch):
     # b = d = 3, so t_a2 ranks first until its second seed fails
-    run = harness.run_experiment
+    run = harness.run_optimization
 
-    def failing(point, seed, shared=None):
-        if (point.label, seed) == ("t_a2", 5):
+    def failing(config, objective, x0):
+        if (config.schedule.a, config.seed) == (2.0, 5):
             raise DivergenceError(1, math.inf)
-        return run(point, seed, shared)
+        return run(config, objective, x0)
 
-    monkeypatch.setattr(harness, "run_experiment", failing)
+    monkeypatch.setattr(harness, "run_optimization", failing)
     outcome = run_suite(suite(tmp_path, TIE + "a = 1 2\nseeds = 4 5\n"), tmp_path / "out")
     assert [(label, seed) for label, seed, _ in outcome.failures] == [("t_a2", 5)]
     assert [best[:3] for best in outcome.best] == [("t", "t_a1", "final_subopt")]

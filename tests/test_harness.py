@@ -17,8 +17,7 @@ from gossipsim.harness import (
     CheckOutcome,
     ConfigError,
     ExperimentSpec,
-    build_consensus,
-    build_optimize,
+    build_plan,
     build_topology,
     load_init_file,
     parse_compression,
@@ -109,8 +108,9 @@ class TestParseCompression:
             "n": 9, "d": 4, "scheme": "tracking", "compression": "rand_gossip:0.5",
             "gamma": "auto", "iters": 200, "seeds": [0],
         })
-        assert build_consensus(spec, 0)[0].compression == RandGossip(0.5)
-        records = run_experiment(spec, 0).records
+        plan = build_plan(spec)
+        assert plan.at(0)(spec)[0].compression == RandGossip(0.5)
+        records = run_experiment(plan, 0).records
         per_round = np.diff([rec.bits for rec in records])
         # a node that sends pays 4 * 32 bits on each of its 2 edges, else nothing
         assert np.all(per_round % 256 == 0) and 0 < per_round.min() < per_round.max() < 9 * 256
@@ -122,7 +122,7 @@ class TestParseCompression:
         # ExperimentSpec built in code meets the run loop's own check
         spec = ExperimentSpec("a", "consensus", {"n": 4, "d": 0, "seeds": [0]})
         with pytest.raises(ValueError, match=re.escape("got shape (0, 4)")):
-            run_experiment(spec, 0)
+            run_experiment(build_plan(spec), 0)
 
     def test_rejects_unknown(self):
         with pytest.raises(ConfigError):
@@ -161,7 +161,7 @@ class TestSuiteFile:
             parse_suite_file(path)
 
     def test_init_file_rejected_for_optimize(self, tmp_path):
-        # build_optimize starts from zeros, so the key would be ignored
+        # an optimize run starts from zeros, so the key would be ignored
         path = tmp_path / "suite.ini"
         path.write_text("[x]\nkind = optimize\ninit_file = init.txt\n")
         with pytest.raises(ConfigError, match="unknown keys.*init_file"):
@@ -326,18 +326,21 @@ class TestRunSuite:
     def test_init_file_with_one_coordinate(self, tmp_path):
         init = tmp_path / "init.txt"
         init.write_text("1.0\n2.0\n3.0\n6.0\n")  # four nodes, d = 1
+        one_d = (f"[one-d]\nkind = consensus\ntopology = ring\nn = 4\nd = 1\n"
+                 f"init_file = {init}\niters = 5\nseeds = 1\n")
         config = tmp_path / "suite.ini"
-        config.write_text(
-            f"[one-d]\nkind = consensus\ntopology = ring\nn = 4\nd = 1\n"
-            f"init_file = {init}\niters = 5\nseeds = 1\n"
-            f"[too-wide]\nkind = consensus\ntopology = ring\nn = 4\nd = 2\n"
-            f"init_file = {init}\niters = 5\nseeds = 1\n"
-        )
-        outcome = run_suite(config, tmp_path / "out")
+        config.write_text(one_d)
+        assert not run_suite(config, tmp_path / "out").failures
         first = (tmp_path / "out" / "one-d_seed1.csv").read_text().splitlines()[1]
         assert float(first.split(",")[1]) == 14.0  # sum (x_i - 3)^2
-        assert [(label, seed) for label, seed, _ in outcome.failures] == [("too-wide", 1)]
-        assert "2 x 4" in outcome.failures[0][2] and "got 1 x 4" in outcome.failures[0][2]
+        # an init file of the wrong shape aborts the suite before any run
+        config.write_text(one_d + f"[too-wide]\nkind = consensus\ntopology = ring\nn = 4\n"
+                          f"d = 2\ninit_file = {init}\niters = 5\nseeds = 1\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[too-wide]: init file {init} must be d x n = 2 x 4 (4 lines of 2 values), "
+                "got 1 x 4")):
+            run_suite(config, tmp_path / "aborted")
+        assert not (tmp_path / "aborted").exists()
 
     def test_partial_failure_continues(self, tmp_path):
         config = tmp_path / "suite.ini"
@@ -365,6 +368,43 @@ class TestRunSuite:
         ]
         assert "did not converge" in outcome.failures[0][2]
         assert any(p.name == "avg-exact_summary.csv" for p in outcome.written)
+
+
+# Sections whose every seed's CSV must not depend on what runs beside it: a seed changes
+# only the quadratic targets, the shuffled partition or the stream addresses, and the
+# plan it shares with the other seeds holds the rest; "{data}" is a LIBSVM file and
+# "{init}" an init file.
+BESIDE = {
+    "quadratic": "kind = optimize\nn = 4\nd = 3\nnoise_sigma = 0.5\nschedule = theoretical\n",
+    "logistic": "kind = optimize\nn = 3\nobjective = logistic\ndata_path = {data}\n"
+                "averaging = tracking\ncompression = rand_k:2\ngamma = 0.5\n",
+    "consensus": "kind = consensus\nn = 4\nd = 2\nscheme = tracking\ncompression = rand_k:1\n"
+                 "gamma = 0.3\ninit_file = {init}\n",
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(BESIDE)),
+       st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2, unique=True))
+def test_a_seeds_bytes_do_not_depend_on_what_runs_beside_it(name, seeds):
+    s, t = seeds
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "train.svm").write_text(serialize_libsvm(synthetic_classification(30, 4, seed=6)))
+        (tmp / "init.txt").write_text("1 2\n-3 0.5\n0 4\n2 -1\n")
+        body = BESIDE[name].format(data=tmp / "train.svm", init=tmp / "init.txt")
+        body += "iters = 8\neval_every = 2\n"
+        forms = {  # alone, after another seed, and after another section
+            "alone": f"[x]\n{body}seeds = {s}\n",
+            "seeds": f"[x]\n{body}seeds = {t} {s}\n",
+            "section": f"[y]\n{body}seeds = {t}\n[x]\n{body}seeds = {s}\n",
+        }
+        written = []
+        for form, text in forms.items():
+            (tmp / f"{form}.ini").write_text(text)
+            assert not run_suite(tmp / f"{form}.ini", tmp / form).failures
+            written.append((tmp / form / f"x_seed{s}.csv").read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 class TestSummarize:
@@ -689,7 +729,8 @@ class TestCli:
         init.write_text(f"# three nodes\n1 2\n\n3 4 # node 1\n5 {value}\n")
         args = ["consensus", "--n", "3", "--d", "2", "--init-file", str(init), "--iters", "5"]
         assert cli.main(args) == 2
-        assert capsys.readouterr().err == f"error: init file {init} line 5: values must be finite\n"
+        assert capsys.readouterr().err == (f"error: [consensus]: init file {init} line 5: "
+                                           "values must be finite\n")
 
     @pytest.mark.parametrize("text, message", [
         ("1 2 3\n4 5\n6 7 8\n9 1 2\n", "line 2: 2 values after lines of 3"),
@@ -700,7 +741,7 @@ class TestCli:
         init.write_text(text)
         args = ["consensus", "--n", "4", "--d", "3", "--init-file", str(init), "--iters", "5"]
         assert cli.main(args) == 2
-        assert capsys.readouterr() == ("", f"error: init file {init} {message}\n")
+        assert capsys.readouterr() == ("", f"error: [consensus]: init file {init} {message}\n")
 
     @pytest.mark.parametrize("d", ["2", "7"])
     def test_logistic_d_must_match_the_data(self, tmp_path, capsys, d):
@@ -711,7 +752,8 @@ class TestCli:
         assert cli.main([*args, "--d", "5"]) == 0
         capsys.readouterr()
         assert cli.main([*args, "--d", d]) == 2
-        assert capsys.readouterr().err == f"error: {data} holds 5-dimensional data, but d = {d}\n"
+        assert capsys.readouterr().err == (f"error: [optimize]: {data} holds 5-dimensional data, "
+                                           f"but d = {d}\n")
 
     def test_nonfinite_libsvm_value_names_its_line(self, tmp_path, capsys):
         data = tmp_path / "train.svm"
@@ -719,7 +761,8 @@ class TestCli:
         code = cli.main(["optimize", "--objective", "logistic", "--data", str(data),
                          "--n", "2", "--iters", "5"])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {data}: line 2: non-finite feature value '1:nan'\n"
+        assert capsys.readouterr().err == (f"error: [optimize]: {data}: line 2: "
+                                           "non-finite feature value '1:nan'\n")
 
     def test_custom_topology_from_edge_file(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
@@ -814,31 +857,72 @@ class TestCli:
         assert capsys.readouterr() == ("", "error: [consensus]: unknown compression kind ''\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_bad_operator_without_logistic_d_fails_per_seed(self, tmp_path, capsys):
-        # a logistic section takes d from its data, so its operator is checked when built
+    @staticmethod
+    def fails_once_without_logistic_d(compression, message, tmp_path, capsys):
+        # a logistic section takes d from its data, so its plan checks the operator
         data = tmp_path / "train.svm"
         data.write_text(serialize_libsvm(synthetic_classification(30, 4, seed=6)))
         config = tmp_path / "suite.ini"
         config.write_text(f"[x]\nkind = optimize\nn = 3\nobjective = logistic\n"
-                          f"data_path = {data}\ncompression = identity:5\nseeds = 1 2\n")
+                          f"data_path = {data}\ncompression = {compression}\nseeds = 1 2\n")
         assert cli.main(["optimize", "--config", str(config),
-                         "--out-dir", str(tmp_path / "res")]) == 1
-        failed = "identity takes no argument, got 'identity:5'"
-        assert capsys.readouterr().err.splitlines() == [
-            f"FAILED x seed={seed}: {failed}" for seed in (1, 2)]
+                         "--out-dir", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr() == ("", f"error: [x]: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.ini", "train.svm"]
 
-    def test_averaging_operator_mismatch_without_logistic_d_fails_per_seed(self, tmp_path,
-                                                                          capsys):
+    def test_bad_operator_without_logistic_d_fails_once(self, tmp_path, capsys):
+        self.fails_once_without_logistic_d(
+            "identity:5", "identity takes no argument, got 'identity:5'", tmp_path, capsys)
+
+    def test_averaging_operator_mismatch_without_logistic_d_fails_once(self, tmp_path, capsys):
+        self.fails_once_without_logistic_d(
+            "top_k:1", "exact gossip takes the identity operator, got TopK(value_bits=32, k=1)",
+            tmp_path, capsys)
+
+    @pytest.mark.parametrize("section, message", [
+        ("kind = consensus\ntopology = torus\ntorus_rows = 2\ntorus_cols = 3\nd = 3\n",
+         "torus needs rows, cols >= 3 so wrap edges are distinct, got 2x3"),
+        ("kind = consensus\nn = 0\nd = 3\n", "graph needs n >= 1, got 0"),
+        ("kind = consensus\nn = 4\nd = 3\ninit_file = /nonexistent\n",
+         "[Errno 2] No such file or directory: '/nonexistent'"),
+        ("kind = optimize\nn = 4\nobjective = logistic\ndata_path = {empty}\n",
+         "{empty}: empty LIBSVM stream"),
+        ("kind = optimize\nn = 4\nobjective = logistic\ndata_path = {bad}\n",
+         "{bad}: line 2: bad label 'spam'"),
+        ("kind = optimize\nn = 40\nobjective = logistic\ndata_path = {good}\n",
+         "cannot split 30 samples across 40 nodes"),
+    ], ids=["2x3 torus", "n = 0", "init_file", "empty data", "bad label", "n above m"])
+    def test_input_fault_fails_once_before_any_run(self, section, message, tmp_path, capsys):
+        # a fault in what no seed changes is one error line, not a FAILED line per seed
+        work = tmp_path / "work"
+        work.mkdir()
+        files = {"empty": "", "bad": "+1 1:1\nspam 1:2\n",
+                 "good": serialize_libsvm(synthetic_classification(30, 4, seed=6))}
+        for name, text in files.items():
+            (tmp_path / f"{name}.svm").write_text(text)
+        paths = {name: tmp_path / f"{name}.svm" for name in files}
+        config = work / "suite.ini"
+        config.write_text(SUITE + f"\n[x]\n{section.format(**paths)}seeds = 1 2\n")
+        kind = section.split()[2]
+        assert cli.main([kind, "--config", str(config), "--out-dir", str(work / "res")]) == 2
+        assert capsys.readouterr() == ("", f"error: [x]: {message.format(**paths)}\n")
+        assert list(work.iterdir()) == [config]
+
+    def test_unconverged_reference_solve_exits_1_before_any_run(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        def unconverged(objective, tolerance):
+            raise RuntimeError("reference solve did not converge")
+
+        monkeypatch.setattr("gossipsim.harness.solve_reference", unconverged)
         data = tmp_path / "train.svm"
         data.write_text(serialize_libsvm(synthetic_classification(30, 4, seed=6)))
         config = tmp_path / "suite.ini"
-        config.write_text(f"[x]\nkind = optimize\nn = 3\nobjective = logistic\n"
-                          f"data_path = {data}\ncompression = top_k:1\nseeds = 1 2\n")
+        config.write_text(SUITE + f"\n[x]\nkind = optimize\nn = 3\nobjective = logistic\n"
+                          f"data_path = {data}\nseeds = 1 2\n")
         assert cli.main(["optimize", "--config", str(config),
                          "--out-dir", str(tmp_path / "res")]) == 1
-        failed = "exact gossip takes the identity operator, got TopK(value_bits=32, k=1)"
-        assert capsys.readouterr().err.splitlines() == [
-            f"FAILED x seed={seed}: {failed}" for seed in (1, 2)]
+        assert capsys.readouterr() == ("", "error: reference solve did not converge\n")
+        assert not (tmp_path / "res").exists()
 
     def test_bad_choice_in_suite_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "suite.ini"
@@ -1023,7 +1107,7 @@ class TestCli:
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         head, _, gap = err.partition("spectral gap ")
-        assert (out, head) == ("", "error: graph is disconnected: ")
+        assert (out, head) == ("", "error: [consensus]: graph is disconnected: ")
         assert gap.endswith("\n") and 0.0 <= float(gap) < 1e-9  # a few ulps at most
 
     def test_below_requirement_warning_is_one_stable_line(self, tmp_path, capsys):

@@ -36,7 +36,8 @@ consensus, quadratic, logistic, tmp = json.loads(sys.argv[1])
 
 def run(kind, options):
     spec = harness.ExperimentSpec(label=kind, kind=kind, options=options)
-    return [dataclasses.astuple(r) for r in harness.run_experiment(spec, 3).records]
+    result = harness.run_experiment(harness.build_plan(spec), 3)
+    return [dataclasses.astuple(r) for r in result.records]
 
 def loaded():
     return [name for name in {modules!r} if name in sys.modules]
@@ -75,5 +76,6 @@ def test_scipy_loads_only_for_the_logistic_objective(tmp_path):
     assert report["after_logistic"] == ["scipy.sparse"]
 
     spec = harness.ExperimentSpec(label="optimize", kind="optimize", options=logistic)
-    here = [dataclasses.astuple(r) for r in harness.run_experiment(spec, 3).records]
+    result = harness.run_experiment(harness.build_plan(spec), 3)
+    here = [dataclasses.astuple(r) for r in result.records]
     assert json.loads(json.dumps(here)) == report["logistic"]

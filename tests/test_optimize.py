@@ -9,7 +9,7 @@ import pytest
 from gossipsim import harness, objectives
 from gossipsim.compression import Identity, RandK, TopK
 from gossipsim.consensus import DivergenceError, tracking_stepsize
-from gossipsim.harness import ExperimentSpec, build_optimize, theory_check
+from gossipsim.harness import ExperimentSpec, build_plan, theory_check
 from gossipsim.objectives import (
     LogisticObjective,
     QuadraticObjective,
@@ -352,8 +352,9 @@ class TestRunOptimization:
     def test_nonpositive_fstar_tol_rejected(self, tol):
         # a tolerance that can never be met would spin the reference solve
         spec = ExperimentSpec("x", "optimize", {"n": 9, "d": 4, "fstar_tol": tol, "seeds": [0]})
+        plan = build_plan(spec)
         with pytest.raises(ValueError, match=f"fstar_tol must be finite and > 0, got {tol}"):
-            build_optimize(spec, 0)
+            plan.at(0)
 
     @pytest.mark.parametrize("averaging", ["direct", "paired"])
     def test_averaging_must_be_an_averaging_scheme(self, averaging):
@@ -419,7 +420,7 @@ class TestRunOptimization:
             "topology": "ring", "n": 9, "d": 4, "schedule": "theoretical", "iters": 5,
             "averaging": averaging, "compression": compression, "seeds": [0],
         })
-        config, objective, x0 = build_optimize(spec, 0)
+        config, objective, x0 = build_plan(spec).at(0)(spec)
         # a = max(410/(delta^2 omega), 16 L/mu) with mu = L = 1
         assert config.schedule.a == max(410.0 / (RING9.delta**2 * omega), 16.0 * 1.0 / 1.0)
         with warnings.catch_warnings():
@@ -431,7 +432,7 @@ class TestRunOptimization:
         spec = ExperimentSpec("theory", "optimize", {
             "topology": "full", "n": 4, "d": 6, "schedule": "theoretical", "seeds": [0],
         })
-        assert build_optimize(spec, 0)[0].schedule.a == 410.0
+        assert build_plan(spec).at(0)(spec)[0].schedule.a == 410.0
 
     @pytest.mark.parametrize("objective", ["quadratic", "logistic"])
     def test_builder_resolves_f_star_with_the_section_tolerance(self, objective, tmp_path):
@@ -441,7 +442,7 @@ class TestRunOptimization:
             "topology": "ring", "n": 3, "d": 5, "noise_sigma": 0.5, "objective": objective,
             "data_path": str(data), "fstar_tol": 1e-6, "seeds": [0],
         })
-        config, built, _ = build_optimize(spec, 0)
+        config, built, _ = build_plan(spec).at(0)(spec)
         assert isinstance(built, LogisticObjective if objective == "logistic"
                           else QuadraticObjective)
         assert config.f_star == solve_reference(built, 1e-6)[1]
