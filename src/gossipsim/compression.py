@@ -26,16 +26,15 @@ means lossless).  Implemented operators:
   unbiased estimator itself does not contract; ``omega`` reports ``1/tau``,
   the factor of the associated rescaled (contractive) operator.
 
-Every simulation round compresses one message per node, so the operators
-work on a whole ``d x n`` matrix at once: :func:`compress_columns` treats
-column ``i`` as node ``i``'s message and returns the reconstructions and
-the bit cost of each message, 0 for a message that was not sent.  Random
-operators draw column ``i``'s numbers only from ``rng_for(i)``, one column
-after another in node order, exactly as many as one message needs.  The
-simulators key ``rng_for(i)`` to the ``(seed, i, t, "compress")`` stream,
-so a node's message does not depend on the other columns or on batching
-them; a run of independent draws of one vector is one call over copies of
-it, with one generator for every column.
+Every round compresses one message per node, so ``apply`` writes a whole
+``d x n`` matrix's messages, column ``i`` being node ``i``'s, into the gossip
+kernel's buffers; :func:`compress_columns`, the helper for other callers,
+returns new reconstructions and each message's bit cost, 0 if unsent.  Random
+operators draw column ``i``'s numbers only from ``rng_for(i)``, in node order,
+exactly as many as one message needs.  The simulators key ``rng_for(i)`` to
+the ``(seed, i, t, "compress")`` stream, so a node's message does not depend
+on the other columns or on batching them; independent draws of one vector
+are one call over copies of it, with one generator for every column.
 
 The bit cost of a message is modeled, not materialized: sparse formats pay
 ``ceil(log2 d)`` bits per transmitted index, quantized formats pay
@@ -53,6 +52,7 @@ import numpy as np
 
 __all__ = [
     "CompressionSpec",
+    "OPERATORS",
     "Identity",
     "RandK",
     "TopK",
@@ -61,7 +61,6 @@ __all__ = [
     "RescaledUnbiased",
     "compress_columns",
     "qsgd_tau",
-    "resolve_k",
 ]
 
 RngFor = Callable[[int], "np.random.Generator | None"]
@@ -77,8 +76,8 @@ class CompressionSpec:
     ``d x n`` matrix ``X`` into ``out`` (``d x n``, contiguous, not overlapping ``X``), using
     the ``n x d`` ``scratch`` if ``node_major``, leaves ``X`` as it was, and returns only the
     per-column sent mask, a bool array of shape ``(n,)``.
-    Those with ``E Q(x) = x`` set ``unbiased``, and those that work on the ``n x d`` scratch
-    set ``node_major``.
+    Those with ``E Q(x) = x`` set ``unbiased``, those that work on the ``n x d`` scratch set
+    ``node_major``, and each states its string ``form`` and reads its argument in ``from_arg``.
     """
 
     value_bits: int = field(default=32, kw_only=True)
@@ -89,6 +88,11 @@ class CompressionSpec:
         if not 1 <= self.value_bits <= 64:  # so every bit count fits in int64
             raise ValueError(f"value_bits must lie in [1, 64], got {self.value_bits}")
 
+    @classmethod
+    def from_arg(cls, arg: str, d: int) -> CompressionSpec:
+        """The operator that ``form``'s argument ``arg`` names at dimension ``d``."""
+        return cls()
+
     def natural_tau(self, d: int) -> float:
         """Scale that lifts the operator to its unbiased estimator."""
         raise ValueError(f"no unbiased rescaling for {type(self).__name__}")
@@ -97,6 +101,7 @@ class CompressionSpec:
 @dataclass(frozen=True)
 class Identity(CompressionSpec):
     unbiased: ClassVar[bool] = True
+    form: ClassVar[str] = "identity"
 
     def omega(self, d):
         return 1.0
@@ -123,6 +128,16 @@ class _Sparsifier(CompressionSpec):
         if self.k < 1:
             raise ValueError(f"k must be a positive count, got {self.k}")
 
+    @classmethod
+    def from_arg(cls, arg, d):  # a count k, or below 1 a coordinate fraction: ceil(fraction * d)
+        value = float(arg)
+        if value <= 0.0:
+            raise ValueError(f"k fraction must lie in (0, 1], got {value}")
+        k = max(1, math.ceil(value * d)) if value < 1 else int(value)
+        if k != value and value >= 1:
+            raise ValueError(f"a count k must be a whole number, got {arg}")
+        return cls(k)
+
     def omega(self, d):
         return self._k_at(d) / d
 
@@ -136,6 +151,8 @@ class _Sparsifier(CompressionSpec):
 
 
 class RandK(_Sparsifier):
+    form: ClassVar[str] = "rand_k:<k|frac>"
+
     def natural_tau(self, d):
         return d / self._k_at(d)
 
@@ -152,6 +169,7 @@ class RandK(_Sparsifier):
 
 class TopK(_Sparsifier):
     node_major: ClassVar[bool] = True
+    form: ClassVar[str] = "top_k:<k|frac>"
 
     def apply(self, X, rng_for, out, scratch):
         d, n = X.shape
@@ -179,11 +197,16 @@ class TopK(_Sparsifier):
 class Qsgd(CompressionSpec):
     s: int = 1
     node_major: ClassVar[bool] = True
+    form: ClassVar[str] = "qsgd:<s>"
 
     def __post_init__(self):
         super().__post_init__()
         if self.s < 1:
             raise ValueError(f"s must be a positive level count, got {self.s}")
+
+    @classmethod
+    def from_arg(cls, arg, d):
+        return cls(int(arg))
 
     def omega(self, d):
         return 1.0 / qsgd_tau(self.s, d)
@@ -220,11 +243,16 @@ class Qsgd(CompressionSpec):
 @dataclass(frozen=True)
 class RandGossip(CompressionSpec):
     p: float = 1.0
+    form: ClassVar[str] = "rand_gossip:<p>"
 
     def __post_init__(self):
         super().__post_init__()
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
+
+    @classmethod
+    def from_arg(cls, arg, d):
+        return cls(float(arg))
 
     def omega(self, d):
         return self.p
@@ -246,13 +274,13 @@ class RandGossip(CompressionSpec):
 class RescaledUnbiased(CompressionSpec):
     inner: CompressionSpec = Identity()
     unbiased: ClassVar[bool] = True
+    form: ClassVar[str] = "unbiased:<inner>"
 
     def __post_init__(self):
         super().__post_init__()
         if type(self.inner).natural_tau is CompressionSpec.natural_tau:
-            raise ValueError(
-                f"inner operator {type(self.inner).__name__} has no unbiased rescaling"
-            )
+            raise ValueError(f"inner operator {type(self.inner).__name__} has no unbiased "
+                             "rescaling")
         if self.value_bits != self.inner.value_bits:  # message_bits bills the inner operator
             raise ValueError(f"value_bits {self.value_bits}, but inner has {self.inner.value_bits}")
 
@@ -272,29 +300,24 @@ class RescaledUnbiased(CompressionSpec):
         return sent
 
 
+# Each operator string's lower-case name to its class; identity also answers to none and exact.
+OPERATORS = {cls.form.partition(":")[0]: cls
+             for cls in (Identity, RandK, TopK, Qsgd, RandGossip, RescaledUnbiased)}
+OPERATORS.update(none=Identity, exact=Identity)
+
+
 def qsgd_tau(s: int, d: int) -> float:
     """Second-moment constant ``1 + min(d/s^2, sqrt(d)/s)`` of s-level dithering."""
     return 1.0 + min(d / s**2, math.sqrt(d) / s)
-
-
-def resolve_k(fraction: float, d: int) -> int:
-    """Turn a coordinate fraction into a count, ``k = ceil(fraction * d)``."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"k fraction must lie in (0, 1], got {fraction}")
-    return max(1, math.ceil(fraction * d))
 
 
 def _index_bits(d: int) -> int:
     return (d - 1).bit_length() if d > 1 else 0
 
 
-def compress_columns(
-    spec: CompressionSpec, X: np.ndarray, rng_for: RngFor | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def compress_columns(spec: CompressionSpec, X: np.ndarray,
+                     rng_for: RngFor | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Compress column ``i`` of ``X`` as node ``i``'s message, for every i.
-
-    Its ``ValueError`` checks of ``X`` serve callers outside the gossip kernel,
-    which calls ``spec.apply`` itself, after its own finiteness rule.
 
     Parameters
     ----------

@@ -120,10 +120,8 @@ def _check_operator(scheme: GossipScheme, compression: CompressionSpec) -> None:
     if scheme == GossipScheme.EXACT and not isinstance(compression, Identity):
         raise ValueError(f"exact gossip takes the identity operator, got {compression}")
     if scheme in (GossipScheme.DIRECT, GossipScheme.PAIRED) and not compression.unbiased:
-        raise ValueError(
-            f"{scheme.value} gossip is only defined for unbiased compression "
-            "(Identity or a naturally rescaled primitive)"
-        )
+        raise ValueError(f"{scheme.value} gossip is only defined for unbiased compression "
+                         "(Identity or a naturally rescaled primitive)")
 
 
 @dataclass(frozen=True)

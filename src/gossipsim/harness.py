@@ -124,48 +124,26 @@ RUN_ERRORS = (ValueError, OSError, MemoryError, RuntimeError)
 
 def parse_compression(text: str | None, d: int,
                       value_bits: int | None = None) -> comp.CompressionSpec:
-    """Parse an operator string; ``None`` is an unset key's default: identity, 32 bits.
-
-    Forms: ``identity`` (no argument), ``rand_k:<k or fraction>``,
-    ``top_k:<k or fraction>``, ``qsgd:<levels>``, ``rand_gossip:<p>``, and
-    ``unbiased:<inner>`` for the rescaled unbiased variant.  A sparsifier
-    argument below 1 is read as a coordinate fraction and resolved as
-    ``ceil(fraction * d)``.
-    """
+    """Parse a ``comp.OPERATORS`` form, its name in any case; ``None``, unset, is identity."""
     text = "identity" if text is None else text.strip()
-    value_bits = 32 if value_bits is None else value_bits
-    if text.startswith("unbiased:"):
-        inner = parse_compression(text[len("unbiased:"):], d, value_bits)
-        return comp.RescaledUnbiased(inner, value_bits=value_bits)
     name, colon, arg = text.partition(":")
     name = name.strip().lower()
+    if (cls := comp.OPERATORS.get(name)) is None:
+        raise ConfigError(f"unknown compression kind {text!r}")
+    if colon and ":" not in cls.form:
+        raise ConfigError(f"{name} takes no argument, got {text!r}")
+    if not arg and ":" in cls.form:
+        raise ConfigError(f"{name} needs an argument: {cls.form}")
+    bits = {} if value_bits is None else {"value_bits": value_bits}
+    if cls.form.endswith(":<inner>"):  # the argument is an operator string, read as one
+        return cls(parse_compression(arg, d, value_bits), **bits)
     try:
-        if name in ("identity", "none", "exact"):
-            if colon:
-                raise ConfigError(f"{name} takes no argument, got {text!r}")
-            spec = comp.Identity()
-        elif name in ("rand_k", "top_k"):
-            if not arg:
-                raise ConfigError(f"{name} needs k or a fraction, e.g. {name}:0.01")
-            value = float(arg)
-            k = comp.resolve_k(value, d) if value < 1 else int(value)
-            if value >= 1 and k != value:
-                raise ValueError(f"a count k must be a whole number, got {arg}")
-            cls = comp.RandK if name == "rand_k" else comp.TopK
-            spec = cls(k)
-        elif name == "qsgd":
-            spec = comp.Qsgd(int(arg))
-        elif name == "rand_gossip":
-            spec = comp.RandGossip(float(arg))
-        else:
-            raise ConfigError(f"unknown compression kind {text!r}")
+        spec = cls.from_arg(arg, d)
         spec.omega(d)  # rejects a spec invalid at this d, such as k > d
-    except ConfigError:
-        raise
     except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"bad compression argument in {text!r}: {exc}") from exc
     try:  # apart from the try above: not blamed on ``text``
-        return replace(spec, value_bits=value_bits)
+        return replace(spec, **bits)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -278,8 +256,8 @@ KEYS = {
     "torus_cols": Key(_BOTH, int, "an integer", when=_TORUS, required=_TORUS),
     "edges_file": Key(_BOTH, syntax="a path", help="'i j' pairs, 0-indexed",
                       when=_CUSTOM, required=_CUSTOM),
-    "compression": Key(_BOTH, syntax="an operator", help="identity | rand_k:<k|frac> | "
-                       "top_k:<k|frac> | qsgd:<s> | rand_gossip:<p> | unbiased:<inner>"),
+    "compression": Key(_BOTH, syntax="an operator",
+                       help=" | ".join(cls.form for cls in dict.fromkeys(comp.OPERATORS.values()))),
     "value_bits": Key(_BOTH, int, "an integer"),
     "gamma": Key(_BOTH, lambda text: "auto" if text.strip().lower() == "auto" else float(text),
                  "a number or auto", RunConfig.gamma, help="consensus stepsize or 'auto'",

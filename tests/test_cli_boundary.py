@@ -25,14 +25,15 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gossipsim import cli
+from gossipsim import cli, compression
 from gossipsim.harness import KEYS, LIST_KEYS
 
 SIZE = ["--n", "4", "--d", "3", "--iters", "5"]
 EDGE_VALUES = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e400", "1e-320", str(2**64),
                str(10**20), "fast", "", "0.5", "1", "3"]
-OPERATORS = ["identity", "top_k:", "rand_k:", "qsgd:", "rand_gossip:", "unbiased:rand_k:",
-             "unbiased:qsgd:", "identity:"]
+# every name of the operator table, with its colon if its form takes an argument, and more
+OPERATORS = [name + ":" * (":" in cls.form) for name, cls in compression.OPERATORS.items()] + [
+    "unbiased:rand_k:", "unbiased:qsgd:", "identity:"]
 NUMERIC_FLAGS = {
     "consensus": ["--gamma", "--value-bits", "--eval-every", "--seed"],
     "optimize": ["--gamma", "--a", "--b", "--noise-sigma", "--fstar-tol", "--value-bits",

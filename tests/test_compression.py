@@ -16,7 +16,6 @@ from gossipsim.compression import (
     TopK,
     compress_columns,
     qsgd_tau,
-    resolve_k,
 )
 from gossipsim.streams import stream
 
@@ -334,12 +333,19 @@ class TestSpecValidation:
         spec = RescaledUnbiased(Qsgd(16, value_bits=8), value_bits=8)
         assert spec.message_bits(100) == Qsgd(16, value_bits=8).message_bits(100) == 508
 
+    @pytest.mark.parametrize("cls", [RandK, TopK])
+    def test_sparsifier_from_arg_reads_a_fraction_as_ceil_of_fraction_times_d(self, cls):
+        assert cls.from_arg("0.01", 2000) == cls(20)
+        assert cls.from_arg("0.001", 50) == cls(1)
+        assert cls.from_arg("7", 50) == cls(7)
+        for arg in ("0", "-0.5"):
+            with pytest.raises(ValueError, match=r"^k fraction must lie in \(0, 1\], got "):
+                cls.from_arg(arg, 50)
+
     def test_top_k_has_no_natural_tau(self):
         with pytest.raises(ValueError, match="no unbiased rescaling for TopK"):
             TopK(2).natural_tau(8)
 
     def test_helpers(self):
-        assert resolve_k(0.01, 2000) == 20
-        assert resolve_k(0.001, 50) == 1
         assert Identity().unbiased and RescaledUnbiased(RandK(2)).unbiased
         assert not RandK(2).unbiased

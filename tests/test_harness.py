@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipsim import cli
-from gossipsim.compression import Identity, Qsgd, RandGossip, RandK, RescaledUnbiased, TopK
+from gossipsim.compression import (
+    OPERATORS,
+    Identity,
+    Qsgd,
+    RandGossip,
+    RandK,
+    RescaledUnbiased,
+    TopK,
+)
 from gossipsim.harness import (
     KEYS,
     SUITE_KEYS,
@@ -82,6 +90,18 @@ class TestParseCompression:
         assert parse_compression("qsgd:256", 10) == Qsgd(256)
         assert parse_compression("unbiased:rand_k:0.01", 2000) == RescaledUnbiased(RandK(20))
         assert parse_compression("unbiased:identity", 16) == RescaledUnbiased(Identity())
+        # unbiased, as every other name, in any letter case and with spaces around it
+        assert parse_compression("UNBIASED:identity", 16) == RescaledUnbiased(Identity())
+        assert parse_compression(" unbiased :identity", 16) == RescaledUnbiased(Identity())
+
+    @pytest.mark.parametrize("name, cls", OPERATORS.items())
+    def test_every_table_entry_parses_to_its_class(self, name, cls):
+        # the form's argument filled with a valid value; <inner>, with an operator string
+        _, colon, placeholder = cls.form.partition(":")
+        text = name + colon + {"": "", "<k|frac>": "0.25", "<s>": "4", "<p>": "0.5",
+                               "<inner>": "qsgd:4"}[placeholder]
+        for case in (text, text.upper()):
+            assert type(parse_compression(case, 16)) is cls
 
     def test_value_bits_flow_through(self):
         spec = parse_compression("top_k:2", 16, value_bits=64)

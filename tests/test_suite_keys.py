@@ -5,10 +5,12 @@ syntax, default, choices, help, the ``when`` it applies under and the
 An omitted key runs as its default written out; a key set where its
 ``when`` does not hold, or left out where its ``required`` holds, is one
 error, from a suite line and a flag alike; a CLI flag and a suite line
-coerce one text alike, over generated values; and README's key table
-states what ``KEYS`` holds, row for row.
+coerce one text alike, over generated values; README's key table
+states what ``KEYS`` holds, row for row; and README's compression strings
+are the forms of ``compression.OPERATORS``.
 """
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipsim import cli
+from gossipsim import cli, compression
 from gossipsim.harness import (
     KEYS,
     SUITE_KEYS,
@@ -216,6 +218,17 @@ def test_readme_key_table_is_keys():
             assert default == f"`{text(key.default)}`"
         assert choices == ", ".join(key.choices)
         assert when == (key.scope if key.when else "")
+
+
+def test_readme_compression_strings_are_the_operator_table():
+    # the first sentence of README's "Compression strings" paragraph lists every form of
+    # compression.OPERATORS and identity's other names, each once, and nothing else
+    text = " ".join(README.read_text().split())
+    sentence = text[text.index("Compression strings: "):].split(". ")[0]
+    table = compression.OPERATORS
+    forms = {cls.form for cls in table.values()}
+    aliases = {name for name, cls in table.items() if name != cls.form.partition(":")[0]}
+    assert sorted(re.findall(r"`([^`]+)`", sentence)) == sorted(forms | aliases)
 
 
 def test_a_kind_outside_its_choices_aborts_the_suite(tmp_path):
